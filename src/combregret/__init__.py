@@ -20,9 +20,6 @@ from .errors import BudgetError
 from .forward import (
     DEFAULT_FLOAT_EPS,
     RegretSeries,
-    SparseDistribution,
-    evolve_step,
-    initial_distribution,
     read_series_csv,
     regret_series_fixed,
     write_series_csv,
@@ -45,7 +42,6 @@ from .optimal import (
     AdaptiveSolver,
     BestFixedResult,
     best_fixed_subset,
-    policy_trace,
     value_adaptive,
 )
 from .oracle import brute_regret_fixed, brute_value_adaptive, k2_closed_form

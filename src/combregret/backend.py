@@ -9,20 +9,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dyadic import Dyadic
-
 
 @dataclass(frozen=True)
 class ValueBackend:
     """Selects how weights and values are represented.
 
-    kind is "exact" (arbitrary-precision dyadic) or "float" (binary64).
-    Both are deterministic: results are a pure function of the inputs,
-    independent of thread count, hash seeding, and iteration order.
+    kind is "exact" (scaled integers, returned as ``Dyadic``) or "float"
+    (binary64).  Both are deterministic: results are a pure function of the
+    inputs, independent of hash seeding and iteration order.
     """
 
     kind: str
-    deterministic: bool = True
 
     def __post_init__(self):
         if self.kind not in ("exact", "float"):
@@ -31,11 +28,6 @@ class ValueBackend:
     @property
     def is_exact(self) -> bool:
         return self.kind == "exact"
-
-    def format_value(self, value) -> str:
-        if isinstance(value, Dyadic):
-            return value.decimal()
-        return repr(float(value))
 
 
 EXACT = ValueBackend("exact")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import os
+import math
 import sys
 
 from .analysis import (
@@ -45,20 +45,15 @@ def _positive_int(text: str) -> int:
 def _parse_eps(text: str) -> float:
     """Prune threshold: '0', a float literal, or a power like '2^-50'."""
     s = text.strip()
-    if s.startswith("2^"):
-        return 2.0 ** int(s[2:])
-    value = float(s)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"prune threshold must be nonnegative, got {text}")
-    return value
-
-
-def _default_threads() -> int:
-    env = os.environ.get("REGRET_THREADS", "")
     try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
+        value = 2.0 ** int(s[2:]) if s.startswith("2^") else float(s)
+    except OverflowError:
+        raise argparse.ArgumentTypeError(f"prune threshold {text} overflows a float") from None
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"prune threshold must be finite and nonnegative, got {text}"
+        )
+    return value
 
 
 def _resolve_backend(name: str | None, t_max: int) -> ValueBackend:
@@ -252,13 +247,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="combregret",
         description="Exact expected-regret computations for balanced rank-subset adversaries.",
-    )
-    parser.add_argument(
-        "--threads",
-        type=_positive_int,
-        default=_default_threads(),
-        help="upper bound on worker threads (engines are single-threaded; "
-        "results never depend on this; env REGRET_THREADS sets the default)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -4,6 +4,11 @@ Every probability in a balanced-branch game is a power of 1/2 and every daily
 increment is an integer, so every game value is dyadic.  Arbitrary-precision
 integer numerators keep long-horizon sums exact; at horizon 350 numerators can
 run to hundreds of bits.
+
+``Dyadic`` is the edge type: the engines compute on scaled Python integers
+(a weight after day t is an integer over 2^t, an adaptive value with r days
+left an integer over 2^r) and build a ``Dyadic`` only for values handed to
+callers, the CSV writers and the command line.
 """
 
 from __future__ import annotations

@@ -5,27 +5,31 @@ day of play splits every state into its two equally likely branch successors
 and accumulates the expected leader delta; the regret after T days is the sum
 of the daily expected deltas minus T/2.
 
-Two backends share this contract.  The exact backend keeps dyadic weights and
-is the reference.  The float backend runs the same recurrence vectorized over
-numpy arrays and supports pruning: states whose merged weight falls below a
-threshold are dropped (without renormalizing), and the lost mass is logged
-per day so a rigorous error interval can be reported.  A trajectory lost at
-day t contributes between 0 and 1 to each of the T - t remaining leader
-deltas, so the true regret lies in [R(T), R(T) + sum_t pruned_t * (T - t)].
+Two backends share this contract.  The exact backend is the reference and
+works on scaled Python integers: every weight after day t is an integer path
+count over 2^t, so a parent's count passes unchanged to both children, and
+the regret and the pruned-mass ledger are carried as integers over 2^t too.
+``Dyadic`` values are built only for the series handed back to callers.  The
+float backend runs the same recurrence vectorized over numpy arrays.  Both
+support pruning: states whose merged weight falls below a threshold are
+dropped (without renormalizing), and the lost mass is logged per day so a
+rigorous error interval can be reported.  A trajectory lost at day t
+contributes between 0 and 1 to each of the T - t remaining leader deltas, so
+the true regret lies in [R(T), R(T) + sum_t pruned_t * (T - t)].
 """
 
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .backend import EXACT, FLOAT, ValueBackend
-from .dyadic import HALF, ZERO, Dyadic
+from .dyadic import ZERO, Dyadic
 from .game import (
     ENCODE_BITS,
-    GapState,
     RankSubset,
     apply_gains,
     decode_state,
@@ -37,74 +41,12 @@ from .game import (
 DEFAULT_FLOAT_EPS = 2.0**-50
 
 
-@dataclass(frozen=True)
-class SparseDistribution:
-    """Frontier of the forward DP after ``day`` days.
-
-    entries maps encode_state keys to weights (Dyadic or float, per backend).
-    pruned_by_day[t-1] is the mass dropped at day t; retained weight plus all
-    pruned mass always accounts for the whole unit of probability.
-    """
-
-    k: int
-    day: int
-    backend: ValueBackend
-    entries: dict
-    pruned_by_day: tuple
-
-    def total_weight(self):
-        if self.backend.is_exact:
-            total = ZERO
-            for w in self.entries.values():
-                total = total + w
-            return total
-        return float(sum(self.entries.values()))
-
-    def total_pruned(self):
-        if self.backend.is_exact:
-            total = ZERO
-            for w in self.pruned_by_day:
-                total = total + w
-            return total
-        return float(sum(self.pruned_by_day))
-
-    def states(self) -> dict:
-        """Entries keyed by decoded gap tuples (for inspection and tests)."""
-        return {decode_state(key, self.k): w for key, w in self.entries.items()}
-
-
-def initial_distribution(k: int, backend: ValueBackend = EXACT) -> SparseDistribution:
-    start = encode_state(initial_state(k))
-    one = Dyadic(1) if backend.is_exact else 1.0
-    return SparseDistribution(k, 0, backend, {start: one}, ())
-
-
 # ----------------------------------------------------------------------
 # float fast path: the same recurrence on packed int64 keys
 
 def _float_width(k: int) -> int:
     # k-1 packed fields must fit 63 bits to stay within int64
     return min(ENCODE_BITS, 63 // (k - 1))
-
-
-def _to_internal(code: int, k: int, width: int) -> int:
-    if width == ENCODE_BITS:
-        return code
-    mask = (1 << ENCODE_BITS) - 1
-    out = 0
-    for i in range(k - 1):
-        out |= ((code >> (ENCODE_BITS * i)) & mask) << (width * i)
-    return out
-
-
-def _to_public(code: int, k: int, width: int) -> int:
-    if width == ENCODE_BITS:
-        return code
-    mask = (1 << width) - 1
-    out = 0
-    for i in range(k - 1):
-        out |= ((code >> (width * i)) & mask) << (ENCODE_BITS * i)
-    return out
 
 
 def _float_step(keys, weights, gains_a, gains_b, k: int, width: int, eps: float):
@@ -141,8 +83,8 @@ def _float_step(keys, weights, gains_a, gains_b, k: int, width: int, eps: float)
     codes = codes[order]
     ws = ws[order]
 
-    first = np.empty(codes.shape[0], dtype=bool)
-    first[0] = True
+    # every frontier state may have been pruned, so codes can be empty
+    first = np.ones(codes.shape[0], dtype=bool)
     np.not_equal(codes[1:], codes[:-1], out=first[1:])
     group = np.cumsum(first) - 1
     merged_keys = codes[first]
@@ -154,81 +96,34 @@ def _float_step(keys, weights, gains_a, gains_b, k: int, width: int, eps: float)
 
 
 # ----------------------------------------------------------------------
-# exact path: dyadic weights in a plain dict
+# exact path: integer path counts in a plain dict
 
-def _exact_step(entries: dict, subset: RankSubset, k: int, eps, cache: dict | None = None):
-    # cache maps key -> (child_key_a, delta_a, child_key_b, delta_b); states
-    # recur day after day, so a per-series cache skips most decode/sort work
-    if cache is None:
-        cache = {}
-    gains_a = subset.gains()
-    gains_b = subset.complement_gains()
+def _exact_step(counts: dict, gains_a, gains_b, k: int, cache: dict):
+    """One day of the exact recurrence.
+
+    counts maps keys to path counts over 2^(day-1); the returned counts are
+    over 2^day, so each parent's count passes unchanged to both children.
+    Returns (counts, delta) with delta equal to 2^day times the expected
+    leader delta of the day.  cache maps key -> (child_key_a, child_key_b,
+    delta_a + delta_b); states recur day after day, so a per-series cache
+    skips most decode/sort work.
+    """
     nxt: dict = {}
-    delta_acc = ZERO
-    for key in sorted(entries):
-        wh = entries[key].half()
+    delta = 0
+    for key, w in counts.items():
         tr = cache.get(key)
         if tr is None:
             state = decode_state(key, k)
             child_a, delta_a = apply_gains(state, gains_a)
             child_b, delta_b = apply_gains(state, gains_b)
-            tr = (encode_state(child_a), delta_a, encode_state(child_b), delta_b)
+            tr = (encode_state(child_a), encode_state(child_b), delta_a + delta_b)
             cache[key] = tr
-        for ck, delta in ((tr[0], tr[1]), (tr[2], tr[3])):
-            prev = nxt.get(ck)
-            nxt[ck] = wh if prev is None else prev + wh
-            if delta:
-                delta_acc = delta_acc + wh
-
-    pruned = ZERO
-    if eps is not None and eps > 0.0:
-        threshold = eps if isinstance(eps, Dyadic) else Dyadic.from_float(float(eps))
-        for key in sorted(nxt):
-            if nxt[key] < threshold:
-                pruned = pruned + nxt.pop(key)
-    return nxt, delta_acc, pruned
-
-
-def evolve_step(
-    dist: SparseDistribution,
-    subset: RankSubset,
-    backend: ValueBackend | None = None,
-    eps: float = 0.0,
-):
-    """Advance the frontier one day under ``subset``.
-
-    Returns (next_distribution, expected_delta, pruned_mass).  The subset is
-    canonicalized first; pruning happens after the merge, so mass reaching a
-    surviving state through any branch is never dropped.
-    """
-    if backend is None:
-        backend = dist.backend
-    elif backend.kind != dist.backend.kind:
-        raise ValueError(f"distribution is {dist.backend.kind} but backend argument is {backend.kind}")
-    subset = subset.canonical()
-    if subset.k != dist.k:
-        raise ValueError(f"subset is for k={subset.k}, distribution for k={dist.k}")
-
-    if backend.is_exact:
-        entries, expected_delta, pruned = _exact_step(dist.entries, subset, dist.k, eps)
-    else:
-        k, width = dist.k, _float_width(dist.k)
-        pub_keys = sorted(dist.entries)
-        keys = np.fromiter(
-            (_to_internal(c, k, width) for c in pub_keys), dtype=np.int64, count=len(pub_keys)
-        )
-        weights = np.fromiter((dist.entries[c] for c in pub_keys), dtype=np.float64, count=len(pub_keys))
-        ga = np.array(subset.gains(), dtype=np.int64)
-        gb = np.array(subset.complement_gains(), dtype=np.int64)
-        out_keys, out_w, expected_delta, pruned = _float_step(keys, weights, ga, gb, k, width, eps)
-        entries = {
-            _to_public(int(c), k, width): float(w) for c, w in zip(out_keys, out_w)
-        }
-
-    nxt = SparseDistribution(
-        dist.k, dist.day + 1, dist.backend, entries, dist.pruned_by_day + (pruned,)
-    )
-    return nxt, expected_delta, pruned
+        ka, kb, d = tr
+        nxt[ka] = nxt.get(ka, 0) + w
+        nxt[kb] = nxt.get(kb, 0) + w
+        if d:
+            delta += d * w
+    return nxt, delta
 
 
 # ----------------------------------------------------------------------
@@ -276,6 +171,8 @@ def regret_series_fixed(
         raise ValueError(f"subset is for k={subset.k}, not k={k}")
     if eps is None:
         eps = 0.0 if backend.is_exact else DEFAULT_FLOAT_EPS
+    if not 0.0 <= eps < math.inf:
+        raise ValueError(f"prune threshold must be finite and nonnegative, got {eps}")
 
     if backend.is_exact:
         return _series_exact(k, subset, t_max, eps)
@@ -283,24 +180,31 @@ def regret_series_fixed(
 
 
 def _series_exact(k: int, subset: RankSubset, t_max: int, eps) -> RegretSeries:
-    entries = initial_distribution(k, EXACT).entries
+    gains_a = subset.gains()
+    gains_b = subset.complement_gains()
+    eps_num, eps_den = float(eps).as_integer_ratio()
+    counts = {encode_state(initial_state(k)): 1}
     cache: dict = {}
     values = [ZERO]
     bounds = [ZERO]
-    regret = ZERO
-    # pruned-mass ledger: bound(T) = S0*T - S1 with S0 = sum m_t, S1 = sum m_t*t
-    s0 = ZERO
-    s1 = ZERO
+    # all scaled by 2^day: the regret, and the pruned-mass ledger
+    # bound(T) = S0*T - S1 with S0 = sum m_t, S1 = sum m_t*t
+    regret = s0 = s1 = 0
     peak = 1
     for day in range(1, t_max + 1):
-        entries, expected_delta, pruned = _exact_step(entries, subset, k, eps, cache)
-        regret = regret + expected_delta - HALF
-        s0 = s0 + pruned
-        s1 = s1 + pruned * day
-        values.append(regret)
-        bounds.append(s0 * day - s1)
-        if len(entries) > peak:
-            peak = len(entries)
+        counts, delta = _exact_step(counts, gains_a, gains_b, k, cache)
+        regret = 2 * regret + delta - (1 << (day - 1))
+        pruned = 0
+        if eps_num:
+            # w/2^day < eps exactly when the integer w < ceil(eps * 2^day)
+            cut = -(-(eps_num << day) // eps_den)
+            for key in [key for key, w in counts.items() if w < cut]:
+                pruned += counts.pop(key)
+        s0 = 2 * s0 + pruned
+        s1 = 2 * s1 + pruned * day
+        values.append(Dyadic(regret, day))
+        bounds.append(Dyadic(s0 * day - s1, day))
+        peak = max(peak, len(counts))
     return RegretSeries(k, subset, EXACT, float(eps), tuple(values), tuple(bounds), peak)
 
 

@@ -199,7 +199,7 @@ def encode_state(gaps: GapState) -> int:
     bits; keys fit an int64 through k=6.  Supports gaps up to 4095,
     comfortably beyond any state a 350-day run can reach.  Keys compare in
     reverse-lexicographic order of the gap tuples (trailer gap is the most
-    significant field); engines rely on that order for deterministic sums.
+    significant field).
     """
     if not MIN_K <= len(gaps) <= MAX_K:
         raise ValueError(f"state length must be in {MIN_K}..{MAX_K}: {gaps!r}")

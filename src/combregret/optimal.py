@@ -12,9 +12,14 @@ A.  V(initial, T) is the expected maximum total gain after T days; subtracting
 T/2 (the expected gain any player is pinned to) gives the expected regret.
 
 The memo is keyed by (state, remaining), which is sound because the value is
-horizon-dependent but day-translation-invariant.  Exact arithmetic is the
-default: optimality claims here are equality assertions, where float ties
-cannot be trusted.
+horizon-dependent but day-translation-invariant.  It holds the scaled integer
+N(s, r) = V(s, r) * 2^r, which obeys
+
+    N(s, r) = max over A of 2^(r-1) * (delta_A + delta_B) + N(s_A, r-1) + N(s_B, r-1)
+
+so every comparison is exact, and ties are exact equalities.  Values leave
+the solver as ``Dyadic(N, r)``, or its correctly rounded float under the
+float backend.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .backend import EXACT, ValueBackend
-from .dyadic import ZERO, Dyadic
+from .dyadic import Dyadic
 from .errors import BudgetError
 from .forward import regret_series_fixed
 from .game import GapState, RankSubset, all_strategies, initial_state, step
@@ -62,7 +67,6 @@ class AdaptiveSolver:
         self.backend = backend
         self.memo: dict = {}
         self._succ_cache: dict = {}
-        self._zero = ZERO if backend.is_exact else 0.0
 
     def _succ(self, state: GapState):
         cached = self._succ_cache.get(state)
@@ -74,52 +78,55 @@ class AdaptiveSolver:
             self._succ_cache[state] = cached
         return cached
 
-    def _node_value(self, succ_entry, r: int):
+    def _node_value(self, succ_entry, r: int) -> int:
         sa, da, sb, db = succ_entry
-        va = self._eval(sa, r - 1)
-        vb = self._eval(sb, r - 1)
-        if self.backend.is_exact:
-            return (va + vb + (da + db)).half()
-        return 0.5 * (va + vb + da + db)
+        return ((da + db) << (r - 1)) + self._eval(sa, r - 1) + self._eval(sb, r - 1)
 
-    def _eval(self, state: GapState, r: int):
+    def _eval(self, state: GapState, r: int) -> int:
+        """N(state, r): 2^r times the value with r days left."""
         if r == 0:
-            return self._zero
+            return 0
         key = (state, r)
         v = self.memo.get(key)
         if v is not None:
             return v
-        best = None
-        for entry in self._succ(state):
-            cand = self._node_value(entry, r)
-            if best is None or cand > best:
+        # _node_value inlined: one call fewer per successor, and one Python
+        # frame per day of recursion instead of two (max() over a generator
+        # would add one back)
+        unit = 1 << (r - 1)
+        best = -1
+        for sa, da, sb, db in self._succ(state):
+            cand = (da + db) * unit + self._eval(sa, r - 1) + self._eval(sb, r - 1)
+            if cand > best:
                 best = cand
         if len(self.memo) >= MAX_MEMO_NODES:
             raise BudgetError(f"adaptive memo exceeded {MAX_MEMO_NODES} nodes")
         self.memo[key] = best
         return best
 
-    def expected_max(self, t: int):
-        """E[max total gain] after t days of best adaptive play."""
+    def _edge(self, value: Dyadic):
+        return value if self.backend.is_exact else float(value)
+
+    def _exact_max(self, t: int) -> Dyadic:
         if t < 0:
             raise ValueError(f"horizon must be nonnegative, got {t}")
         if t > MAX_HORIZON:
             raise BudgetError(f"horizon {t} exceeds the adaptive engine cap {MAX_HORIZON}")
-        return self._eval(initial_state(self.k), t)
+        return Dyadic(self._eval(initial_state(self.k), t), t)
+
+    def expected_max(self, t: int):
+        """E[max total gain] after t days of best adaptive play."""
+        return self._edge(self._exact_max(t))
 
     def value(self, t: int) -> "AdaptivePolicyValue":
-        emax = self.expected_max(t)
-        if self.backend.is_exact:
-            regret = emax - Dyadic(t, 1)
-        else:
-            regret = emax - t / 2.0
+        emax = self._exact_max(t)
         return AdaptivePolicyValue(
             k=self.k,
             t=t,
             family=self.family,
             backend=self.backend,
-            expected_max=emax,
-            regret=regret,
+            expected_max=self._edge(emax),
+            regret=self._edge(emax - Dyadic(t, 1)),
             node_count=len(self.memo),
             solver=self,
         )
@@ -193,11 +200,6 @@ def value_adaptive(
 ) -> AdaptivePolicyValue:
     """Expected regret of the best adaptive policy over ``family`` at horizon t."""
     return AdaptiveSolver(k, family, backend).value(t)
-
-
-def policy_trace(result: AdaptivePolicyValue, state: GapState, remaining: int) -> tuple[RankSubset, ...]:
-    """Maximizing subsets at one memo node of a computed adaptive value."""
-    return result.maximizers(state, remaining)
 
 
 @dataclass(frozen=True)

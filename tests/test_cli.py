@@ -187,18 +187,30 @@ def test_bad_suite_and_missing_command(capsys):
     capsys.readouterr()
 
 
-def test_threads_default_env(monkeypatch):
-    monkeypatch.setenv("REGRET_THREADS", "8")
-    assert cli._default_threads() == 8
-    monkeypatch.setenv("REGRET_THREADS", "bogus")
-    assert cli._default_threads() == 1
-    monkeypatch.delenv("REGRET_THREADS")
-    assert cli._default_threads() == 1
-
-
 def test_parse_eps():
     assert cli._parse_eps("2^-50") == 2.0 ** -50
     assert cli._parse_eps("0") == 0.0
     assert cli._parse_eps("1e-9") == 1e-9
     with pytest.raises(Exception):
         cli._parse_eps("-1")
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "2^5000"])
+def test_prune_rejects_non_finite(capsys, text):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["eval", "--k", "3", "--subset", "1", "--t-max", "4", "--prune", text])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--prune" in err and "Traceback" not in err
+
+
+def test_float_sweep_survives_empty_frontier(capsys):
+    # eps 0.6 prunes both halves of day 1, leaving nothing to step
+    rows = {}
+    for backend in ("exact", "float"):
+        code, out, _ = run(capsys, "eval", "--k", "3", "--subset", "1", "--t-max", "4",
+                           "--backend", backend, "--prune", "0.6")
+        assert code == 0
+        rows[backend] = [(r.t, r.regret, r.error_bound) for r in read_series_csv(out)]
+    assert rows["float"] == rows["exact"]
+    assert rows["exact"][-1] == (4, -1.0, 3.0)

@@ -4,59 +4,46 @@ from combregret.backend import EXACT, FLOAT
 from combregret.dyadic import HALF, ONE, ZERO, Dyadic
 from combregret.forward import (
     SERIES_HEADER,
-    SparseDistribution,
-    evolve_step,
-    initial_distribution,
     read_series_csv,
     regret_series_fixed,
     write_series_csv,
 )
-from combregret.game import RankSubset, all_strategies, encode_state
+from combregret.game import RankSubset, all_strategies
 from combregret.oracle import k2_closed_form
 
 
-def test_initial_distribution():
-    d = initial_distribution(3)
-    assert d.day == 0
-    assert d.states() == {(0, 0, 0): ONE}
-    assert d.total_weight() == ONE
-    assert d.total_pruned() == ZERO
-
-
-def test_evolve_k2_first_steps():
-    d = initial_distribution(2)
+def test_exact_pruning_after_merge_and_delta():
+    # k=2, {1}: day 2 holds (0,0) and (0,2) at 1/2 each; on day 3 three
+    # branches of 1/4 merge into (0,1) = 3/4, which survives eps = 0.3, and
+    # only (0,3) = 1/4 is dropped, after its leader delta was counted
     s = RankSubset.of(2, (1,))
-    d1, delta1, pruned1 = evolve_step(d, s)
-    assert delta1 == ONE
-    assert pruned1 == ZERO
-    assert d1.states() == {(0, 1): ONE}
-    d2, delta2, _ = evolve_step(d1, s)
-    assert delta2 == HALF
-    assert d2.states() == {(0, 0): HALF, (0, 2): HALF}
+    full = regret_series_fixed(2, s, 4)
+    pruned = regret_series_fixed(2, s, 4, eps=0.3)
+    assert full.frontier_peak == 3
+    assert pruned.frontier_peak == 2
+    assert pruned.values[:4] == full.values[:4]
+    assert pruned.error_bounds == (ZERO, ZERO, ZERO, ZERO, Dyadic(1, 2))
+    assert pruned.regret_at(4) < full.regret_at(4)
 
 
-def test_prune_example_full_set():
-    # with the full set both branches leave the state unchanged, so a tiny
-    # mass below the threshold is dropped whole after aggregation
-    entries = {
-        encode_state((0, 2)): Dyadic(1, 60),
-        encode_state((0, 0)): ONE - Dyadic(1, 60),
-    }
-    d = SparseDistribution(k=2, day=0, backend=EXACT, entries=entries, pruned_by_day=())
-    nxt, _, pruned = evolve_step(d, RankSubset.of(2, (1, 2)), eps=2.0 ** -40)
-    assert pruned == Dyadic(1, 60)
-    assert nxt.total_pruned() == Dyadic(1, 60)
-    assert (0, 2) not in nxt.states()
-    assert nxt.total_weight() + nxt.total_pruned() == ONE
-
-
-def test_exact_mass_conservation_under_pruning():
-    d = initial_distribution(5)
+def test_exact_pruning_interval_and_mass_ledger():
     s = RankSubset.comb(5)
-    for _ in range(15):
-        d, _delta, _pruned = evolve_step(d, s, eps=2.0 ** -10)
-        assert d.total_weight() + d.total_pruned() == ONE
-    assert d.total_pruned() > ZERO
+    full = regret_series_fixed(5, s, 15)
+    for eps in (2.0 ** -12, 2.0 ** -10, 2.0 ** -6, 0.3):
+        pruned = regret_series_fixed(5, s, 15, eps=eps)
+        assert pruned.backend is EXACT and pruned.eps == eps
+        for t in range(16):
+            v, b = pruned.regret_at(t), pruned.bound_at(t)
+            assert v <= full.regret_at(t) <= v + b
+        # bound(t+1) - bound(t) is the mass pruned through day t: it never
+        # shrinks and never exceeds the unit of probability
+        mass = [pruned.bound_at(t + 1) - pruned.bound_at(t) for t in range(15)]
+        assert all(ZERO <= a <= b <= ONE for a, b in zip(mass, mass[1:]))
+        assert mass[-1] > ZERO
+    # a threshold above 1/2 drops all of day 1's mass, exactly one unit
+    gone = regret_series_fixed(5, s, 15, eps=0.6)
+    assert gone.frontier_peak == 1
+    assert all(gone.bound_at(t) == Dyadic(t - 1) for t in range(1, 16))
 
 
 def test_small_exact_values():
@@ -134,9 +121,10 @@ def test_bad_arguments():
         regret_series_fixed(5, RankSubset.of(5, (1, 3)), 0)
     with pytest.raises(ValueError):
         regret_series_fixed(4, RankSubset.of(5, (1, 3)), 5)
-    d = initial_distribution(2)
-    with pytest.raises(ValueError):
-        evolve_step(d, RankSubset.of(2, (1,)), backend=FLOAT)
+    for backend in (EXACT, FLOAT):
+        for eps in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="prune threshold"):
+                regret_series_fixed(2, RankSubset.of(2, (1,)), 3, backend, eps)
 
 
 def test_csv_roundtrip_exact(tmp_path):

@@ -9,7 +9,6 @@ from combregret.optimal import (
     MAX_HORIZON,
     AdaptiveSolver,
     best_fixed_subset,
-    policy_trace,
     value_adaptive,
 )
 
@@ -90,7 +89,7 @@ def test_full_set_never_unique_at_start():
     res = value_adaptive(3, [full, RankSubset.of(3, (1,))], 4)
     start = res.maximizers(initial_state(3), 4)
     assert start == (RankSubset.of(3, (1,)),)
-    assert policy_trace(res, initial_state(3), 4) == start
+    assert res.solver.maximizers(initial_state(3), 4) == start
 
 
 def test_maximizers_on_missing_node():
@@ -124,7 +123,7 @@ def test_family_validation():
     assert solver.family == (RankSubset.of(5, (1, 3)),)
 
 
-def test_horizon_limits():
+def test_horizon_limits(monkeypatch):
     solver = AdaptiveSolver(2, [RankSubset.of(2, (1,))])
     assert solver.value(0).regret == ZERO
     with pytest.raises(ValueError):
@@ -133,6 +132,9 @@ def test_horizon_limits():
         solver.expected_max(MAX_HORIZON + 1)
     with pytest.raises(ValueError):
         best_fixed_subset(2, 0)
+    monkeypatch.setattr("combregret.optimal.MAX_MEMO_NODES", 10)
+    with pytest.raises(BudgetError, match="memo exceeded 10 nodes"):
+        value_adaptive(3, all_strategies(3), 10)
 
 
 def test_float_backend_agrees(k6_family):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from combregret.dyadic import Dyadic, HALF
 from combregret.errors import BudgetError
@@ -39,6 +41,25 @@ def test_engine_matches_oracle_all_subsets():
             series = regret_series_fixed(k, subset, 7)
             for t in range(1, 8):
                 assert series.regret_at(t) == brute_regret_fixed(k, subset, t)
+
+
+@st.composite
+def _fixed_cases(draw):
+    k = draw(st.integers(2, 6))
+    ranks = draw(st.sets(st.integers(1, k), min_size=1))
+    return k, RankSubset.of(k, ranks), draw(st.integers(1, 9))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_fixed_cases())
+def test_exact_series_matches_oracle_property(case):
+    # any rank set, complements included: engines canonicalize, the oracle
+    # plays the set as given
+    k, subset, t_max = case
+    series = regret_series_fixed(k, subset, t_max)
+    for t in range(1, t_max + 1):
+        assert series.regret_at(t) == brute_regret_fixed(k, subset, t)
+    assert value_adaptive(k, [subset], t_max).regret == series.regret_at(t_max)
 
 
 def test_tie_order_independence():
