@@ -25,7 +25,6 @@ from .forward import (
     write_series_csv,
 )
 from .game import (
-    BranchOutcome,
     GapState,
     RankSubset,
     all_strategies,

@@ -36,7 +36,7 @@ class CheckResult:
 
 def check_k6_t13_adaptive() -> CheckResult:
     family = [RankSubset.of(6, (1, 3, 6)), RankSubset.of(6, (1, 4, 6))]
-    result = value_adaptive(6, family, 13, EXACT)
+    result = value_adaptive(6, family, 13)
     expected = K6_T13_ADAPTIVE_EXPECTED_MAX
     return CheckResult(
         name="k6_t13_adaptive",

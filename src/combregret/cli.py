@@ -22,7 +22,7 @@ from .analysis import (
 from .backend import EXACT, FLOAT, ValueBackend, get_backend
 from .checks import SUITE_NAMES, run_suite
 from .errors import BudgetError
-from .forward import DEFAULT_FLOAT_EPS, regret_series_fixed, write_series_csv
+from .forward import regret_series_fixed, write_series_csv
 from .game import RankSubset, all_strategies
 from .optimal import best_fixed_subset, value_adaptive
 
@@ -63,12 +63,6 @@ def _resolve_backend(name: str | None, t_max: int) -> ValueBackend:
     return EXACT if t_max <= 30 else FLOAT
 
 
-def _resolve_eps(eps: float | None, backend: ValueBackend) -> float:
-    if eps is not None:
-        return eps
-    return 0.0 if backend.is_exact else DEFAULT_FLOAT_EPS
-
-
 @contextlib.contextmanager
 def _open_out(path: str):
     if path == "-":
@@ -96,8 +90,7 @@ def _value_lines(prefix: str, value, backend: ValueBackend) -> list[str]:
 def _cmd_eval(args) -> int:
     subset = RankSubset.parse(args.k, args.subset)
     backend = _resolve_backend(args.backend, args.t_max)
-    eps = _resolve_eps(args.prune, backend)
-    series = regret_series_fixed(args.k, subset, args.t_max, backend, eps)
+    series = regret_series_fixed(args.k, subset, args.t_max, backend, args.prune)
     with _open_out(args.out) as f:
         write_series_csv(series, f)
     return 0
@@ -107,9 +100,8 @@ def _cmd_compare(args) -> int:
     a = RankSubset.parse(args.k, args.a)
     b = RankSubset.parse(args.k, args.b)
     backend = _resolve_backend(args.backend, args.t_max)
-    eps = _resolve_eps(args.prune, backend)
-    sa = regret_series_fixed(args.k, a, args.t_max, backend, eps)
-    sb = regret_series_fixed(args.k, b, args.t_max, backend, eps)
+    sa = regret_series_fixed(args.k, a, args.t_max, backend, args.prune)
+    sb = regret_series_fixed(args.k, b, args.t_max, backend, args.prune)
     d = diff_stat(sa, sb, args.scale)
 
     if args.window is not None:
@@ -139,8 +131,9 @@ def _cmd_compare(args) -> int:
 
 def _cmd_optimal(args) -> int:
     family = _parse_family(args.k, args.family)
+    # the solver is exact; --backend float only prints the rounded value
     backend = get_backend(args.backend)
-    result = value_adaptive(args.k, family, args.t, backend)
+    result = value_adaptive(args.k, family, args.t)
     print(f"family={result.family_label()}")
     print(f"t={args.t}")
     print(f"nodes={result.node_count}")
@@ -209,9 +202,8 @@ def _cmd_figure1(args) -> int:
         raise ValueError(f"t-max {args.t_max} exceeds the sweep limit {SWEEP_LIMIT}")
     a = RankSubset.of(FIGURE_K, FIGURE_A)
     b = RankSubset.of(FIGURE_K, FIGURE_B)
-    eps = args.prune if args.prune is not None else DEFAULT_FLOAT_EPS
-    sa = regret_series_fixed(FIGURE_K, a, args.t_max, FLOAT, eps)
-    sb = regret_series_fixed(FIGURE_K, b, args.t_max, FLOAT, eps)
+    sa = regret_series_fixed(FIGURE_K, a, args.t_max, FLOAT, args.prune)
+    sb = regret_series_fixed(FIGURE_K, b, args.t_max, FLOAT, args.prune)
     d = diff_stat(sa, sb, args.scale)
     with open(args.out_csv, "w", encoding="utf-8") as f:
         write_diff_csv(d, f)

@@ -28,14 +28,7 @@ import numpy as np
 
 from .backend import EXACT, FLOAT, ValueBackend
 from .dyadic import ZERO, Dyadic
-from .game import (
-    ENCODE_BITS,
-    RankSubset,
-    apply_gains,
-    decode_state,
-    encode_state,
-    initial_state,
-)
+from .game import ENCODE_BITS, RankSubset, encode_state, initial_state, step
 
 # default prune threshold for float sweeps; exact runs default to no pruning
 DEFAULT_FLOAT_EPS = 2.0**-50
@@ -104,20 +97,15 @@ def _exact_step(counts: dict, gains_a, gains_b, k: int, cache: dict):
     counts maps keys to path counts over 2^(day-1); the returned counts are
     over 2^day, so each parent's count passes unchanged to both children.
     Returns (counts, delta) with delta equal to 2^day times the expected
-    leader delta of the day.  cache maps key -> (child_key_a, child_key_b,
-    delta_a + delta_b); states recur day after day, so a per-series cache
-    skips most decode/sort work.
+    leader delta of the day.  cache maps key -> ``step(key, ...)``; states
+    recur day after day, so a per-series cache skips most decode/sort work.
     """
     nxt: dict = {}
     delta = 0
     for key, w in counts.items():
         tr = cache.get(key)
         if tr is None:
-            state = decode_state(key, k)
-            child_a, delta_a = apply_gains(state, gains_a)
-            child_b, delta_b = apply_gains(state, gains_b)
-            tr = (encode_state(child_a), encode_state(child_b), delta_a + delta_b)
-            cache[key] = tr
+            tr = cache[key] = step(key, k, gains_a, gains_b)
         ka, kb, d = tr
         nxt[ka] = nxt.get(ka, 0) + w
         nxt[kb] = nxt.get(kb, 0) + w

@@ -10,6 +10,9 @@ complement gains.  Balance pins the player's expected total at half the
 horizon regardless of the player's algorithm, which reduces expected regret
 to the expected maximum total gain minus that constant.  The day index and
 absolute totals therefore never need to be part of the state.
+
+The exact engines carry states as packed integer codes (``encode_state``)
+and advance them with ``step``, the one scalar transition they share.
 """
 
 from __future__ import annotations
@@ -149,28 +152,22 @@ def canonical_subset(members: Iterable[int], k: int) -> RankSubset:
     return RankSubset.of(k, mine)
 
 
-@dataclass(frozen=True)
-class BranchOutcome:
-    """One of the two equally likely results of playing a subset for a day."""
+def step(
+    code: int, k: int, gains_a: tuple[int, ...], gains_b: tuple[int, ...]
+) -> tuple[int, int, int]:
+    """One day from the packed state ``code``: the transition every exact
+    engine shares.
 
-    gains: tuple[int, ...]
-    state: GapState
-    leader_delta: int
-
-
-def step(gaps: GapState, subset: RankSubset) -> tuple[BranchOutcome, BranchOutcome]:
-    """Both outcomes of one day under ``subset``, each with probability 1/2.
-
-    The first outcome is the branch in which ``subset`` itself receives the
-    gains, the second is the complement branch.
+    ``gains_a`` and ``gains_b`` are the per-rank gains of the two equally
+    likely branches (a subset and its complement).  Returns the packed
+    successor of each branch and the sum of their leader deltas.
     """
-    if len(gaps) != subset.k:
-        raise ValueError(f"state has {len(gaps)} entries but subset expects k={subset.k}")
-    out = []
-    for gains in (subset.gains(), subset.complement_gains()):
-        nxt, delta = apply_gains(gaps, gains)
-        out.append(BranchOutcome(gains, nxt, delta))
-    return out[0], out[1]
+    if len(gains_a) != k or len(gains_b) != k:
+        raise ValueError(f"gain vectors must have k={k} entries")
+    gaps = decode_state(code, k)
+    child_a, delta_a = apply_gains(gaps, gains_a)
+    child_b, delta_b = apply_gains(gaps, gains_b)
+    return encode_state(child_a), encode_state(child_b), delta_a + delta_b
 
 
 def all_strategies(k: int) -> Iterator[RankSubset]:

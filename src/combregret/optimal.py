@@ -11,15 +11,16 @@ where (s_A, delta_A) and (s_B, delta_B) are the two branches of one day under
 A.  V(initial, T) is the expected maximum total gain after T days; subtracting
 T/2 (the expected gain any player is pinned to) gives the expected regret.
 
-The memo is keyed by (state, remaining), which is sound because the value is
-horizon-dependent but day-translation-invariant.  It holds the scaled integer
-N(s, r) = V(s, r) * 2^r, which obeys
+The memo is keyed by (packed state code, remaining), which is sound because
+the value is horizon-dependent but day-translation-invariant; successors come
+from ``game.step``, the transition the exact forward engine shares.  It holds
+the scaled integer N(s, r) = V(s, r) * 2^r, which obeys
 
     N(s, r) = max over A of 2^(r-1) * (delta_A + delta_B) + N(s_A, r-1) + N(s_B, r-1)
 
 so every comparison is exact, and ties are exact equalities.  Values leave
-the solver as ``Dyadic(N, r)``, or its correctly rounded float under the
-float backend.
+the solver as ``Dyadic(N, r)``; there is no float solver (the CLI prints the
+correctly rounded float of the exact value when asked for one).
 """
 
 from __future__ import annotations
@@ -32,7 +33,16 @@ from .backend import EXACT, ValueBackend
 from .dyadic import Dyadic
 from .errors import BudgetError
 from .forward import regret_series_fixed
-from .game import GapState, RankSubset, all_strategies, initial_state, step
+from .game import (
+    GapState,
+    RankSubset,
+    all_strategies,
+    decode_state,
+    encode_state,
+    initial_state,
+    step,
+    validate_state,
+)
 
 # hard ceilings; exceeding them is an error, never a silent approximation
 MAX_MEMO_NODES = 20_000_000
@@ -53,50 +63,44 @@ def _canonical_family(family: Iterable[RankSubset]) -> tuple[RankSubset, ...]:
 
 
 class AdaptiveSolver:
-    """Memoized evaluator for one (k, family, backend) triple.
+    """Memoized evaluator for one (k, family) pair.
 
     A single solver can value several horizons; the memo is shared, so asking
-    for T after T_max costs almost nothing extra.
+    for T after T_max costs almost nothing extra.  States are packed codes
+    (``encode_state``) inside; gap tuples appear only at the public methods.
     """
 
-    def __init__(self, k: int, family: Iterable[RankSubset], backend: ValueBackend = EXACT):
+    def __init__(self, k: int, family: Iterable[RankSubset]):
         self.family = _canonical_family(family)
         if self.family[0].k != k:
             raise ValueError(f"family is for k={self.family[0].k}, not k={k}")
         self.k = k
-        self.backend = backend
+        self._gains = tuple((s.gains(), s.complement_gains()) for s in self.family)
         self.memo: dict = {}
         self._succ_cache: dict = {}
 
-    def _succ(self, state: GapState):
-        cached = self._succ_cache.get(state)
+    def _succ(self, code: int):
+        """``step`` triples of ``code``, one per family member, in family order."""
+        cached = self._succ_cache.get(code)
         if cached is None:
-            cached = tuple(
-                (a.state, a.leader_delta, b.state, b.leader_delta)
-                for a, b in (step(state, s) for s in self.family)
-            )
-            self._succ_cache[state] = cached
+            cached = tuple(step(code, self.k, ga, gb) for ga, gb in self._gains)
+            self._succ_cache[code] = cached
         return cached
 
-    def _node_value(self, succ_entry, r: int) -> int:
-        sa, da, sb, db = succ_entry
-        return ((da + db) << (r - 1)) + self._eval(sa, r - 1) + self._eval(sb, r - 1)
-
-    def _eval(self, state: GapState, r: int) -> int:
-        """N(state, r): 2^r times the value with r days left."""
+    def _eval(self, code: int, r: int) -> int:
+        """N(code, r): 2^r times the value with r days left."""
         if r == 0:
             return 0
-        key = (state, r)
+        key = (code, r)
         v = self.memo.get(key)
         if v is not None:
             return v
-        # _node_value inlined: one call fewer per successor, and one Python
-        # frame per day of recursion instead of two (max() over a generator
-        # would add one back)
+        # one Python frame per day of recursion (max() over a generator would
+        # add a second)
         unit = 1 << (r - 1)
         best = -1
-        for sa, da, sb, db in self._succ(state):
-            cand = (da + db) * unit + self._eval(sa, r - 1) + self._eval(sb, r - 1)
+        for ca, cb, d in self._succ(code):
+            cand = d * unit + self._eval(ca, r - 1) + self._eval(cb, r - 1)
             if cand > best:
                 best = cand
         if len(self.memo) >= MAX_MEMO_NODES:
@@ -104,44 +108,46 @@ class AdaptiveSolver:
         self.memo[key] = best
         return best
 
-    def _edge(self, value: Dyadic):
-        return value if self.backend.is_exact else float(value)
+    def _argmax(self, code: int, r: int) -> list:
+        """(subset, step triple) of every member achieving the computed N(code, r)."""
+        target = self.memo[(code, r)]
+        unit = 1 << (r - 1)
+        return [
+            (subset, tr)
+            for subset, tr in zip(self.family, self._succ(code))
+            if tr[2] * unit + self._eval(tr[0], r - 1) + self._eval(tr[1], r - 1) == target
+        ]
 
-    def _exact_max(self, t: int) -> Dyadic:
+    def expected_max(self, t: int) -> Dyadic:
+        """E[max total gain] after t days of best adaptive play."""
         if t < 0:
             raise ValueError(f"horizon must be nonnegative, got {t}")
         if t > MAX_HORIZON:
             raise BudgetError(f"horizon {t} exceeds the adaptive engine cap {MAX_HORIZON}")
-        return Dyadic(self._eval(initial_state(self.k), t), t)
-
-    def expected_max(self, t: int):
-        """E[max total gain] after t days of best adaptive play."""
-        return self._edge(self._exact_max(t))
+        return Dyadic(self._eval(encode_state(initial_state(self.k)), t), t)
 
     def value(self, t: int) -> "AdaptivePolicyValue":
-        emax = self._exact_max(t)
+        emax = self.expected_max(t)
         return AdaptivePolicyValue(
             k=self.k,
             t=t,
             family=self.family,
-            backend=self.backend,
-            expected_max=self._edge(emax),
-            regret=self._edge(emax - Dyadic(t, 1)),
+            expected_max=emax,
+            regret=emax - Dyadic(t, 1),
             node_count=len(self.memo),
             solver=self,
         )
 
     def maximizers(self, state: GapState, remaining: int) -> tuple[RankSubset, ...]:
         """All family members achieving the max at a computed memo node."""
-        key = (state, remaining)
-        target = self.memo.get(key)
-        if target is None:
+        # packed codes drop trailing zero gaps, so check the length first
+        if len(state) != self.k:
+            raise ValueError(f"state has {len(state)} entries, expected k={self.k}: {state!r}")
+        validate_state(state)
+        code = encode_state(state)
+        if (code, remaining) not in self.memo:
             raise ValueError(f"node not computed: state={state}, remaining={remaining}")
-        return tuple(
-            subset
-            for subset, entry in zip(self.family, self._succ(state))
-            if self._node_value(entry, remaining) == target
-        )
+        return tuple(subset for subset, _ in self._argmax(code, remaining))
 
     def trace(self, t: int) -> Iterator[tuple[GapState, int, tuple[RankSubset, ...]]]:
         """Nodes reachable under optimal play from the start, breadth-first.
@@ -150,21 +156,19 @@ class AdaptiveSolver:
         maximizing subset, both branches, so the dump covers the whole set of
         positions an optimal adversary can face.
         """
-        start = initial_state(self.k)
+        start = encode_state(initial_state(self.k))
         if (start, t) not in self.memo:
             self.expected_max(t)
         queue = deque([(start, t)])
         seen = {(start, t)}
         while queue:
-            state, r = queue.popleft()
+            code, r = queue.popleft()
             if r == 0:
                 continue
-            maxers = self.maximizers(state, r)
-            yield state, r, maxers
-            for subset, entry in zip(self.family, self._succ(state)):
-                if subset not in maxers:
-                    continue
-                for child in (entry[0], entry[2]):
+            best = self._argmax(code, r)
+            yield decode_state(code, self.k), r, tuple(subset for subset, _ in best)
+            for _, (ca, cb, _) in best:
+                for child in (ca, cb):
                     node = (child, r - 1)
                     if r - 1 > 0 and node not in seen:
                         seen.add(node)
@@ -179,9 +183,8 @@ class AdaptivePolicyValue:
     k: int
     t: int
     family: tuple[RankSubset, ...]
-    backend: ValueBackend
-    expected_max: object
-    regret: object
+    expected_max: Dyadic
+    regret: Dyadic
     node_count: int
     solver: AdaptiveSolver = field(repr=False, compare=False)
 
@@ -192,14 +195,9 @@ class AdaptivePolicyValue:
         return ":".join(s.label() for s in self.family)
 
 
-def value_adaptive(
-    k: int,
-    family: Iterable[RankSubset],
-    t: int,
-    backend: ValueBackend = EXACT,
-) -> AdaptivePolicyValue:
+def value_adaptive(k: int, family: Iterable[RankSubset], t: int) -> AdaptivePolicyValue:
     """Expected regret of the best adaptive policy over ``family`` at horizon t."""
-    return AdaptiveSolver(k, family, backend).value(t)
+    return AdaptiveSolver(k, family).value(t)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ def _report(name: str, ok: bool, detail: str) -> None:
 
 
 def test_criterion_1_adaptive_two_subset_family(k6_family):
-    result = value_adaptive(6, k6_family, 13, EXACT)
+    result = value_adaptive(6, k6_family, 13)
     expected = Dyadic(2341, 8)
     ok = result.expected_max == expected
     _report(

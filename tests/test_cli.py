@@ -6,6 +6,7 @@ from combregret import cli
 from combregret.checks import CheckResult
 from combregret.forward import read_series_csv, regret_series_fixed
 from combregret.game import RankSubset
+from combregret.optimal import value_adaptive
 
 
 def run(capsys, *argv):
@@ -88,6 +89,16 @@ def test_optimal_k6_reference(capsys):
     assert "expected_max=9.14453125 (2341/2^8)" in lines
     assert "regret=2.64453125 (677/2^8)" in lines
     assert any(line.startswith("nodes=") for line in lines)
+
+
+def test_optimal_float_prints_rounded_exact_value(capsys, k6_family):
+    code, out, _ = run(capsys, "optimal", "--k", "6", "--family", "1,3,6:1,4,6",
+                       "--t", "13", "--backend", "float")
+    assert code == 0
+    exact = value_adaptive(6, k6_family, 13)
+    lines = out.splitlines()
+    assert f"expected_max={float(exact.expected_max):.17g}" in lines
+    assert f"regret={float(exact.regret):.17g}" in lines
 
 
 def test_optimal_all_family_matches_eval(capsys):

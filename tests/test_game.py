@@ -72,18 +72,23 @@ def test_labels():
     assert RankSubset.of(6, (1, 3, 6)).label() == "1,3,6"
 
 
+def _step(gaps, subset):
+    """step on gap tuples: (child_a, child_b, delta_a + delta_b)."""
+    k = len(gaps)
+    ca, cb, d = step(encode_state(gaps), k, subset.gains(), subset.complement_gains())
+    return decode_state(ca, k), decode_state(cb, k), d
+
+
 def test_worked_step_examples():
-    a, b = step((0, 0, 0, 0, 0), RankSubset.of(5, (1, 3)))
-    assert a.state == (0, 0, 1, 1, 1) and a.leader_delta == 1
-    assert b.state == (0, 0, 0, 1, 1) and b.leader_delta == 1
-
-    a, b = step((0, 2, 2, 3, 7), RankSubset.of(5, (1, 3, 5)))
-    assert a.state == (0, 2, 3, 4, 7) and a.leader_delta == 1
-    assert b.state == (0, 1, 2, 2, 7) and b.leader_delta == 0
-
-    a, b = step((0, 0, 3), RankSubset.of(3, (1, 3)))
-    assert a.state == (0, 1, 3) and a.leader_delta == 1
-    assert b.state == (0, 1, 4) and b.leader_delta == 1
+    assert _step((0, 0, 0, 0, 0), RankSubset.of(5, (1, 3))) == (
+        (0, 0, 1, 1, 1), (0, 0, 0, 1, 1), 2)
+    assert _step((0, 2, 2, 3, 7), RankSubset.of(5, (1, 3, 5))) == (
+        (0, 2, 3, 4, 7), (0, 1, 2, 2, 7), 1)
+    assert _step((0, 0, 3), RankSubset.of(3, (1, 3))) == ((0, 1, 3), (0, 1, 4), 2)
+    # codes in, codes out
+    assert step(0, 3, (1, 0, 1), (0, 1, 0)) == (encode_state((0, 0, 1)), encode_state((0, 1, 1)), 2)
+    with pytest.raises(ValueError, match="k=3 entries"):
+        step(0, 3, (1, 0), (0, 1, 1))
 
 
 def _small_states(k, gap_max):
@@ -97,35 +102,35 @@ def test_step_enumeration_properties():
         for gaps in _small_states(k, 6):
             total = sum(gaps)
             for subset in subsets:
-                a, b = step(gaps, subset)
-                # branch A plays the subset itself, whose ranks include 1
-                assert a.leader_delta == 1
-                for out, n_gains in ((a, len(subset.ranks)), (b, k - len(subset.ranks))):
-                    validate_state(out.state)
-                    got = sum(out.state)
-                    assert got == total + k * out.leader_delta - n_gains
+                a, b, d = _step(gaps, subset)
+                # branch A plays the subset itself, whose ranks include 1, so
+                # its leader delta is 1 and branch B's is d - 1
+                assert d in (1, 2)
+                n_gains = len(subset.ranks)
+                for out, delta, n in ((a, 1, n_gains), (b, d - 1, k - n_gains)):
+                    validate_state(out)
+                    assert sum(out) == total + k * delta - n
 
 
 def test_complement_swap():
     # playing the complement subset swaps the two branches
     for k in (3, 5):
         for gaps in _small_states(k, 4):
+            code = encode_state(gaps)
             for subset in all_strategies(k):
                 if subset.is_full():
                     continue
                 comp = RankSubset(k, subset.complement_ranks())
-                a, b = step(gaps, subset)
-                ca, cb = step(gaps, comp)
-                assert (a.state, a.leader_delta) == (cb.state, cb.leader_delta)
-                assert (b.state, b.leader_delta) == (ca.state, ca.leader_delta)
+                ca, cb, d = step(code, k, subset.gains(), subset.complement_gains())
+                assert step(code, k, comp.gains(), comp.complement_gains()) == (cb, ca, d)
 
 
 def test_apply_gains_matches_step():
     for gaps in _small_states(4, 5):
         for subset in all_strategies(4):
-            a, b = step(gaps, subset)
-            assert apply_gains(gaps, subset.gains()) == (a.state, a.leader_delta)
-            assert apply_gains(gaps, subset.complement_gains()) == (b.state, b.leader_delta)
+            sa, da = apply_gains(gaps, subset.gains())
+            sb, db = apply_gains(gaps, subset.complement_gains())
+            assert _step(gaps, subset) == (sa, sb, da + db)
 
 
 def test_tie_permutation_invariance():

@@ -1,6 +1,5 @@
 import pytest
 
-from combregret.backend import EXACT, FLOAT
 from combregret.dyadic import ZERO, Dyadic
 from combregret.errors import BudgetError
 from combregret.forward import regret_series_fixed
@@ -99,6 +98,17 @@ def test_maximizers_on_missing_node():
         solver.maximizers((0, 9), 1)
 
 
+def test_maximizers_validates_state():
+    solver = AdaptiveSolver(3, [RankSubset.of(3, (1,))])
+    solver.expected_max(2)
+    # (0, 0) packs to the same code as the computed (0, 0, 0)
+    with pytest.raises(ValueError, match="expected k=3"):
+        solver.maximizers((0, 0), 1)
+    with pytest.raises(ValueError, match="nondecreasing"):
+        solver.maximizers((0, 2, 1), 1)
+    assert solver.maximizers((0, 0, 0), 2) == (RankSubset.of(3, (1,)),)
+
+
 def test_reproducible_and_shared_memo():
     fam = [RankSubset.of(4, (1, 3)), RankSubset.of(4, (1, 4))]
     a = AdaptiveSolver(4, fam)
@@ -135,11 +145,3 @@ def test_horizon_limits(monkeypatch):
     monkeypatch.setattr("combregret.optimal.MAX_MEMO_NODES", 10)
     with pytest.raises(BudgetError, match="memo exceeded 10 nodes"):
         value_adaptive(3, all_strategies(3), 10)
-
-
-def test_float_backend_agrees(k6_family):
-    exact = value_adaptive(6, k6_family, 13)
-    approx = value_adaptive(6, k6_family, 13, backend=FLOAT)
-    assert approx.backend is FLOAT
-    assert abs(approx.expected_max - float(exact.expected_max)) < 1e-9
-    assert abs(approx.regret - float(exact.regret)) < 1e-9

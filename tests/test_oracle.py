@@ -62,6 +62,23 @@ def test_exact_series_matches_oracle_property(case):
     assert value_adaptive(k, [subset], t_max).regret == series.regret_at(t_max)
 
 
+@st.composite
+def _family_cases(draw):
+    k = draw(st.integers(2, 5))
+    ranks = st.sets(st.integers(1, k), min_size=1).map(lambda r: RankSubset.of(k, r))
+    family = draw(st.lists(ranks, min_size=2, max_size=3))
+    return k, family, draw(st.integers(1, 5))
+
+
+@settings(max_examples=50, deadline=None)
+@given(_family_cases())
+def test_adaptive_matches_oracle_property(case):
+    # complements allowed: the solver canonicalizes, the oracle plays each
+    # member as given
+    k, family, t = case
+    assert value_adaptive(k, family, t).regret == brute_value_adaptive(k, family, t)
+
+
 def test_tie_order_independence():
     # ranking ties broken in either direction must give the same value
     for k, ranks in ((3, (1,)), (4, (1, 3)), (5, (1, 3, 5))):
