@@ -225,3 +225,11 @@ def test_float_sweep_survives_empty_frontier(capsys):
         rows[backend] = [(r.t, r.regret, r.error_bound) for r in read_series_csv(out)]
     assert rows["float"] == rows["exact"]
     assert rows["exact"][-1] == (4, -1.0, 3.0)
+
+
+def test_float_sweep_budget_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr("combregret.forward.MAX_FLOAT_STATES", 100)
+    code, out, err = run(capsys, "eval", "--k", "5", "--subset", "comb", "--t-max", "30",
+                         "--backend", "float")
+    assert code == 2
+    assert "table exceeded 100 states" in err and "Traceback" not in err

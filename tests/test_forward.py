@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from combregret.backend import EXACT, FLOAT
 from combregret.dyadic import HALF, ONE, ZERO, Dyadic
+from combregret.errors import BudgetError
 from combregret.forward import (
     SERIES_HEADER,
     read_series_csv,
@@ -90,6 +93,47 @@ def test_float_matches_exact_small_horizons():
         approx = regret_series_fixed(k, s, 20, backend=FLOAT, eps=0.0)
         for t in range(21):
             assert abs(approx.regret_at(t) - float(exact.regret_at(t))) <= 2.0 ** -40
+
+
+@st.composite
+def _float_cases(draw):
+    k = draw(st.integers(2, 6))
+    ranks = draw(st.sets(st.integers(2, k))) | {1}
+    t_max = draw(st.integers(1, 24))
+    eps = draw(st.sampled_from((0.0, 2.0 ** -8, 2.0 ** -16)))
+    return k, RankSubset.of(k, ranks), t_max, eps
+
+
+@settings(max_examples=100, deadline=None)
+@given(_float_cases())
+def test_float_matches_exact_property(case):
+    # weights stay exact dyadics this early, so both engines prune the same
+    # states and keep the same frontier
+    k, subset, t_max, eps = case
+    exact = regret_series_fixed(k, subset, t_max, EXACT, eps)
+    approx = regret_series_fixed(k, subset, t_max, FLOAT, eps)
+    assert approx.frontier_peak == exact.frontier_peak
+    for t in range(t_max + 1):
+        assert abs(approx.regret_at(t) - float(exact.regret_at(t))) <= 2.0 ** -40
+        assert abs(approx.bound_at(t) - float(exact.bound_at(t))) <= 2.0 ** -40
+
+
+def test_float_frontier_keeps_underflowed_states():
+    # by T = 1100 the k = 2 walk's far tail has weights below the smallest
+    # double: they round to 0.0 but are still reached, so eps = 0 keeps them
+    s = RankSubset.of(2, (1,))
+    approx = regret_series_fixed(2, s, 1100, FLOAT, 0.0)
+    exact = regret_series_fixed(2, s, 1100, EXACT, 0.0)
+    assert approx.frontier_peak == exact.frontier_peak == 551
+
+
+def test_float_table_budget(monkeypatch):
+    monkeypatch.setattr("combregret.forward.MAX_FLOAT_STATES", 100)
+    s = RankSubset.comb(5)
+    small = regret_series_fixed(5, s, 3, FLOAT)
+    assert small.values == tuple(float(v) for v in regret_series_fixed(5, s, 3).values)
+    with pytest.raises(BudgetError, match="table exceeded 100 states"):
+        regret_series_fixed(5, s, 30, FLOAT)
 
 
 def test_pruning_interval_contains_exact():
