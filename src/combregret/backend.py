@@ -1,8 +1,8 @@
 """Value backends: exact dyadic arithmetic or IEEE floats.
 
-The forward engine can run either way.  The exact backend is the reference;
-the float backend trades exactness for vectorized speed and reports a rigorous
-error bound instead.
+The forward engine can run either way over one transition table.  The exact
+backend is the reference; the float backend trades exactness for speed and
+memory and reports a rigorous error bound instead.
 """
 
 from __future__ import annotations

@@ -5,22 +5,25 @@ day of play splits every state into its two equally likely branch successors
 and accumulates the expected leader delta; the regret after T days is the sum
 of the daily expected deltas minus T/2.
 
-Two backends share this contract.  The exact backend is the reference and
-works on scaled Python integers: every weight after day t is an integer path
-count over 2^t, so a parent's count passes unchanged to both children, and
-the regret and the pruned-mass ledger are carried as integers over 2^t too.
-``Dyadic`` values are built only for the series handed back to callers.
-
-The float backend runs the same recurrence on numpy arrays over a per-series
-transition table: every state reached so far, sorted by packed code, with
-the rows of its two children and their leader deltas filled in the first day
-the state is on the frontier.  Each state is therefore decoded, stepped and
-re-encoded once, and a day is a gather plus one ``np.bincount``.  The
-frontier is an ascending array of table rows, so it stays in code order and
-every float reduction adds its operands in that fixed order: the series are
-reproducible bit for bit.  The table never forgets a state, so it is capped
-at ``MAX_FLOAT_STATES`` rows; a sweep that would grow past the cap raises
+Both backends run this recurrence over one per-series transition table:
+every state reached so far, sorted by packed code, with the rows of its two
+children and their leader deltas filled in the first day the state is on the
+frontier.  Each state is therefore decoded, stepped and re-encoded once, and
+a day is a gather of child rows plus one ``np.bincount`` per weight row.  The
+frontier is an ascending array of table rows, that is of states in code
+order.  The table never forgets a state, so it is capped at
+``MAX_TABLE_ROWS`` rows; a sweep that would grow past the cap raises
 ``BudgetError``.
+
+The backends differ only in how they hold the weights:
+
+* exact (the reference): every weight after day t is an integer path count
+  over 2^t, so a parent's count passes unchanged to both children.  Counts
+  are held in ``LIMB_BITS``-bit limbs, one int64 row per limb, and the
+  regret and the pruned-mass ledger are Python integers over 2^t.
+  ``Dyadic`` values are built only for the series handed back to callers.
+* float: one float64 weight per state.  Every reduction adds its operands
+  in code order, so the series are reproducible bit for bit.
 
 Both backends support pruning: states whose merged weight falls below a
 threshold are dropped (without renormalizing), and the lost mass is logged
@@ -40,22 +43,29 @@ import numpy as np
 from .backend import EXACT, FLOAT, ValueBackend
 from .dyadic import ZERO, Dyadic
 from .errors import BudgetError
-from .game import ENCODE_BITS, RankSubset, encode_state, initial_state, step
+from .game import ENCODE_BITS, RankSubset
 
 # default prune threshold for float sweeps; exact runs default to no pruning
 DEFAULT_FLOAT_EPS = 2.0**-50
 
-# hard ceiling on the rows of a float sweep's transition table, which keeps
-# every state the sweep ever reaches.  A sweep peaks at about 150 B of RSS
+# hard ceiling on the rows of a sweep's transition table, which keeps every
+# state the sweep ever reaches.  A float sweep peaks at about 150 B of RSS
 # per row (k = 5 comb, eps = 0, T = 350: 603,903 rows, 85 MiB above a 325-row
-# sweep), so a 2 GiB budget allows about 14.3M rows.
-MAX_FLOAT_STATES = (2 << 30) // 150
+# sweep), so a 2 GiB budget allows about 14.3M rows.  An exact sweep also
+# holds an int64 limb per frontier state for every 28 days of horizon: the
+# same T = 350 sweep (13 limbs) peaks at about 285 B per row (163 MiB), so
+# about 4 GB at the cap.
+MAX_TABLE_ROWS = (2 << 30) // 150
+
+# exact path counts are split into limbs of this many bits.  np.bincount
+# sums in float64, and a merged limb sums at most two limbs, each below
+# 2^LIMB_BITS, per table row, so every merged limb is an exact integer.
+LIMB_BITS = 28
+_LIMB_MASK = (1 << LIMB_BITS) - 1
+assert 2 * MAX_TABLE_ROWS << LIMB_BITS <= 1 << 53
 
 
-# ----------------------------------------------------------------------
-# float fast path: the same recurrence over a persistent transition table
-
-def _float_width(k: int) -> int:
+def _packed_width(k: int) -> int:
     # k-1 packed fields must fit 63 bits to stay within int64
     return min(ENCODE_BITS, 63 // (k - 1))
 
@@ -70,7 +80,7 @@ def _spread(a, old):
 
 
 class _TransitionTable:
-    """Every state a float sweep has reached, sorted by packed code.
+    """Every state a sweep has reached, sorted by packed code.
 
     Row i holds the code of state i and, once the state has been expanded,
     the table indices of its two children and their leader deltas, so each
@@ -79,10 +89,12 @@ class _TransitionTable:
     code order and renumbers the stored child indices.
     """
 
-    def __init__(self, k: int, width: int, gains_a, gains_b):
-        self.k = k
-        self.width = width
-        self.gains = (gains_a, gains_b)
+    def __init__(self, subset: RankSubset):
+        self.k = subset.k
+        self.width = _packed_width(subset.k)
+        self.gains = tuple(
+            np.array(g, dtype=np.int64) for g in (subset.gains(), subset.complement_gains())
+        )
         self.codes = np.zeros(1, dtype=np.int64)  # the day-0 state
         self.children = np.zeros((2, 1), dtype=np.int64)
         self.deltas = np.zeros((2, 1), dtype=np.int8)  # a leader delta is 0 or 1
@@ -91,6 +103,20 @@ class _TransitionTable:
     def __len__(self) -> int:
         return self.codes.shape[0]
 
+    def advance(self, frontier):
+        """One day's moves from the (ascending) frontier rows.
+
+        Returns the frontier's leader deltas (shape (2, n)), the child rows
+        of all its a-branches followed by all its b-branches, and the next
+        frontier: the ascending rows those children reach.
+        """
+        frontier = self.expand(frontier)
+        deltas = np.take(self.deltas, frontier, axis=1)
+        children = np.take(self.children, frontier, axis=1).ravel()
+        reached = np.zeros(len(self), dtype=bool)
+        reached[children] = True
+        return deltas, children, np.flatnonzero(reached)
+
     def expand(self, frontier):
         """Expand the frontier's unexpanded states; return the frontier's
         (ascending) indices after any rows were inserted."""
@@ -98,14 +124,16 @@ class _TransitionTable:
         if new.shape[0] == 0:
             return frontier
         child_codes, child_deltas = self._successors(self.codes[new])
-        fresh = np.unique(child_codes)
+        # sort plus adjacent difference: np.unique would import numpy.ma
+        fresh = np.sort(child_codes, axis=None)
+        fresh = fresh[np.concatenate(([True], fresh[1:] != fresh[:-1]))]
         at = np.searchsorted(self.codes, fresh)
         known = self.codes[np.minimum(at, len(self) - 1)] == fresh
         fresh, at = fresh[~known], at[~known]
         if fresh.shape[0]:
             size = len(self) + fresh.shape[0]
-            if size > MAX_FLOAT_STATES:
-                raise BudgetError(f"float sweep table exceeded {MAX_FLOAT_STATES} states")
+            if size > MAX_TABLE_ROWS:
+                raise BudgetError(f"sweep table exceeded {MAX_TABLE_ROWS} rows")
             # old row i moves down by the number of fresh codes below it
             old = np.ones(size, dtype=bool)
             old[at + np.arange(fresh.shape[0])] = False
@@ -143,29 +171,25 @@ class _TransitionTable:
 
 
 # ----------------------------------------------------------------------
-# exact path: integer path counts in a plain dict
+# exact weights: path counts as int64 limb rows
 
-def _exact_step(counts: dict, gains_a, gains_b, k: int, cache: dict):
-    """One day of the exact recurrence.
+def _join(limbs) -> int:
+    """The Python integer sum of the j-th of ``limbs`` times 2^(LIMB_BITS * j)."""
+    return sum(int(x) << (LIMB_BITS * j) for j, x in enumerate(limbs))
 
-    counts maps keys to path counts over 2^(day-1); the returned counts are
-    over 2^day, so each parent's count passes unchanged to both children.
-    Returns (counts, delta) with delta equal to 2^day times the expected
-    leader delta of the day.  cache maps key -> ``step(key, ...)``; states
-    recur day after day, so a per-series cache skips most decode/sort work.
-    """
-    nxt: dict = {}
-    delta = 0
-    for key, w in counts.items():
-        tr = cache.get(key)
-        if tr is None:
-            tr = cache[key] = step(key, k, gains_a, gains_b)
-        ka, kb, d = tr
-        nxt[ka] = nxt.get(ka, 0) + w
-        nxt[kb] = nxt.get(kb, 0) + w
-        if d:
-            delta += d * w
-    return nxt, delta
+
+def _at_least(counts: list, value: int):
+    """Mask of the states whose limb rows ``counts`` hold at least ``value``."""
+    n = counts[0].shape[0]
+    if value >> (LIMB_BITS * len(counts)):
+        return np.zeros(n, dtype=bool)
+    more = np.zeros(n, dtype=bool)
+    equal = np.ones(n, dtype=bool)
+    for j in reversed(range(len(counts))):
+        c = (value >> (LIMB_BITS * j)) & _LIMB_MASK
+        more |= equal & (counts[j] > c)
+        equal &= counts[j] == c
+    return more | equal
 
 
 # ----------------------------------------------------------------------
@@ -215,18 +239,29 @@ def regret_series_fixed(
         eps = 0.0 if backend.is_exact else DEFAULT_FLOAT_EPS
     if not 0.0 <= eps < math.inf:
         raise ValueError(f"prune threshold must be finite and nonnegative, got {eps}")
+    if t_max >= 1 << _packed_width(k):
+        raise ValueError(f"t_max {t_max} exceeds packed-gap range for k={k}")
 
     if backend.is_exact:
-        return _series_exact(k, subset, t_max, eps)
-    return _series_float(k, subset, t_max, eps)
+        return _series_exact(subset, t_max, eps)
+    return _series_float(subset, t_max, eps)
 
 
-def _series_exact(k: int, subset: RankSubset, t_max: int, eps) -> RegretSeries:
-    gains_a = subset.gains()
-    gains_b = subset.complement_gains()
+def _series_exact(subset: RankSubset, t_max: int, eps) -> RegretSeries:
+    """The exact recurrence over a ``_TransitionTable``.
+
+    ``counts`` holds the frontier's path counts over 2^day as int64 rows of
+    ``LIMB_BITS``-bit limbs, least significant first; entry i of each row
+    belongs to frontier state i.  A day merges each limb with one
+    ``np.bincount`` of the child rows, gathers the sums to the next frontier
+    and carries into the next limb; a row is appended when a carry first
+    passes the top limb.  Raises ``BudgetError`` when the table would exceed
+    ``MAX_TABLE_ROWS`` rows.
+    """
+    table = _TransitionTable(subset)
     eps_num, eps_den = float(eps).as_integer_ratio()
-    counts = {encode_state(initial_state(k)): 1}
-    cache: dict = {}
+    frontier = np.zeros(1, dtype=np.int64)
+    counts = [np.ones(1, dtype=np.int64)]
     values = [ZERO]
     bounds = [ZERO]
     # all scaled by 2^day: the regret, and the pruned-mass ledger
@@ -234,44 +269,53 @@ def _series_exact(k: int, subset: RankSubset, t_max: int, eps) -> RegretSeries:
     regret = s0 = s1 = 0
     peak = 1
     for day in range(1, t_max + 1):
-        counts, delta = _exact_step(counts, gains_a, gains_b, k, cache)
+        deltas, children, frontier = table.advance(frontier)
+        both = deltas[0] + deltas[1]
+        delta = _join(limb @ both for limb in counts)
+        merged = []
+        carry = 0
+        while counts:
+            # popped, so each limb is freed once merged
+            limb = counts.pop(0)
+            sums = np.bincount(children, weights=np.concatenate([limb, limb]), minlength=len(table))
+            row = sums[frontier].astype(np.int64)
+            row += carry
+            carry = row >> LIMB_BITS
+            row &= _LIMB_MASK
+            merged.append(row)
+        if carry.any():
+            merged.append(carry)
+        counts = merged
         regret = 2 * regret + delta - (1 << (day - 1))
         pruned = 0
         if eps_num:
             # w/2^day < eps exactly when the integer w < ceil(eps * 2^day)
-            cut = -(-(eps_num << day) // eps_den)
-            for key in [key for key, w in counts.items() if w < cut]:
-                pruned += counts.pop(key)
+            keep = _at_least(counts, -(-(eps_num << day) // eps_den))
+            pruned = _join(limb[~keep].sum() for limb in counts)
+            frontier, counts = frontier[keep], [limb[keep] for limb in counts]
         s0 = 2 * s0 + pruned
         s1 = 2 * s1 + pruned * day
         values.append(Dyadic(regret, day))
         bounds.append(Dyadic(s0 * day - s1, day))
-        peak = max(peak, len(counts))
-    return RegretSeries(k, subset, EXACT, float(eps), tuple(values), tuple(bounds), peak)
+        peak = max(peak, frontier.shape[0])
+    return RegretSeries(subset.k, subset, EXACT, float(eps), tuple(values), tuple(bounds), peak)
 
 
-def _series_float(k: int, subset: RankSubset, t_max: int, eps: float) -> RegretSeries:
+def _series_float(subset: RankSubset, t_max: int, eps: float) -> RegretSeries:
     """The float recurrence over a ``_TransitionTable``.
 
-    The frontier is an ascending array of table rows, that is of states in
-    code order.  A day gathers their child rows and deltas and merges the
-    children's weights with one ``np.bincount``.  Every reduction so adds
-    the same operands in the same order as a sort-and-merge by code would:
-    the expected-delta sums, each merged weight (bincount adds in input
-    order, every a-child before every b-child, as a stable sort of the
-    concatenated child codes does) and the pruned mass.  The series are
-    reproducible bit for bit and do not depend on when a state entered the
-    table.  A state stays on the frontier when a branch reaches it, even if
-    its weight has underflowed to 0.0, as the exact engine keeps it.
-    Raises ``BudgetError`` when the table would exceed ``MAX_FLOAT_STATES``
-    rows.
+    A day merges the children's weights with one ``np.bincount``.  Every
+    reduction adds the same operands in the same order as a sort-and-merge
+    by code would: the expected-delta sums, each merged weight (bincount
+    adds in input order, every a-child before every b-child, as a stable
+    sort of the concatenated child codes does) and the pruned mass.  The
+    series are reproducible bit for bit and do not depend on when a state
+    entered the table.  A state stays on the frontier when a branch reaches
+    it, even if its weight has underflowed to 0.0, as the exact engine keeps
+    it.  Raises ``BudgetError`` when the table would exceed
+    ``MAX_TABLE_ROWS`` rows.
     """
-    width = _float_width(k)
-    if t_max > (1 << width) - 1:
-        raise ValueError(f"t_max {t_max} exceeds packed-gap range for k={k}")
-    ga = np.array(subset.gains(), dtype=np.int64)
-    gb = np.array(subset.complement_gains(), dtype=np.int64)
-    table = _TransitionTable(k, width, ga, gb)
+    table = _TransitionTable(subset)
     frontier = np.zeros(1, dtype=np.int64)
     weights = np.ones(1, dtype=np.float64)
     values = [0.0]
@@ -281,16 +325,11 @@ def _series_float(k: int, subset: RankSubset, t_max: int, eps: float) -> RegretS
     s1 = 0.0
     peak = 1
     for day in range(1, t_max + 1):
-        frontier = table.expand(frontier)
+        deltas, children, frontier = table.advance(frontier)
         half = weights * 0.5
-        deltas = np.take(table.deltas, frontier, axis=1)
         # the expected delta is accumulated before pruning
         expected_delta = float(np.sum(half * deltas[0])) + float(np.sum(half * deltas[1]))
-        children = np.take(table.children, frontier, axis=1).ravel()
         merged = np.bincount(children, weights=np.concatenate([half, half]), minlength=len(table))
-        reached = np.zeros(len(table), dtype=bool)
-        reached[children] = True
-        frontier = np.flatnonzero(reached)
         weights = merged[frontier]
         pruned = 0.0
         if eps > 0.0:
@@ -304,7 +343,7 @@ def _series_float(k: int, subset: RankSubset, t_max: int, eps: float) -> RegretS
         values.append(regret)
         bounds.append(s0 * day - s1)
         peak = max(peak, frontier.shape[0])
-    return RegretSeries(k, subset, FLOAT, eps, tuple(values), tuple(bounds), peak)
+    return RegretSeries(subset.k, subset, FLOAT, eps, tuple(values), tuple(bounds), peak)
 
 
 # ----------------------------------------------------------------------

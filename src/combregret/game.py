@@ -11,8 +11,10 @@ horizon regardless of the player's algorithm, which reduces expected regret
 to the expected maximum total gain minus that constant.  The day index and
 absolute totals therefore never need to be part of the state.
 
-The exact engines carry states as packed integer codes (``encode_state``)
-and advance them with ``step``, the one scalar transition they share.
+The adaptive solver carries states as packed integer codes
+(``encode_state``) and advances them with ``step``, the scalar transition.
+The forward sweeps run a vectorized form of it on their own packing of the
+gaps (``forward._TransitionTable``).
 """
 
 from __future__ import annotations
@@ -155,8 +157,8 @@ def canonical_subset(members: Iterable[int], k: int) -> RankSubset:
 def step(
     code: int, k: int, gains_a: tuple[int, ...], gains_b: tuple[int, ...]
 ) -> tuple[int, int, int]:
-    """One day from the packed state ``code``: the transition every exact
-    engine shares.
+    """One day from the packed state ``code``, the adaptive solver's
+    transition.
 
     ``gains_a`` and ``gains_b`` are the per-rank gains of the two equally
     likely branches (a subset and its complement).  Returns the packed

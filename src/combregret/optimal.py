@@ -13,8 +13,8 @@ T/2 (the expected gain any player is pinned to) gives the expected regret.
 
 The memo is keyed by (packed state code, remaining), which is sound because
 the value is horizon-dependent but day-translation-invariant; successors come
-from ``game.step``, the transition the exact forward engine shares.  It holds
-the scaled integer N(s, r) = V(s, r) * 2^r, which obeys
+from ``game.step``.  It holds the scaled integer N(s, r) = V(s, r) * 2^r,
+which obeys
 
     N(s, r) = max over A of 2^(r-1) * (delta_A + delta_B) + N(s_A, r-1) + N(s_B, r-1)
 

@@ -6,10 +6,17 @@ asserting, so a failing run still reports what was computed.
 
 import math
 import time
+from fractions import Fraction
 
 import pytest
 
-from combregret.analysis import certified_lower_bounds, constancy_report, diff_stat
+from combregret import cli
+from combregret.analysis import (
+    certified_lower_bounds,
+    constancy_report,
+    diff_stat,
+    read_diff_csv,
+)
 from combregret.backend import EXACT, FLOAT
 from combregret.dyadic import ZERO, Dyadic
 from combregret.forward import regret_series_fixed
@@ -107,6 +114,38 @@ def test_criterion_4_positivity_interval_safe_t5_to_t350(
     )
     assert not bad, f"certified lower bound of D(T) is not positive at T={bad}"
     assert lower[6] <= 0.0, f"certified lower bound {lower[6]!r} exceeds the true D(6) = 0"
+
+
+@pytest.mark.slow
+def test_criterion_4_exact_d_to_t350(tmp_path):
+    # the unpruned exact series of both strategies, through the CLI
+    path = tmp_path / "d.csv"
+    argv = ["compare", "--k", "5", "--a", "1,3", "--b", "1,3,5", "--t-max", "350",
+            "--backend", "exact", "--out", str(path)]
+    assert cli.main(argv) == 0
+    d = dict(read_diff_csv(path.read_text()))
+    assert sorted(d) == list(range(1, 351))
+    ties = sorted(t for t in d if d[t] == 0)
+    negative = [t for t in d if d[t] < 0]
+    t_min = min(range(7, 351), key=d.get)
+    window = [d[t] for t in range(100, 351)]
+    ok = (
+        ties == [1, 2, 3, 4, 6] and not negative and t_min == 13
+        and round(float(d[13]), 10) == 3.4577284868 and round(float(d[350]), 10) == 7.1787864217
+        and Fraction("7.1655206514") <= min(window) and max(window) <= Fraction("7.1867798917")
+    )
+    _report(
+        "criterion_4_exact_d_to_t350", ok,
+        f"ties={ties} negative={negative or 'none'} min_from_t7={float(d[t_min]):.11g} "
+        f"at T={t_min} D(350)={float(d[350]):.11g} "
+        f"window_100_350=[{float(min(window)):.11g}, {float(max(window)):.11g}]",
+    )
+    assert all(isinstance(v, Fraction) for v in d.values())
+    assert ties == [1, 2, 3, 4, 6], f"exact D(T) = 0 at T={ties}"
+    assert not negative, f"exact D(T) < 0 at T={negative}"
+    assert t_min == 13 and round(float(d[13]), 10) == 3.4577284868
+    assert round(float(d[350]), 10) == 7.1787864217
+    assert Fraction("7.1655206514") <= min(window) and max(window) <= Fraction("7.1867798917")
 
 
 def test_criterion_4_window_dispersion(sweep13, sweep135):

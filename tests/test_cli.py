@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -227,9 +230,28 @@ def test_float_sweep_survives_empty_frontier(capsys):
     assert rows["exact"][-1] == (4, -1.0, 3.0)
 
 
-def test_float_sweep_budget_exit_code(capsys, monkeypatch):
-    monkeypatch.setattr("combregret.forward.MAX_FLOAT_STATES", 100)
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_sweep_budget_exit_code(capsys, monkeypatch, backend):
+    monkeypatch.setattr("combregret.forward.MAX_TABLE_ROWS", 100)
     code, out, err = run(capsys, "eval", "--k", "5", "--subset", "comb", "--t-max", "30",
-                         "--backend", "float")
+                         "--backend", backend)
     assert code == 2
-    assert "table exceeded 100 states" in err and "Traceback" not in err
+    assert "table exceeded 100 rows" in err and "Traceback" not in err
+
+
+def test_sweeps_leave_numpy_ma_unimported(tmp_path):
+    # np.unique imports numpy.ma on first use, about 1.2 MB of RSS; neither
+    # forward backend nor figure1's analysis needs it
+    script = (
+        "import sys\n"
+        "from combregret import cli\n"
+        "assert cli.main(['eval', '--k', '5', '--subset', 'comb', '--t-max', '40',\n"
+        "                 '--backend', 'exact', '--out', sys.argv[1] + '/eval.csv']) == 0\n"
+        "assert cli.main(['figure1', '--t-max', '120', '--out-csv', sys.argv[1] + '/f.csv',\n"
+        "                 '--out-svg', sys.argv[1] + '/f.svg']) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "False"

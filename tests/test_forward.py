@@ -13,6 +13,7 @@ from combregret.forward import (
 )
 from combregret.game import RankSubset, all_strategies
 from combregret.oracle import k2_closed_form
+from tests.support import reference_series
 
 
 def test_exact_pruning_after_merge_and_delta():
@@ -43,10 +44,12 @@ def test_exact_pruning_interval_and_mass_ledger():
         mass = [pruned.bound_at(t + 1) - pruned.bound_at(t) for t in range(15)]
         assert all(ZERO <= a <= b <= ONE for a, b in zip(mass, mass[1:]))
         assert mass[-1] > ZERO
-    # a threshold above 1/2 drops all of day 1's mass, exactly one unit
-    gone = regret_series_fixed(5, s, 15, eps=0.6)
-    assert gone.frontier_peak == 1
-    assert all(gone.bound_at(t) == Dyadic(t - 1) for t in range(1, 16))
+    # a threshold above 1/2 drops all of day 1's mass, exactly one unit,
+    # also when the cut needs more limbs than any count
+    for eps in (0.6, 2.0 ** 40):
+        gone = regret_series_fixed(5, s, 15, eps=eps)
+        assert gone.frontier_peak == 1
+        assert all(gone.bound_at(t) == Dyadic(t - 1) for t in range(1, 16))
 
 
 def test_small_exact_values():
@@ -127,13 +130,35 @@ def test_float_frontier_keeps_underflowed_states():
     assert approx.frontier_peak == exact.frontier_peak == 551
 
 
-def test_float_table_budget(monkeypatch):
-    monkeypatch.setattr("combregret.forward.MAX_FLOAT_STATES", 100)
+@pytest.mark.parametrize("backend", [EXACT, FLOAT], ids=["exact", "float"])
+def test_table_budget(monkeypatch, backend):
+    monkeypatch.setattr("combregret.forward.MAX_TABLE_ROWS", 100)
     s = RankSubset.comb(5)
-    small = regret_series_fixed(5, s, 3, FLOAT)
-    assert small.values == tuple(float(v) for v in regret_series_fixed(5, s, 3).values)
-    with pytest.raises(BudgetError, match="table exceeded 100 states"):
-        regret_series_fixed(5, s, 30, FLOAT)
+    small = regret_series_fixed(5, s, 3, backend)
+    assert [float(v) for v in small.values] == [float(v) for v in reference_series(s, 3, 0.0)[0]]
+    with pytest.raises(BudgetError, match="table exceeded 100 rows"):
+        regret_series_fixed(5, s, 30, backend)
+
+
+@st.composite
+def _reference_cases(draw):
+    k = draw(st.integers(2, 5))
+    ranks = draw(st.sets(st.integers(2, k))) | {1}
+    t_max = draw(st.integers(1, 90))
+    eps = draw(st.sampled_from((0.0, 2.0 ** -20, 2.0 ** -40, 2.0 ** -70)))
+    return RankSubset.of(k, ranks), t_max, eps
+
+
+@settings(max_examples=100, deadline=None)
+@given(_reference_cases())
+def test_exact_matches_dict_reference_property(case):
+    # T <= 90 crosses the limb boundaries at days 28, 56 and 84, in the
+    # counts and, for eps = 2^-40 and 2^-70, in the pruning cut
+    subset, t_max, eps = case
+    series = regret_series_fixed(subset.k, subset, t_max, EXACT, eps)
+    assert (series.values, series.error_bounds, series.frontier_peak) == reference_series(
+        subset, t_max, eps
+    )
 
 
 def test_pruning_interval_contains_exact():
@@ -169,6 +194,10 @@ def test_bad_arguments():
         for eps in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="prune threshold"):
                 regret_series_fixed(2, RankSubset.of(2, (1,)), 3, backend, eps)
+        # k - 1 packed gaps share 63 bits: 10 bits each at k = 7, 9 at k = 8
+        for k, t_max in ((7, 1024), (8, 512)):
+            with pytest.raises(ValueError, match="exceeds packed-gap range"):
+                regret_series_fixed(k, RankSubset.comb(k), t_max, backend)
 
 
 def test_csv_roundtrip_exact(tmp_path):
