@@ -15,7 +15,7 @@ from .analysis import (
     write_diff_csv,
 )
 from .backend import EXACT, FLOAT, ValueBackend, get_backend
-from .dyadic import HALF, ONE, ZERO, Dyadic, average2, compare
+from .dyadic import HALF, ONE, ZERO, Dyadic
 from .errors import BudgetError
 from .forward import (
     DEFAULT_FLOAT_EPS,

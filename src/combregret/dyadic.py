@@ -51,12 +51,6 @@ class Dyadic:
     # construction helpers
 
     @classmethod
-    def from_float(cls, x: float) -> "Dyadic":
-        """Exact conversion; every finite binary64 value is dyadic."""
-        n, d = float(x).as_integer_ratio()
-        return cls(n, d.bit_length() - 1)
-
-    @classmethod
     def parse(cls, text: str) -> "Dyadic":
         """Parse the interchange form ``n/2^e`` or a bare integer."""
         s = text.strip()
@@ -66,23 +60,6 @@ class Dyadic:
         if re.fullmatch(r"-?\d+", s):
             return cls(int(s))
         raise ValueError(f"not a dyadic literal: {text!r}")
-
-    @classmethod
-    def from_decimal(cls, text: str) -> "Dyadic":
-        """Parse a terminating decimal that denotes a dyadic rational."""
-        s = text.strip()
-        if not re.fullmatch(r"-?\d+(\.\d+)?", s):
-            raise ValueError(f"not a decimal literal: {text!r}")
-        if "." not in s:
-            return cls(int(s))
-        whole, frac = s.split(".")
-        digits = len(frac)
-        scaled = int(whole + frac) if not s.startswith("-") else -int(whole.lstrip("-") + frac)
-        # scaled / 10^d = scaled / (2^d 5^d); dyadic iff 5^d divides scaled
-        q, r = divmod(scaled, 5**digits)
-        if r:
-            raise ValueError(f"{text!r} is not a dyadic rational")
-        return cls(q, digits)
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -117,20 +94,8 @@ class Dyadic:
             return NotImplemented
         return o - self
 
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Dyadic(self.num * o.num, self.exp + o.exp)
-
-    __rmul__ = __mul__
-
     def __neg__(self):
         return Dyadic(-self.num, self.exp)
-
-    def half(self) -> "Dyadic":
-        """Exact division by two."""
-        return Dyadic(self.num, self.exp + 1)
 
     # ------------------------------------------------------------------
     # comparison: shift to a common exponent, compare numerators
@@ -212,13 +177,3 @@ class Dyadic:
 ZERO = Dyadic(0)
 ONE = Dyadic(1)
 HALF = Dyadic(1, 1)
-
-
-def average2(a: Dyadic, b: Dyadic) -> Dyadic:
-    """Exact mean of two dyadics; the denominator stays a power of two."""
-    return (a + b).half()
-
-
-def compare(a: Dyadic, b: Dyadic) -> int:
-    """Exact trichotomy: -1, 0, or 1 as ``a`` is below, at, or above ``b``."""
-    return a._cmp(b)

@@ -8,8 +8,11 @@ of the daily expected deltas minus T/2.
 Both backends run this recurrence over one per-series transition table:
 every state reached so far, sorted by packed code, with the rows of its two
 children and their leader deltas filled in the first day the state is on the
-frontier.  Each state is therefore decoded, stepped and re-encoded once, and
-a day is a gather of child rows plus one ``np.bincount`` per weight row.  The
+frontier.  Each state is therefore decoded, stepped and re-encoded once, by
+``_successors``, and a day is a gather of child rows plus one
+``np.bincount`` per weight row.  ``_successors`` is the one vectorized
+transition of the package: the adaptive solver in ``optimal`` builds its
+layers with it too, and ``game.step`` is its scalar reference.  The
 frontier is an ascending array of table rows, that is of states in code
 order.  The table never forgets a state, so it is capped at
 ``MAX_TABLE_ROWS`` rows; a sweep that would grow past the cap raises
@@ -79,6 +82,49 @@ def _spread(a, old):
     return out
 
 
+def _sorted_unique(codes):
+    """The distinct values of ``codes``, ascending."""
+    # sort plus adjacent difference: np.unique would import numpy.ma
+    out = np.sort(codes, axis=None)
+    return out[np.concatenate(([True], out[1:] != out[:-1]))]
+
+
+def _unpack(codes, k: int, width: int):
+    """Gap vectors, shape (n, k), of states packed ``width`` bits per gap."""
+    mask = np.int64((1 << width) - 1)
+    gaps = np.zeros((codes.shape[0], k), dtype=np.int64)
+    for i in range(1, k):
+        gaps[:, i] = (codes >> np.int64(width * (i - 1))) & mask
+    return gaps
+
+
+def _branch_gains(subset: RankSubset):
+    """The int64 per-rank gains of ``subset``'s two branches, for ``_successors``."""
+    return tuple(np.array(g, dtype=np.int64) for g in (subset.gains(), subset.complement_gains()))
+
+
+def _successors(codes, k: int, width: int, gains):
+    """One day from every packed state in ``codes``: the vectorized ``game.step``.
+
+    ``gains`` holds the int64 per-rank gains of the two branches (a subset
+    and its complement).  Returns the child codes and the leader deltas of
+    both branches, shape (2, n) each.
+    """
+    n = codes.shape[0]
+    gaps = _unpack(codes, k, width)
+    child_codes = np.zeros((2, n), dtype=np.int64)
+    deltas = np.empty((2, n), dtype=np.int64)
+    for b, branch in enumerate(gains):
+        rel = branch[None, :] - gaps
+        delta = rel.max(axis=1)
+        nxt = delta[:, None] - rel
+        nxt.sort(axis=1)
+        for i in range(1, k):
+            child_codes[b] |= nxt[:, i] << np.int64(width * (i - 1))
+        deltas[b] = delta
+    return child_codes, deltas
+
+
 class _TransitionTable:
     """Every state a sweep has reached, sorted by packed code.
 
@@ -92,9 +138,7 @@ class _TransitionTable:
     def __init__(self, subset: RankSubset):
         self.k = subset.k
         self.width = _packed_width(subset.k)
-        self.gains = tuple(
-            np.array(g, dtype=np.int64) for g in (subset.gains(), subset.complement_gains())
-        )
+        self.gains = _branch_gains(subset)
         self.codes = np.zeros(1, dtype=np.int64)  # the day-0 state
         self.children = np.zeros((2, 1), dtype=np.int64)
         self.deltas = np.zeros((2, 1), dtype=np.int8)  # a leader delta is 0 or 1
@@ -123,10 +167,8 @@ class _TransitionTable:
         new = frontier[~self.expanded[frontier]]
         if new.shape[0] == 0:
             return frontier
-        child_codes, child_deltas = self._successors(self.codes[new])
-        # sort plus adjacent difference: np.unique would import numpy.ma
-        fresh = np.sort(child_codes, axis=None)
-        fresh = fresh[np.concatenate(([True], fresh[1:] != fresh[:-1]))]
+        child_codes, child_deltas = _successors(self.codes[new], self.k, self.width, self.gains)
+        fresh = _sorted_unique(child_codes)
         at = np.searchsorted(self.codes, fresh)
         known = self.codes[np.minimum(at, len(self) - 1)] == fresh
         fresh, at = fresh[~known], at[~known]
@@ -148,27 +190,6 @@ class _TransitionTable:
         self.deltas[:, new] = child_deltas
         self.expanded[new] = True
         return frontier
-
-    def _successors(self, codes):
-        """Child codes and leader deltas, shape (2, n) each, of packed states."""
-        k, width = self.k, self.width
-        n = codes.shape[0]
-        mask = np.int64((1 << width) - 1)
-        gaps = np.zeros((n, k), dtype=np.int64)
-        for i in range(1, k):
-            gaps[:, i] = (codes >> np.int64(width * (i - 1))) & mask
-        child_codes = np.zeros((2, n), dtype=np.int64)
-        deltas = np.empty((2, n), dtype=np.int64)
-        for b, gains in enumerate(self.gains):
-            rel = gains[None, :] - gaps
-            delta = rel.max(axis=1)
-            nxt = delta[:, None] - rel
-            nxt.sort(axis=1)
-            for i in range(1, k):
-                child_codes[b] |= nxt[:, i] << np.int64(width * (i - 1))
-            deltas[b] = delta
-        return child_codes, deltas
-
 
 # ----------------------------------------------------------------------
 # exact weights: path counts as int64 limb rows

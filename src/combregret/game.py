@@ -11,10 +11,11 @@ horizon regardless of the player's algorithm, which reduces expected regret
 to the expected maximum total gain minus that constant.  The day index and
 absolute totals therefore never need to be part of the state.
 
-The adaptive solver carries states as packed integer codes
-(``encode_state``) and advances them with ``step``, the scalar transition.
-The forward sweeps run a vectorized form of it on their own packing of the
-gaps (``forward._TransitionTable``).
+Every engine, the forward sweeps and the adaptive solver alike, advances
+whole arrays of packed state codes with one vectorized transition,
+``forward._successors``; its codes are those of ``encode_state``, with fewer
+bits per gap for k >= 7.  ``step`` is the scalar transition on
+``encode_state`` codes: the reference the tests check the engines against.
 """
 
 from __future__ import annotations
@@ -157,7 +158,7 @@ def canonical_subset(members: Iterable[int], k: int) -> RankSubset:
 def step(
     code: int, k: int, gains_a: tuple[int, ...], gains_b: tuple[int, ...]
 ) -> tuple[int, int, int]:
-    """One day from the packed state ``code``, the adaptive solver's
+    """One day from the packed state ``code``: the scalar reference
     transition.
 
     ``gains_a`` and ``gains_b`` are the per-rank gains of the two equally

@@ -11,42 +11,59 @@ where (s_A, delta_A) and (s_B, delta_B) are the two branches of one day under
 A.  V(initial, T) is the expected maximum total gain after T days; subtracting
 T/2 (the expected gain any player is pinned to) gives the expected regret.
 
-The memo is keyed by (packed state code, remaining), which is sound because
-the value is horizon-dependent but day-translation-invariant; successors come
-from ``game.step``.  It holds the scaled integer N(s, r) = V(s, r) * 2^r,
-which obeys
+The value is horizon-dependent but day-translation-invariant, so the solver
+works in layers.  A forward pass enumerates L_0 ... L_T, where L_d holds the
+packed codes (``forward._packed_width`` bits per gap) of every state
+reachable at day d under some sequence of family members, in ascending
+order.  Each layer stores, per member, the rows of both children in the next
+layer and the sum of their leader deltas; the successors come from
+``forward._successors``, the vectorized transition every engine shares.  A
+backward pass then values a whole layer at once on the scaled integers
+N(s, r) = V(s, r) * 2^r, which obey
 
     N(s, r) = max over A of 2^(r-1) * (delta_A + delta_B) + N(s_A, r-1) + N(s_B, r-1)
 
-so every comparison is exact, and ties are exact equalities.  Values leave
-the solver as ``Dyadic(N, r)``; there is no float solver (the CLI prints the
-correctly rounded float of the exact value when asked for one).
+so every comparison is exact, and ties are exact equalities.  N(s, r) is at
+most r * 2^r, so a horizon up to ``INT64_HORIZON`` is valued in int64 and a
+longer one in Python integers.  Values leave the solver as ``Dyadic(N, r)``;
+there is no float solver (the CLI prints the correctly rounded float of the
+exact value when asked for one).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .backend import EXACT, ValueBackend
 from .dyadic import Dyadic
 from .errors import BudgetError
-from .forward import regret_series_fixed
-from .game import (
-    GapState,
-    RankSubset,
-    all_strategies,
-    decode_state,
-    encode_state,
-    initial_state,
-    step,
-    validate_state,
+from .forward import (
+    _branch_gains,
+    _packed_width,
+    _sorted_unique,
+    _successors,
+    _unpack,
+    regret_series_fixed,
 )
+from .game import MAX_K, GapState, RankSubset, all_strategies, validate_state
 
-# hard ceilings; exceeding them is an error, never a silent approximation
+# hard ceilings; exceeding them is an error, never a silent approximation.
+# A layer row keeps 8 B of code, 9 B per family member (two int32 child rows
+# and an int8 delta sum) and one value per solved horizon (8 B in int64).
+# Counting the largest layer's successor arrays too, peak RSS grows by about
+# 500 B per row for the 32 subsets of k = 6 (T = 13, 16), 216 B for the 16
+# of k = 5 (T = 30) and 81 B for the 4 of k = 3 (T = 80, Python-int values).
 MAX_MEMO_NODES = 20_000_000
 MAX_HORIZON = 400
+# every gap reached within MAX_HORIZON days fits the packed width of any k
+assert MAX_HORIZON < 1 << _packed_width(MAX_K)
+
+# N(s, r) <= r * 2^r < 2^63 while r <= 57
+INT64_HORIZON = 57
 
 
 def _canonical_family(family: Iterable[RankSubset]) -> tuple[RankSubset, ...]:
@@ -63,11 +80,11 @@ def _canonical_family(family: Iterable[RankSubset]) -> tuple[RankSubset, ...]:
 
 
 class AdaptiveSolver:
-    """Memoized evaluator for one (k, family) pair.
+    """Layered evaluator for one (k, family) pair.
 
-    A single solver can value several horizons; the memo is shared, so asking
-    for T after T_max costs almost nothing extra.  States are packed codes
-    (``encode_state``) inside; gap tuples appear only at the public methods.
+    A single solver can value several horizons: the layers are shared, so
+    asking for T after T_max adds no rows, only one backward pass.  States
+    are packed codes inside; gap tuples appear only at the public methods.
     """
 
     def __init__(self, k: int, family: Iterable[RankSubset]):
@@ -75,48 +92,62 @@ class AdaptiveSolver:
         if self.family[0].k != k:
             raise ValueError(f"family is for k={self.family[0].k}, not k={k}")
         self.k = k
-        self._gains = tuple((s.gains(), s.complement_gains()) for s in self.family)
-        self.memo: dict = {}
-        self._succ_cache: dict = {}
+        self.width = _packed_width(k)
+        self._gains = tuple(_branch_gains(s) for s in self.family)
+        self._codes = [np.zeros(1, dtype=np.int64)]  # L_0: the day-0 state
+        # per expanded layer: int32 child rows (member, branch, row) in the
+        # next layer, and int8 delta sums (member, row)
+        self._children: list = []
+        self._dsums: list = []
+        self._values: dict = {}  # horizon t -> [N over L_0, ..., N over L_t]
+        self.rows = 0  # states in the expanded layers
 
-    def _succ(self, code: int):
-        """``step`` triples of ``code``, one per family member, in family order."""
-        cached = self._succ_cache.get(code)
-        if cached is None:
-            cached = tuple(step(code, self.k, ga, gb) for ga, gb in self._gains)
-            self._succ_cache[code] = cached
-        return cached
+    def _expand(self, t: int) -> None:
+        """Enumerate the layers up to L_t."""
+        for d in range(len(self._children), t):
+            codes = self._codes[d]
+            if self.rows + codes.shape[0] > MAX_MEMO_NODES:
+                raise BudgetError(f"adaptive memo exceeded {MAX_MEMO_NODES} nodes")
+            shape = (len(self.family), codes.shape[0])
+            child_codes = []
+            dsums = np.empty(shape, dtype=np.int8)
+            nxt = codes[:0]
+            for m, gains in enumerate(self._gains):
+                c, deltas = _successors(codes, self.k, self.width, gains)
+                child_codes.append(c)
+                dsums[m] = deltas[0] + deltas[1]
+                nxt = _sorted_unique(np.concatenate((nxt, c), axis=None))
+            children = np.empty((shape[0], 2, shape[1]), dtype=np.int32)
+            for m, c in enumerate(child_codes):
+                children[m] = np.searchsorted(nxt, c)
+            self._children.append(children)
+            self._dsums.append(dsums)
+            self._codes.append(nxt)
+            self.rows += codes.shape[0]
 
-    def _eval(self, code: int, r: int) -> int:
-        """N(code, r): 2^r times the value with r days left."""
-        if r == 0:
-            return 0
-        key = (code, r)
-        v = self.memo.get(key)
-        if v is not None:
-            return v
-        # one Python frame per day of recursion (max() over a generator would
-        # add a second)
-        unit = 1 << (r - 1)
-        best = -1
-        for ca, cb, d in self._succ(code):
-            cand = d * unit + self._eval(ca, r - 1) + self._eval(cb, r - 1)
-            if cand > best:
-                best = cand
-        if len(self.memo) >= MAX_MEMO_NODES:
-            raise BudgetError(f"adaptive memo exceeded {MAX_MEMO_NODES} nodes")
-        self.memo[key] = best
-        return best
+    def _solve(self, t: int) -> None:
+        """The backward pass: N over every layer for horizon t."""
+        self._expand(t)
+        n = np.zeros(self._codes[t].shape[0], dtype=np.int64 if t <= INT64_HORIZON else object)
+        values = [n]
+        for d in reversed(range(t)):
+            n = reduce(np.maximum, self._candidates(d, t - d, n))
+            values.append(n)
+        values.reverse()
+        self._values[t] = values
 
-    def _argmax(self, code: int, r: int) -> list:
-        """(subset, step triple) of every member achieving the computed N(code, r)."""
-        target = self.memo[(code, r)]
-        unit = 1 << (r - 1)
-        return [
-            (subset, tr)
-            for subset, tr in zip(self.family, self._succ(code))
-            if tr[2] * unit + self._eval(tr[0], r - 1) + self._eval(tr[1], r - 1) == target
-        ]
+    def _candidates(self, d: int, r: int, below, rows=slice(None)):
+        """N(s, r) under each member in turn, of layer d's ``rows``, given
+        ``below``, the N over L_{d+1} with r-1 days left."""
+        for dsum, (ca, cb) in zip(self._dsums[d], self._children[d]):
+            # cast before shifting: an int8 shifted by 56 bits would overflow
+            yield (dsum[rows].astype(below.dtype) << (r - 1)) + below[ca[rows]] + below[cb[rows]]
+
+    def _best(self, t: int, d: int, rows):
+        """Mask (members, rows) of the members achieving N at layer d's rows."""
+        values = self._values[t]
+        target = values[d][rows]
+        return np.stack([c == target for c in self._candidates(d, t - d, values[d + 1], rows)])
 
     def expected_max(self, t: int) -> Dyadic:
         """E[max total gain] after t days of best adaptive play."""
@@ -124,7 +155,9 @@ class AdaptiveSolver:
             raise ValueError(f"horizon must be nonnegative, got {t}")
         if t > MAX_HORIZON:
             raise BudgetError(f"horizon {t} exceeds the adaptive engine cap {MAX_HORIZON}")
-        return Dyadic(self._eval(encode_state(initial_state(self.k)), t), t)
+        if t not in self._values:
+            self._solve(t)
+        return Dyadic(int(self._values[t][0][0]), t)
 
     def value(self, t: int) -> "AdaptivePolicyValue":
         emax = self.expected_max(t)
@@ -134,45 +167,53 @@ class AdaptiveSolver:
             family=self.family,
             expected_max=emax,
             regret=emax - Dyadic(t, 1),
-            node_count=len(self.memo),
+            # the states valued for horizon t: L_0 ... L_{t-1}
+            node_count=sum(c.shape[0] for c in self._codes[:t]),
             solver=self,
         )
 
     def maximizers(self, state: GapState, remaining: int) -> tuple[RankSubset, ...]:
-        """All family members achieving the max at a computed memo node."""
+        """All family members achieving the max at a computed node."""
         # packed codes drop trailing zero gaps, so check the length first
         if len(state) != self.k:
             raise ValueError(f"state has {len(state)} entries, expected k={self.k}: {state!r}")
         validate_state(state)
-        code = encode_state(state)
-        if (code, remaining) not in self.memo:
-            raise ValueError(f"node not computed: state={state}, remaining={remaining}")
-        return tuple(subset for subset, _ in self._argmax(code, remaining))
+        # no layer holds a gap of 2^width or more: gaps never exceed MAX_HORIZON
+        if remaining >= 1 and not state[-1] >> self.width:
+            code = sum(g << (self.width * i) for i, g in enumerate(state[1:]))
+            for t in self._values:
+                d = t - remaining
+                if d < 0:
+                    continue
+                codes = self._codes[d]
+                row = int(np.searchsorted(codes, code))
+                if row < codes.shape[0] and codes[row] == code:
+                    best = self._best(t, d, np.array([row]))[:, 0]
+                    return tuple(s for s, b in zip(self.family, best) if b)
+        raise ValueError(f"node not computed: state={state}, remaining={remaining}")
 
     def trace(self, t: int) -> Iterator[tuple[GapState, int, tuple[RankSubset, ...]]]:
         """Nodes reachable under optimal play from the start, breadth-first.
 
         Yields (state, remaining, maximizers); children follow every
-        maximizing subset, both branches, so the dump covers the whole set of
-        positions an optimal adversary can face.
+        maximizing subset in family order, a-branch before b-branch, so the
+        dump covers the whole set of positions an optimal adversary can face.
         """
-        start = encode_state(initial_state(self.k))
-        if (start, t) not in self.memo:
-            self.expected_max(t)
-        queue = deque([(start, t)])
-        seen = {(start, t)}
-        while queue:
-            code, r = queue.popleft()
-            if r == 0:
-                continue
-            best = self._argmax(code, r)
-            yield decode_state(code, self.k), r, tuple(subset for subset, _ in best)
-            for _, (ca, cb, _) in best:
-                for child in (ca, cb):
-                    node = (child, r - 1)
-                    if r - 1 > 0 and node not in seen:
-                        seen.add(node)
-                        queue.append(node)
+        self.expected_max(t)
+        level = [0]  # rows of layer d, in breadth-first order
+        for d in range(t):
+            rows = np.array(level)
+            best = self._best(t, d, rows).T.tolist()
+            children = self._children[d][:, :, rows].transpose(2, 0, 1).tolist()
+            gaps = _unpack(self._codes[d][rows], self.k, self.width).tolist()
+            reached: dict = {}  # insertion-ordered set
+            for state, mask, kids in zip(gaps, best, children):
+                members = [m for m, b in enumerate(mask) if b]
+                yield tuple(state), t - d, tuple(self.family[m] for m in members)
+                for m in members:
+                    reached.setdefault(kids[m][0])
+                    reached.setdefault(kids[m][1])
+            level = list(reached)
 
 
 @dataclass(frozen=True)

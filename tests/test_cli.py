@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -124,6 +125,21 @@ def test_optimal_trace_file(tmp_path, capsys):
         assert state_txt.startswith("(") and state_txt.endswith(")")
         assert 1 <= int(remaining_txt) <= 4
         assert maxers
+
+
+@pytest.mark.parametrize("k, family, t, digest", [
+    ("3", "all", "80", "2bd8c5fba22e7a2806866ca73ab817947c194f76d586cc8aa38ff1fd324d691b"),
+    ("6", "1,3,6:1,4,6", "13", "1cbaa351d08b2dca44df3463ea9fbe02b227af50a2e475681c7a59e8a206dc61"),
+], ids=["k3-all-t80", "k6-pair-t13"])
+def test_optimal_trace_digest(tmp_path, capsys, k, family, t, digest):
+    # digests of the files written by the recursive memo solver that the
+    # layered solver replaced, taken before the replacement: the trace keeps
+    # its breadth-first order, members in family order, a-branch first
+    p = tmp_path / "trace.txt"
+    code, _, _ = run(capsys, "optimal", "--k", k, "--family", family, "--t", t,
+                     "--trace", str(p))
+    assert code == 0
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == digest
 
 
 def test_best_fixed_small(capsys):

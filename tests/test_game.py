@@ -1,7 +1,9 @@
 import itertools
 
+import numpy as np
 import pytest
 
+from combregret.forward import _branch_gains, _packed_width, _successors, _unpack
 from combregret.game import (
     RankSubset,
     all_strategies,
@@ -131,6 +133,26 @@ def test_apply_gains_matches_step():
             sa, da = apply_gains(gaps, subset.gains())
             sb, db = apply_gains(gaps, subset.complement_gains())
             assert _step(gaps, subset) == (sa, sb, da + db)
+
+
+def test_vectorized_successors_match_step():
+    # forward._successors, the transition every engine runs, against the
+    # scalar reference; k = 7 and 8 pack fewer bits per gap than encode_state
+    for k in range(2, 9):
+        width = _packed_width(k)
+        states = list(_small_states(k, 5 if k <= 6 else 3))
+        codes = np.array(
+            [sum(g << (width * i) for i, g in enumerate(gaps[1:])) for gaps in states],
+            dtype=np.int64,
+        )
+        assert [tuple(row) for row in _unpack(codes, k, width).tolist()] == states
+        for subset in all_strategies(k):
+            child_codes, deltas = _successors(codes, k, width, _branch_gains(subset))
+            children = [_unpack(c, k, width).tolist() for c in child_codes]
+            for i, gaps in enumerate(states):
+                ca, cb, d = _step(gaps, subset)
+                assert (tuple(children[0][i]), tuple(children[1][i])) == (ca, cb)
+                assert deltas[0, i] + deltas[1, i] == d
 
 
 def test_tie_permutation_invariance():

@@ -5,6 +5,7 @@ from combregret.errors import BudgetError
 from combregret.forward import regret_series_fixed
 from combregret.game import RankSubset, all_strategies, initial_state
 from combregret.optimal import (
+    INT64_HORIZON,
     MAX_HORIZON,
     AdaptiveSolver,
     best_fixed_subset,
@@ -19,6 +20,26 @@ def test_singleton_family_equals_fixed_series():
             solver = AdaptiveSolver(k, [subset])
             for t in range(1, 9):
                 assert solver.value(t).regret == series.regret_at(t)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_singleton_family_across_int64_switch(k):
+    # values are int64 through T = INT64_HORIZON and Python ints beyond;
+    # both sides of the switch must match the forward engine exactly
+    assert INT64_HORIZON == 57
+    for subset in all_strategies(k):
+        series = regret_series_fixed(k, subset, 64)
+        solver = AdaptiveSolver(k, [subset])
+        for t in (56, 57, 58, 64):
+            assert solver.value(t).regret == series.regret_at(t)
+
+
+def test_all_subset_values_and_node_counts():
+    # node_count is the number of states valued: |L_0| + ... + |L_{T-1}|
+    k3 = value_adaptive(3, all_strategies(3), 80)
+    assert k3.regret == Dyadic(5745867330449876380037831, 80)
+    assert k3.node_count == 88_560
+    assert value_adaptive(6, all_strategies(6), 13).node_count == 18_564
 
 
 def test_family_monotonicity():
@@ -42,7 +63,7 @@ def test_k6_t13_two_subset_family(k6_family):
     assert res.regret == Dyadic(677, 8)
     assert res.expected_max - res.regret == Dyadic(13, 1)
     assert res.family_label() == "1,3,6:1,4,6"
-    assert res.node_count > 0
+    assert res.node_count == 312
 
 
 def test_k6_t13_best_fixed():
@@ -98,6 +119,17 @@ def test_maximizers_on_missing_node():
         solver.maximizers((0, 9), 1)
 
 
+def test_maximizers_never_alias_wide_gaps():
+    # masked to the packed width, each of these states would read as the
+    # computed all-tied start; k = 7 packs 10 bits per gap, k = 3 packs 12
+    for k, gap in ((7, 1 << 10), (3, 1 << 12), (3, 1 << 64)):
+        solver = AdaptiveSolver(k, [RankSubset.comb(k)])
+        solver.expected_max(3)
+        assert solver.maximizers(initial_state(k), 3) == (RankSubset.comb(k),)
+        with pytest.raises(ValueError, match="node not computed"):
+            solver.maximizers((0,) * (k - 1) + (gap,), 3)
+
+
 def test_maximizers_validates_state():
     solver = AdaptiveSolver(3, [RankSubset.of(3, (1,))])
     solver.expected_max(2)
@@ -114,12 +146,24 @@ def test_reproducible_and_shared_memo():
     a = AdaptiveSolver(4, fam)
     b = AdaptiveSolver(4, fam)
     assert a.value(9).regret == b.value(9).regret
-    # a smaller horizon afterwards reuses the memo almost entirely
-    n_before = len(a.memo)
+    # a smaller horizon afterwards reuses the layers: it adds no rows
+    rows = a.rows
     five_shared = a.value(5)
     fresh = AdaptiveSolver(4, fam).value(5)
     assert five_shared.regret == fresh.regret
-    assert len(a.memo) - n_before < fresh.node_count
+    assert a.rows == rows
+    assert five_shared.node_count == fresh.node_count < rows
+
+
+def test_node_budget_counts_node_count(monkeypatch):
+    # the budget admits exactly node_count states, checked before each layer
+    # is stepped
+    need = value_adaptive(3, all_strategies(3), 10).node_count
+    monkeypatch.setattr("combregret.optimal.MAX_MEMO_NODES", need)
+    assert value_adaptive(3, all_strategies(3), 10).node_count == need
+    monkeypatch.setattr("combregret.optimal.MAX_MEMO_NODES", need - 1)
+    with pytest.raises(BudgetError, match=f"memo exceeded {need - 1} nodes"):
+        value_adaptive(3, all_strategies(3), 10)
 
 
 def test_family_validation():
