@@ -142,10 +142,11 @@ def _cmd_optimal(args) -> int:
     for line in _value_lines("regret", result.regret, backend):
         print(line)
     if args.trace is not None:
+        label = {s: s.label() for s in result.family}
         with open(args.trace, "w", encoding="utf-8") as f:
             for state, remaining, maxers in result.solver.trace(args.t):
-                state_txt = "(" + ",".join(str(g) for g in state) + ")"
-                f.write(f"{state_txt} {remaining} -> {':'.join(s.label() for s in maxers)}\n")
+                state_txt = ",".join(map(str, state))
+                f.write(f"({state_txt}) {remaining} -> {':'.join(label[s] for s in maxers)}\n")
     return 0
 
 

@@ -5,18 +5,17 @@ day of play splits every state into its two equally likely branch successors
 and accumulates the expected leader delta; the regret after T days is the sum
 of the daily expected deltas minus T/2.
 
-Both backends run this recurrence over one per-series transition table:
-every state reached so far, sorted by packed code, with the rows of its two
+Both backends run this recurrence over one per-series ``_TransitionTable``:
+every state reached so far, sorted by packed code, with the rows of its
 children and their leader deltas filled in the first day the state is on the
-frontier.  Each state is therefore decoded, stepped and re-encoded once, by
-``_successors``, and a day is a gather of child rows plus one
-``np.bincount`` per weight row.  ``_successors`` is the one vectorized
-transition of the package: the adaptive solver in ``optimal`` builds its
-layers with it too, and ``game.step`` is its scalar reference.  The
-frontier is an ascending array of table rows, that is of states in code
-order.  The table never forgets a state, so it is capped at
-``MAX_TABLE_ROWS`` rows; a sweep that would grow past the cap raises
-``BudgetError``.
+frontier.  The table holds a family of subsets; a sweep passes its one
+subset, and the adaptive solver in ``optimal`` its whole family.  Each state
+is therefore decoded, stepped and re-encoded once, by ``_successors`` (whose
+scalar reference is ``game.step``), and a day is a gather of child rows plus
+one ``np.bincount`` per weight row.  The frontier is an ascending array of
+table rows, that is of states in code order.  The table never forgets a
+state, so it is capped at ``MAX_TABLE_ROWS`` rows for one member and fewer
+for a family; growing past the cap raises ``BudgetError``.
 
 The backends differ only in how they hold the weights:
 
@@ -51,13 +50,15 @@ from .game import ENCODE_BITS, RankSubset
 # default prune threshold for float sweeps; exact runs default to no pruning
 DEFAULT_FLOAT_EPS = 2.0**-50
 
-# hard ceiling on the rows of a sweep's transition table, which keeps every
-# state the sweep ever reaches.  A float sweep peaks at about 150 B of RSS
+# hard ceiling on the rows of a one-member transition table, which keeps
+# every state a sweep ever reaches.  A float sweep peaks at about 150 B of RSS
 # per row (k = 5 comb, eps = 0, T = 350: 603,903 rows, 85 MiB above a 325-row
 # sweep), so a 2 GiB budget allows about 14.3M rows.  An exact sweep also
 # holds an int64 limb per frontier state for every 28 days of horizon: the
 # same T = 350 sweep (13 limbs) peaks at about 285 B per row (163 MiB), so
-# about 4 GB at the cap.
+# about 4 GB at the cap.  A family's table gets fewer rows, in the ratio of
+# one member's row width to its own: 27 B against 585 B for the 32 subsets
+# of k = 6, whose solve peaks at about 1.1 KB of RSS per row (T = 13, 16).
 MAX_TABLE_ROWS = (2 << 30) // 150
 
 # exact path counts are split into limbs of this many bits.  np.bincount
@@ -73,12 +74,13 @@ def _packed_width(k: int) -> int:
     return min(ENCODE_BITS, 63 // (k - 1))
 
 
-def _spread(a, old):
-    """A zeroed copy of ``a`` with its last axis moved to the positions flagged in ``old``."""
+def _spread(a, old, renumber=None):
+    """A zeroed copy of ``a`` with its last axis moved to the positions
+    flagged in ``old``, each row's entries mapped through ``renumber`` if given."""
     out = np.zeros(a.shape[:-1] + old.shape, dtype=a.dtype)
     # row by row: a 1-D boolean assignment is much faster than a 2-D one
     for src, dst in zip(a.reshape(-1, a.shape[-1]), out.reshape(-1, old.shape[0])):
-        dst[old] = src
+        dst[old] = src if renumber is None else renumber[src]
     return out
 
 
@@ -106,14 +108,14 @@ def _branch_gains(subset: RankSubset):
 def _successors(codes, k: int, width: int, gains):
     """One day from every packed state in ``codes``: the vectorized ``game.step``.
 
-    ``gains`` holds the int64 per-rank gains of the two branches (a subset
-    and its complement).  Returns the child codes and the leader deltas of
-    both branches, shape (2, n) each.
+    ``gains`` holds the int64 per-rank gains of each branch (a subset and its
+    complement, for one or more subsets in turn).  Returns the child codes
+    and the leader deltas of every branch, shape (len(gains), n) each.
     """
     n = codes.shape[0]
     gaps = _unpack(codes, k, width)
-    child_codes = np.zeros((2, n), dtype=np.int64)
-    deltas = np.empty((2, n), dtype=np.int64)
+    child_codes = np.zeros((len(gains), n), dtype=np.int64)
+    deltas = np.empty((len(gains), n), dtype=np.int8)  # a leader delta is 0 or 1
     for b, branch in enumerate(gains):
         rel = branch[None, :] - gaps
         delta = rel.max(axis=1)
@@ -126,29 +128,31 @@ def _successors(codes, k: int, width: int, gains):
 
 
 class _TransitionTable:
-    """Every state a sweep has reached, sorted by packed code.
+    """Every state reached under a family of subsets, sorted by packed code.
 
     Row i holds the code of state i and, once the state has been expanded,
-    the table indices of its two children and their leader deltas, so each
-    state is decoded, stepped and re-encoded once per series however many
-    days it stays on the frontier.  Inserting new codes keeps the rows in
-    code order and renumbers the stored child indices.
+    the table indices of its children and their leader deltas: rows 2j and
+    2j + 1 of ``children`` and ``deltas`` are the two branches of member j.
+    Each state is therefore decoded, stepped and re-encoded once, however
+    many days it stays on a sweep's frontier or in how many of the adaptive
+    solver's layers it lies.  Inserting new codes keeps the rows in code
+    order and renumbers the stored child indices.
     """
 
-    def __init__(self, subset: RankSubset):
-        self.k = subset.k
-        self.width = _packed_width(subset.k)
-        self.gains = _branch_gains(subset)
+    def __init__(self, family: tuple[RankSubset, ...]):
+        self.k = family[0].k
+        self.width = _packed_width(self.k)
+        self.gains = tuple(g for s in family for g in _branch_gains(s))
         self.codes = np.zeros(1, dtype=np.int64)  # the day-0 state
-        self.children = np.zeros((2, 1), dtype=np.int64)
-        self.deltas = np.zeros((2, 1), dtype=np.int8)  # a leader delta is 0 or 1
+        self.children = np.zeros((len(self.gains), 1), dtype=np.int64)
+        self.deltas = np.zeros((len(self.gains), 1), dtype=np.int8)  # a leader delta is 0 or 1
         self.expanded = np.zeros(1, dtype=bool)
 
     def __len__(self) -> int:
         return self.codes.shape[0]
 
     def advance(self, frontier):
-        """One day's moves from the (ascending) frontier rows.
+        """One day's moves from the (ascending) frontier rows of a one-member table.
 
         Returns the frontier's leader deltas (shape (2, n)), the child rows
         of all its a-branches followed by all its b-branches, and the next
@@ -161,12 +165,12 @@ class _TransitionTable:
         reached[children] = True
         return deltas, children, np.flatnonzero(reached)
 
-    def expand(self, frontier):
-        """Expand the frontier's unexpanded states; return the frontier's
-        (ascending) indices after any rows were inserted."""
-        new = frontier[~self.expanded[frontier]]
+    def expand(self, rows):
+        """Expand the unexpanded states among the ascending ``rows``; return
+        ``rows`` renumbered after any rows were inserted."""
+        new = rows[~self.expanded[rows]]
         if new.shape[0] == 0:
-            return frontier
+            return rows
         child_codes, child_deltas = _successors(self.codes[new], self.k, self.width, self.gains)
         fresh = _sorted_unique(child_codes)
         at = np.searchsorted(self.codes, fresh)
@@ -174,22 +178,25 @@ class _TransitionTable:
         fresh, at = fresh[~known], at[~known]
         if fresh.shape[0]:
             size = len(self) + fresh.shape[0]
-            if size > MAX_TABLE_ROWS:
-                raise BudgetError(f"sweep table exceeded {MAX_TABLE_ROWS} rows")
+            fixed = self.codes.itemsize + self.expanded.itemsize
+            branch = self.children.itemsize + self.deltas.itemsize
+            limit = MAX_TABLE_ROWS * (fixed + 2 * branch) // (fixed + len(self.gains) * branch)
+            if size > limit:
+                raise BudgetError(f"transition table exceeded {limit} rows")
             # old row i moves down by the number of fresh codes below it
             old = np.ones(size, dtype=bool)
             old[at + np.arange(fresh.shape[0])] = False
             moved = np.flatnonzero(old)
-            self.children = np.take(moved, self.children)
-            self.codes, self.children, self.deltas, self.expanded = (
-                _spread(a, old) for a in (self.codes, self.children, self.deltas, self.expanded)
-            )
-            self.codes[~old] = fresh
-            frontier, new = moved[frontier], moved[new]
-        self.children[:, new] = np.searchsorted(self.codes, child_codes)
+            self.children = _spread(self.children, old, moved)
+            self.deltas, self.expanded = _spread(self.deltas, old), _spread(self.expanded, old)
+            self.codes = np.insert(self.codes, at, fresh)
+            rows, new = moved[rows], moved[new]
+        # one branch at a time, to keep the transient row indices small
+        for dst, src in zip(self.children, child_codes):
+            dst[new] = np.searchsorted(self.codes, src)
         self.deltas[:, new] = child_deltas
         self.expanded[new] = True
-        return frontier
+        return rows
 
 # ----------------------------------------------------------------------
 # exact weights: path counts as int64 limb rows
@@ -279,7 +286,7 @@ def _series_exact(subset: RankSubset, t_max: int, eps) -> RegretSeries:
     passes the top limb.  Raises ``BudgetError`` when the table would exceed
     ``MAX_TABLE_ROWS`` rows.
     """
-    table = _TransitionTable(subset)
+    table = _TransitionTable((subset,))
     eps_num, eps_den = float(eps).as_integer_ratio()
     frontier = np.zeros(1, dtype=np.int64)
     counts = [np.ones(1, dtype=np.int64)]
@@ -336,7 +343,7 @@ def _series_float(subset: RankSubset, t_max: int, eps: float) -> RegretSeries:
     it.  Raises ``BudgetError`` when the table would exceed
     ``MAX_TABLE_ROWS`` rows.
     """
-    table = _TransitionTable(subset)
+    table = _TransitionTable((subset,))
     frontier = np.zeros(1, dtype=np.int64)
     weights = np.ones(1, dtype=np.float64)
     values = [0.0]

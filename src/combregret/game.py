@@ -11,11 +11,12 @@ horizon regardless of the player's algorithm, which reduces expected regret
 to the expected maximum total gain minus that constant.  The day index and
 absolute totals therefore never need to be part of the state.
 
-Every engine, the forward sweeps and the adaptive solver alike, advances
-whole arrays of packed state codes with one vectorized transition,
-``forward._successors``; its codes are those of ``encode_state``, with fewer
-bits per gap for k >= 7.  ``step`` is the scalar transition on
-``encode_state`` codes: the reference the tests check the engines against.
+Every engine, the forward sweeps and the adaptive solver alike, steps each
+state once in a ``forward._TransitionTable``, which advances whole arrays of
+packed state codes with one vectorized transition, ``forward._successors``;
+its codes are those of ``encode_state``, with fewer bits per gap for k >= 7.
+``step`` is the scalar transition on ``encode_state`` codes: the reference
+the tests check the engines against.
 """
 
 from __future__ import annotations

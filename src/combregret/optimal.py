@@ -15,11 +15,11 @@ The value is horizon-dependent but day-translation-invariant, so the solver
 works in layers.  A forward pass enumerates L_0 ... L_T, where L_d holds the
 packed codes (``forward._packed_width`` bits per gap) of every state
 reachable at day d under some sequence of family members, in ascending
-order.  Each layer stores, per member, the rows of both children in the next
-layer and the sum of their leader deltas; the successors come from
-``forward._successors``, the vectorized transition every engine shares.  A
-backward pass then values a whole layer at once on the scaled integers
-N(s, r) = V(s, r) * 2^r, which obey
+order.  The layers are codes over one ``forward._TransitionTable`` of the
+whole family, which steps each state once however many layers hold it and
+keeps its children and leader deltas; layers stay codes because table rows
+renumber when states are inserted.  A backward pass then values a whole
+layer at once on the scaled integers N(s, r) = V(s, r) * 2^r, which obey
 
     N(s, r) = max over A of 2^(r-1) * (delta_A + delta_B) + N(s_A, r-1) + N(s_B, r-1)
 
@@ -41,22 +41,16 @@ import numpy as np
 from .backend import EXACT, ValueBackend
 from .dyadic import Dyadic
 from .errors import BudgetError
-from .forward import (
-    _branch_gains,
-    _packed_width,
-    _sorted_unique,
-    _successors,
-    _unpack,
-    regret_series_fixed,
-)
+from .forward import _packed_width, _TransitionTable, _unpack, regret_series_fixed
 from .game import MAX_K, GapState, RankSubset, all_strategies, validate_state
 
 # hard ceilings; exceeding them is an error, never a silent approximation.
-# A layer row keeps 8 B of code, 9 B per family member (two int32 child rows
-# and an int8 delta sum) and one value per solved horizon (8 B in int64).
-# Counting the largest layer's successor arrays too, peak RSS grows by about
-# 500 B per row for the 32 subsets of k = 6 (T = 13, 16), 216 B for the 16
-# of k = 5 (T = 30) and 81 B for the 4 of k = 3 (T = 80, Python-int values).
+# A layer row keeps an 8 B code and one value per solved horizon (8 B in
+# int64); children and deltas live in the shared table, capped by
+# forward.MAX_TABLE_ROWS.  Counting the table, peak RSS grows by about
+# 440-490 B per layer row for the 32 subsets of k = 6 (T = 13, 16), 85-110 B
+# for the 16 of k = 5 (T = 30, 40) and 44-58 B for the 4 of k = 3 (T = 80,
+# 200, Python-int values).
 MAX_MEMO_NODES = 20_000_000
 MAX_HORIZON = 400
 # every gap reached within MAX_HORIZON days fits the packed width of any k
@@ -92,38 +86,26 @@ class AdaptiveSolver:
         if self.family[0].k != k:
             raise ValueError(f"family is for k={self.family[0].k}, not k={k}")
         self.k = k
-        self.width = _packed_width(k)
-        self._gains = tuple(_branch_gains(s) for s in self.family)
+        self.table = _TransitionTable(self.family)
         self._codes = [np.zeros(1, dtype=np.int64)]  # L_0: the day-0 state
-        # per expanded layer: int32 child rows (member, branch, row) in the
-        # next layer, and int8 delta sums (member, row)
-        self._children: list = []
-        self._dsums: list = []
         self._values: dict = {}  # horizon t -> [N over L_0, ..., N over L_t]
         self.rows = 0  # states in the expanded layers
 
+    def _rows(self, d: int):
+        """The table rows of layer d's states, ascending."""
+        return np.searchsorted(self.table.codes, self._codes[d])
+
     def _expand(self, t: int) -> None:
         """Enumerate the layers up to L_t."""
-        for d in range(len(self._children), t):
-            codes = self._codes[d]
-            if self.rows + codes.shape[0] > MAX_MEMO_NODES:
+        for d in range(len(self._codes) - 1, t):
+            if self.rows + self._codes[d].shape[0] > MAX_MEMO_NODES:
                 raise BudgetError(f"adaptive memo exceeded {MAX_MEMO_NODES} nodes")
-            shape = (len(self.family), codes.shape[0])
-            child_codes = []
-            dsums = np.empty(shape, dtype=np.int8)
-            nxt = codes[:0]
-            for m, gains in enumerate(self._gains):
-                c, deltas = _successors(codes, self.k, self.width, gains)
-                child_codes.append(c)
-                dsums[m] = deltas[0] + deltas[1]
-                nxt = _sorted_unique(np.concatenate((nxt, c), axis=None))
-            children = np.empty((shape[0], 2, shape[1]), dtype=np.int32)
-            for m, c in enumerate(child_codes):
-                children[m] = np.searchsorted(nxt, c)
-            self._children.append(children)
-            self._dsums.append(dsums)
-            self._codes.append(nxt)
-            self.rows += codes.shape[0]
+            rows = self.table.expand(self._rows(d))
+            reached = np.zeros(len(self.table), dtype=bool)
+            for branch in self.table.children:
+                reached[branch[rows]] = True
+            self._codes.append(self.table.codes[reached])
+            self.rows += rows.shape[0]
 
     def _solve(self, t: int) -> None:
         """The backward pass: N over every layer for horizon t."""
@@ -139,9 +121,15 @@ class AdaptiveSolver:
     def _candidates(self, d: int, r: int, below, rows=slice(None)):
         """N(s, r) under each member in turn, of layer d's ``rows``, given
         ``below``, the N over L_{d+1} with r-1 days left."""
-        for dsum, (ca, cb) in zip(self._dsums[d], self._children[d]):
+        spread = np.zeros(len(self.table), dtype=below.dtype)
+        spread[self._rows(d + 1)] = below
+        at = self._rows(d)[rows]
+        children, deltas = self.table.children, self.table.deltas
+        for a in range(0, children.shape[0], 2):
+            ca, cb = children[a][at], children[a + 1][at]
+            dsum = deltas[a][at] + deltas[a + 1][at]
             # cast before shifting: an int8 shifted by 56 bits would overflow
-            yield (dsum[rows].astype(below.dtype) << (r - 1)) + below[ca[rows]] + below[cb[rows]]
+            yield (dsum.astype(below.dtype) << (r - 1)) + spread[ca] + spread[cb]
 
     def _best(self, t: int, d: int, rows):
         """Mask (members, rows) of the members achieving N at layer d's rows."""
@@ -179,8 +167,8 @@ class AdaptiveSolver:
             raise ValueError(f"state has {len(state)} entries, expected k={self.k}: {state!r}")
         validate_state(state)
         # no layer holds a gap of 2^width or more: gaps never exceed MAX_HORIZON
-        if remaining >= 1 and not state[-1] >> self.width:
-            code = sum(g << (self.width * i) for i, g in enumerate(state[1:]))
+        if remaining >= 1 and not state[-1] >> self.table.width:
+            code = sum(g << (self.table.width * i) for i, g in enumerate(state[1:]))
             for t in self._values:
                 d = t - remaining
                 if d < 0:
@@ -200,20 +188,21 @@ class AdaptiveSolver:
         dump covers the whole set of positions an optimal adversary can face.
         """
         self.expected_max(t)
-        level = [0]  # rows of layer d, in breadth-first order
+        level = np.zeros(1, dtype=np.int64)  # positions in layer d, in breadth-first order
         for d in range(t):
-            rows = np.array(level)
-            best = self._best(t, d, rows).T.tolist()
-            children = self._children[d][:, :, rows].transpose(2, 0, 1).tolist()
-            gaps = _unpack(self._codes[d][rows], self.k, self.width).tolist()
+            best = self._best(t, d, level).T.tolist()
+            # child table rows to positions in layer d + 1
+            at = self._rows(d)[level]
+            children = np.searchsorted(self._rows(d + 1), self.table.children[:, at])
+            gaps = _unpack(self._codes[d][level], self.k, self.table.width).tolist()
             reached: dict = {}  # insertion-ordered set
-            for state, mask, kids in zip(gaps, best, children):
+            for state, mask, kids in zip(gaps, best, children.T.tolist()):
                 members = [m for m, b in enumerate(mask) if b]
                 yield tuple(state), t - d, tuple(self.family[m] for m in members)
                 for m in members:
-                    reached.setdefault(kids[m][0])
-                    reached.setdefault(kids[m][1])
-            level = list(reached)
+                    reached.setdefault(kids[2 * m])
+                    reached.setdefault(kids[2 * m + 1])
+            level = np.array(list(reached), dtype=np.int64)
 
 
 @dataclass(frozen=True)

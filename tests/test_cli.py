@@ -255,6 +255,18 @@ def test_sweep_budget_exit_code(capsys, monkeypatch, backend):
     assert "table exceeded 100 rows" in err and "Traceback" not in err
 
 
+def test_wide_family_table_budget_exit_code(capsys, monkeypatch):
+    # a table row of the 32 subsets of k = 6 holds 64 child rows and 64
+    # deltas, 585 B against 27 B for one member, so the cap scales to
+    # 100,000 * 27 // 585 rows; the k = 6, T = 13 solve needs 8,568
+    monkeypatch.setattr("combregret.forward.MAX_TABLE_ROWS", 100_000)
+    code, out, _ = run(capsys, "optimal", "--k", "6", "--family", "1,3,6", "--t", "13")
+    assert code == 0 and "t=13" in out.splitlines()
+    code, out, err = run(capsys, "optimal", "--k", "6", "--family", "all", "--t", "13")
+    assert code == 2
+    assert "table exceeded 4615 rows" in err and "Traceback" not in err
+
+
 def test_sweeps_leave_numpy_ma_unimported(tmp_path):
     # np.unique imports numpy.ma on first use, about 1.2 MB of RSS; neither
     # forward backend nor figure1's analysis needs it

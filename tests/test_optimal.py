@@ -2,7 +2,7 @@ import pytest
 
 from combregret.dyadic import ZERO, Dyadic
 from combregret.errors import BudgetError
-from combregret.forward import regret_series_fixed
+from combregret.forward import _successors, regret_series_fixed
 from combregret.game import RankSubset, all_strategies, initial_state
 from combregret.optimal import (
     INT64_HORIZON,
@@ -153,6 +153,32 @@ def test_reproducible_and_shared_memo():
     assert five_shared.regret == fresh.regret
     assert a.rows == rows
     assert five_shared.node_count == fresh.node_count < rows
+    # horizons in ascending order: T = 9 inserts table rows after T = 5's
+    # layers were stored, so T = 5's table rows are renumbered
+    c = AdaptiveSolver(4, fam)
+    c.value(5)
+    table_rows = len(c.table)
+    c.value(9)
+    assert len(c.table) > table_rows
+    assert list(c.trace(5)) == list(fresh.solver.trace(5))
+    for state, r, maxers in fresh.solver.trace(5):
+        assert c.maximizers(state, r) == fresh.maximizers(state, r) == maxers
+
+
+def test_each_state_stepped_once(monkeypatch):
+    # the layers share one transition table, so each distinct state of
+    # L_0 .. L_79 is stepped once under each member, however many layers
+    # hold it: 3,240 states against 88,560 layer rows
+    stepped = []
+
+    def counting(codes, k, width, gains):
+        stepped.append(codes.shape[0] * len(gains))  # two branches per member
+        return _successors(codes, k, width, gains)
+
+    monkeypatch.setattr("combregret.forward._successors", counting)
+    family = list(all_strategies(3))
+    assert value_adaptive(3, family, 80).node_count == 88_560
+    assert sum(stepped) == 2 * len(family) * 3_240
 
 
 def test_node_budget_counts_node_count(monkeypatch):
