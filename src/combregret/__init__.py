@@ -8,10 +8,7 @@ from .analysis import (
     certified_lower_bounds,
     constancy_report,
     diff_stat,
-    read_constant_csv,
-    read_diff_csv,
     sqrt_normalized,
-    write_constant_csv,
     write_diff_csv,
 )
 from .backend import EXACT, FLOAT, ValueBackend, get_backend
@@ -20,7 +17,6 @@ from .errors import BudgetError
 from .forward import (
     DEFAULT_FLOAT_EPS,
     RegretSeries,
-    read_series_csv,
     regret_series_fixed,
     write_series_csv,
 )
@@ -29,7 +25,6 @@ from .game import (
     RankSubset,
     all_strategies,
     apply_gains,
-    canonical_subset,
     decode_state,
     encode_state,
     initial_state,

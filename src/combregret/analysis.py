@@ -16,7 +16,6 @@ so positivity claims survive the lost mass.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -180,7 +179,6 @@ def sqrt_normalized(s: RegretSeries, window: tuple[int, int] | None = None) -> C
 # CSV interchange
 
 DIFF_HEADER = "T,D"
-CONSTANT_HEADER = "T,R_over_sqrtT"
 
 
 def write_diff_csv(d: DiffStatSeries, out) -> None:
@@ -191,47 +189,3 @@ def write_diff_csv(d: DiffStatSeries, out) -> None:
         text = str(v) if d.exact else f"{v:.17g}"
         out.write(f"{t},{text}\n")
 
-
-def read_diff_csv(text_or_file) -> list[tuple[int, object]]:
-    """Parse rows written by write_diff_csv; '#'-prefixed lines are skipped.
-
-    Values containing '/' (or bare integers) parse as Fractions, the rest as
-    floats.
-    """
-    f = io.StringIO(text_or_file) if isinstance(text_or_file, str) else text_or_file
-    header = f.readline().strip()
-    if header != DIFF_HEADER:
-        raise ValueError(f"unexpected diff header: {header!r}")
-    rows = []
-    for line in f:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        t_txt, v_txt = line.split(",")
-        if "/" in v_txt or v_txt.lstrip("-").isdigit():
-            value: object = Fraction(v_txt)
-        else:
-            value = float(v_txt)
-        rows.append((int(t_txt), value))
-    return rows
-
-
-def write_constant_csv(c: ConstantEstimate, out) -> None:
-    out.write(CONSTANT_HEADER + "\n")
-    for t in range(1, c.t_max + 1):
-        out.write(f"{t},{c.values[t]:.17g}\n")
-
-
-def read_constant_csv(text_or_file) -> list[tuple[int, float]]:
-    f = io.StringIO(text_or_file) if isinstance(text_or_file, str) else text_or_file
-    header = f.readline().strip()
-    if header != CONSTANT_HEADER:
-        raise ValueError(f"unexpected header: {header!r}")
-    rows = []
-    for line in f:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        t_txt, v_txt = line.split(",")
-        rows.append((int(t_txt), float(v_txt)))
-    return rows

@@ -26,10 +26,6 @@ from .forward import regret_series_fixed, write_series_csv
 from .game import RankSubset, all_strategies
 from .optimal import best_fixed_subset, value_adaptive
 
-# ceiling for sweep-style commands; the packed-state engines verify their own
-# tighter limits, this just catches typos early
-SWEEP_LIMIT = 400
-
 FIGURE_K = 5
 FIGURE_A = (1, 3)
 FIGURE_B = (1, 3, 5)
@@ -199,8 +195,6 @@ def _svg_chart(d) -> str:
 
 
 def _cmd_figure1(args) -> int:
-    if args.t_max > SWEEP_LIMIT:
-        raise ValueError(f"t-max {args.t_max} exceeds the sweep limit {SWEEP_LIMIT}")
     a = RankSubset.of(FIGURE_K, FIGURE_A)
     b = RankSubset.of(FIGURE_K, FIGURE_B)
     sa = regret_series_fixed(FIGURE_K, a, args.t_max, FLOAT, args.prune)
@@ -243,13 +237,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_backend(p, *, forced: str | None = None):
-        if forced is None:
-            p.add_argument("--backend", choices=("exact", "float"), default=None,
-                           help="arithmetic backend (default: exact up to T=30, float beyond)")
-        else:
-            p.add_argument("--backend", choices=("exact", "float"), default=forced,
-                           help=f"arithmetic backend (default {forced})")
+    def add_backend(p):
+        p.add_argument("--backend", choices=("exact", "float"), default=None,
+                       help="arithmetic backend (default: exact up to T=30, float beyond)")
         p.add_argument("--prune", type=_parse_eps, default=None, metavar="EPS",
                        help="drop states below this weight, e.g. 2^-50 "
                        "(default: 0 exact, 2^-50 float)")
@@ -279,7 +269,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True,
                    help="colon-separated subsets, e.g. 1,3,6:1,4,6, or 'all'")
     p.add_argument("--t", type=_positive_int, required=True)
-    add_backend(p, forced="exact")
+    p.add_argument("--backend", choices=("exact", "float"), default="exact",
+                   help="print the exact value, or its correctly rounded float")
     p.add_argument("--trace", default=None, metavar="PATH",
                    help="dump 'state remaining -> maximizers' lines to PATH")
     p.set_defaults(func=_cmd_optimal)
@@ -287,7 +278,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("best-fixed", help="best single subset strategy at one horizon")
     p.add_argument("--k", type=_positive_int, required=True)
     p.add_argument("--t", type=_positive_int, required=True)
-    add_backend(p, forced="exact")
+    p.add_argument("--backend", choices=("exact", "float"), default="exact",
+                   help="arithmetic backend (default exact)")
     p.set_defaults(func=_cmd_best_fixed)
 
     p = sub.add_parser("figure1", help="D(T) sweep for k=5, [1,3] vs [1,3,5]: CSV plus SVG")

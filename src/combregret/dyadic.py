@@ -13,7 +13,6 @@ callers, the CSV writers and the command line.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 
 
@@ -46,20 +45,6 @@ class Dyadic:
 
     def __setattr__(self, name, value):
         raise AttributeError("Dyadic is immutable")
-
-    # ------------------------------------------------------------------
-    # construction helpers
-
-    @classmethod
-    def parse(cls, text: str) -> "Dyadic":
-        """Parse the interchange form ``n/2^e`` or a bare integer."""
-        s = text.strip()
-        m = re.fullmatch(r"(-?\d+)/2\^(\d+)", s)
-        if m:
-            return cls(int(m.group(1)), int(m.group(2)))
-        if re.fullmatch(r"-?\d+", s):
-            return cls(int(s))
-        raise ValueError(f"not a dyadic literal: {text!r}")
 
     # ------------------------------------------------------------------
     # arithmetic

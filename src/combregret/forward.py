@@ -11,11 +11,12 @@ children and their leader deltas filled in the first day the state is on the
 frontier.  The table holds a family of subsets; a sweep passes its one
 subset, and the adaptive solver in ``optimal`` its whole family.  Each state
 is therefore decoded, stepped and re-encoded once, by ``_successors`` (whose
-scalar reference is ``game.step``), and a day is a gather of child rows plus
-one ``np.bincount`` per weight row.  The frontier is an ascending array of
-table rows, that is of states in code order.  The table never forgets a
-state, so it is capped at ``MAX_TABLE_ROWS`` rows for one member and fewer
-for a family; growing past the cap raises ``BudgetError``.
+scalar reference is ``game.step``: both use the codes of
+``game.encode_state``), and a day is a gather of child rows plus one
+``np.bincount`` per weight row.  The frontier is an ascending array of table
+rows, that is of states in code order.  The table never forgets a state, so
+it is capped at ``MAX_TABLE_ROWS`` rows for one member and fewer for a
+family; growing past the cap raises ``BudgetError``.
 
 The backends differ only in how they hold the weights:
 
@@ -36,7 +37,6 @@ deltas, so the true regret lies in [R(T), R(T) + sum_t pruned_t * (T - t)].
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -45,21 +45,24 @@ import numpy as np
 from .backend import EXACT, FLOAT, ValueBackend
 from .dyadic import ZERO, Dyadic
 from .errors import BudgetError
-from .game import ENCODE_BITS, RankSubset
+from .game import RankSubset, packed_width
 
 # default prune threshold for float sweeps; exact runs default to no pruning
 DEFAULT_FLOAT_EPS = 2.0**-50
 
 # hard ceiling on the rows of a one-member transition table, which keeps
-# every state a sweep ever reaches.  A float sweep peaks at about 150 B of RSS
-# per row (k = 5 comb, eps = 0, T = 350: 603,903 rows, 85 MiB above a 325-row
-# sweep), so a 2 GiB budget allows about 14.3M rows.  An exact sweep also
-# holds an int64 limb per frontier state for every 28 days of horizon: the
-# same T = 350 sweep (13 limbs) peaks at about 285 B per row (163 MiB), so
-# about 4 GB at the cap.  A family's table gets fewer rows, in the ratio of
-# one member's row width to its own: 27 B against 585 B for the 32 subsets
-# of k = 6, whose solve peaks at about 1.1 KB of RSS per row (T = 13, 16).
-MAX_TABLE_ROWS = (2 << 30) // 150
+# every state a sweep ever reaches.  A float sweep peaks at about ROW_BYTES of
+# RSS per row (k = 5 comb, eps = 0, T = 350: 603,903 rows, 85 MiB above a
+# 325-row sweep), so a 2 GiB budget allows about 14.3M rows.  An exact sweep
+# also holds an int64 limb per frontier state for every 28 days of horizon:
+# the same T = 350 sweep (13 limbs) peaks at about 285 B per row (163 MiB),
+# so it charges ROW_BYTES, which covers the first limb as it covers a float
+# weight, plus 8 B per further limb for each row against the same budget.
+# A family's table gets fewer rows, in the ratio of one member's row width to
+# its own: 27 B against 585 B for the 32 subsets of k = 6, whose solve peaks
+# at about 1.1 KB of RSS per row (T = 13, 16).
+ROW_BYTES = 150
+MAX_TABLE_ROWS = (2 << 30) // ROW_BYTES
 
 # exact path counts are split into limbs of this many bits.  np.bincount
 # sums in float64, and a merged limb sums at most two limbs, each below
@@ -67,11 +70,6 @@ MAX_TABLE_ROWS = (2 << 30) // 150
 LIMB_BITS = 28
 _LIMB_MASK = (1 << LIMB_BITS) - 1
 assert 2 * MAX_TABLE_ROWS << LIMB_BITS <= 1 << 53
-
-
-def _packed_width(k: int) -> int:
-    # k-1 packed fields must fit 63 bits to stay within int64
-    return min(ENCODE_BITS, 63 // (k - 1))
 
 
 def _spread(a, old, renumber=None):
@@ -91,8 +89,9 @@ def _sorted_unique(codes):
     return out[np.concatenate(([True], out[1:] != out[:-1]))]
 
 
-def _unpack(codes, k: int, width: int):
-    """Gap vectors, shape (n, k), of states packed ``width`` bits per gap."""
+def _unpack(codes, k: int):
+    """Gap vectors, shape (n, k), of the packed states ``codes``."""
+    width = packed_width(k)
     mask = np.int64((1 << width) - 1)
     gaps = np.zeros((codes.shape[0], k), dtype=np.int64)
     for i in range(1, k):
@@ -105,7 +104,7 @@ def _branch_gains(subset: RankSubset):
     return tuple(np.array(g, dtype=np.int64) for g in (subset.gains(), subset.complement_gains()))
 
 
-def _successors(codes, k: int, width: int, gains):
+def _successors(codes, k: int, gains):
     """One day from every packed state in ``codes``: the vectorized ``game.step``.
 
     ``gains`` holds the int64 per-rank gains of each branch (a subset and its
@@ -113,7 +112,8 @@ def _successors(codes, k: int, width: int, gains):
     and the leader deltas of every branch, shape (len(gains), n) each.
     """
     n = codes.shape[0]
-    gaps = _unpack(codes, k, width)
+    width = packed_width(k)
+    gaps = _unpack(codes, k)
     child_codes = np.zeros((len(gains), n), dtype=np.int64)
     deltas = np.empty((len(gains), n), dtype=np.int8)  # a leader delta is 0 or 1
     for b, branch in enumerate(gains):
@@ -141,7 +141,6 @@ class _TransitionTable:
 
     def __init__(self, family: tuple[RankSubset, ...]):
         self.k = family[0].k
-        self.width = _packed_width(self.k)
         self.gains = tuple(g for s in family for g in _branch_gains(s))
         self.codes = np.zeros(1, dtype=np.int64)  # the day-0 state
         self.children = np.zeros((len(self.gains), 1), dtype=np.int64)
@@ -171,7 +170,7 @@ class _TransitionTable:
         new = rows[~self.expanded[rows]]
         if new.shape[0] == 0:
             return rows
-        child_codes, child_deltas = _successors(self.codes[new], self.k, self.width, self.gains)
+        child_codes, child_deltas = _successors(self.codes[new], self.k, self.gains)
         fresh = _sorted_unique(child_codes)
         at = np.searchsorted(self.codes, fresh)
         known = self.codes[np.minimum(at, len(self) - 1)] == fresh
@@ -267,7 +266,7 @@ def regret_series_fixed(
         eps = 0.0 if backend.is_exact else DEFAULT_FLOAT_EPS
     if not 0.0 <= eps < math.inf:
         raise ValueError(f"prune threshold must be finite and nonnegative, got {eps}")
-    if t_max >= 1 << _packed_width(k):
+    if t_max >= 1 << packed_width(k):
         raise ValueError(f"t_max {t_max} exceeds packed-gap range for k={k}")
 
     if backend.is_exact:
@@ -284,10 +283,12 @@ def _series_exact(subset: RankSubset, t_max: int, eps) -> RegretSeries:
     ``np.bincount`` of the child rows, gathers the sums to the next frontier
     and carries into the next limb; a row is appended when a carry first
     passes the top limb.  Raises ``BudgetError`` when the table would exceed
-    ``MAX_TABLE_ROWS`` rows.
+    ``MAX_TABLE_ROWS`` rows, or its rows at ``ROW_BYTES`` plus 8 B per limb
+    after the first the float sweep's ``MAX_TABLE_ROWS * ROW_BYTES`` bytes.
     """
     table = _TransitionTable((subset,))
     eps_num, eps_den = float(eps).as_integer_ratio()
+    budget = MAX_TABLE_ROWS * ROW_BYTES
     frontier = np.zeros(1, dtype=np.int64)
     counts = [np.ones(1, dtype=np.int64)]
     values = [ZERO]
@@ -314,6 +315,10 @@ def _series_exact(subset: RankSubset, t_max: int, eps) -> RegretSeries:
         if carry.any():
             merged.append(carry)
         counts = merged
+        if len(table) * (ROW_BYTES + 8 * (len(counts) - 1)) > budget:
+            raise BudgetError(
+                f"exact sweep exceeded {budget} bytes: {len(table)} rows of {len(counts)} limbs"
+            )
         regret = 2 * regret + delta - (1 << (day - 1))
         pruned = 0
         if eps_num:
@@ -401,30 +406,3 @@ def write_series_csv(series: RegretSeries, out) -> None:
         else:
             out.write(f"{t},{_fmt_float(v)},,{_fmt_float(b)}\n")
 
-
-@dataclass(frozen=True)
-class SeriesRow:
-    t: int
-    regret: float
-    regret_exact: Dyadic | None
-    error_bound: float
-
-
-def read_series_csv(text_or_file) -> list[SeriesRow]:
-    """Parse the CSV written by write_series_csv."""
-    if isinstance(text_or_file, str):
-        f = io.StringIO(text_or_file)
-    else:
-        f = text_or_file
-    header = f.readline().strip()
-    if header != SERIES_HEADER:
-        raise ValueError(f"unexpected series header: {header!r}")
-    rows = []
-    for line in f:
-        line = line.strip()
-        if not line:
-            continue
-        t_txt, regret_txt, exact_txt, bound_txt = line.split(",")
-        exact = Dyadic.parse(exact_txt) if exact_txt else None
-        rows.append(SeriesRow(int(t_txt), float(regret_txt), exact, float(bound_txt)))
-    return rows

@@ -11,12 +11,13 @@ horizon regardless of the player's algorithm, which reduces expected regret
 to the expected maximum total gain minus that constant.  The day index and
 absolute totals therefore never need to be part of the state.
 
-Every engine, the forward sweeps and the adaptive solver alike, steps each
-state once in a ``forward._TransitionTable``, which advances whole arrays of
-packed state codes with one vectorized transition, ``forward._successors``;
-its codes are those of ``encode_state``, with fewer bits per gap for k >= 7.
-``step`` is the scalar transition on ``encode_state`` codes: the reference
-the tests check the engines against.
+This module alone knows the packed state code: ``encode_state`` stores each
+gap after the leader's in ``packed_width(k)`` bits.  Every engine, the
+forward sweeps and the adaptive solver alike, steps each state once in a
+``forward._TransitionTable``, which advances whole arrays of these codes with
+one vectorized transition, ``forward._successors``.  ``step`` is the scalar
+transition on the same codes: the reference the tests check the engines
+against.
 """
 
 from __future__ import annotations
@@ -29,10 +30,6 @@ GapState = tuple[int, ...]
 
 MIN_K = 2
 MAX_K = 8
-
-# encode_state packs each gap after the leading zero into this many bits
-ENCODE_BITS = 12
-MAX_ENCODE_GAP = (1 << ENCODE_BITS) - 1
 
 
 def initial_state(k: int) -> GapState:
@@ -126,9 +123,6 @@ class RankSubset:
             return self
         return RankSubset(self.k, self.complement_ranks())
 
-    def is_full(self) -> bool:
-        return len(self.ranks) == self.k
-
     def gains(self) -> tuple[int, ...]:
         """Per-rank 0/1 gains of the branch where this subset receives gain 1."""
         mine = set(self.ranks)
@@ -142,18 +136,6 @@ class RankSubset:
 
     def __str__(self):
         return self.label()
-
-
-def canonical_subset(members: Iterable[int], k: int) -> RankSubset:
-    """Canonicalize a raw rank set: return it, or its complement, so that
-    rank 1 is included.  An empty set maps to the full set."""
-    mine = set(members)
-    for r in mine:
-        if not 1 <= r <= k:
-            raise ValueError(f"rank {r} out of range 1..{k}")
-    if 1 not in mine:
-        mine = set(range(1, k + 1)) - mine
-    return RankSubset.of(k, mine)
 
 
 def step(
@@ -193,12 +175,20 @@ def all_strategies(k: int) -> Iterator[RankSubset]:
         yield RankSubset(k, ranks)
 
 
-def encode_state(gaps: GapState) -> int:
-    """Pack a gap vector into an int, 12 bits per gap.
+def packed_width(k: int) -> int:
+    """Bits per gap in the packed code of a k-expert state: 12, or fewer
+    where the k - 1 packed gaps would not fit the 63 bits of an int64."""
+    if not MIN_K <= k <= MAX_K:
+        raise ValueError(f"expert count must be in {MIN_K}..{MAX_K}, got k={k}")
+    return min(12, 63 // (k - 1))
 
-    The leading gap is always zero and is omitted, so k gaps use 12(k-1)
-    bits; keys fit an int64 through k=6.  Supports gaps up to 4095,
-    comfortably beyond any state a 350-day run can reach.  Keys compare in
+
+def encode_state(gaps: GapState) -> int:
+    """Pack a gap vector into an int, ``packed_width(k)`` bits per gap.
+
+    The leading gap is always zero and is omitted, so every code fits an
+    int64.  Gaps up to 4095 are encodable through k = 6, 1023 at k = 7 and
+    511 at k = 8; no gap exceeds the number of days played.  Keys compare in
     reverse-lexicographic order of the gap tuples (trailer gap is the most
     significant field).
     """
@@ -206,11 +196,12 @@ def encode_state(gaps: GapState) -> int:
         raise ValueError(f"state length must be in {MIN_K}..{MAX_K}: {gaps!r}")
     if gaps[0] != 0:
         raise ValueError(f"leader gap must be zero: {gaps!r}")
+    width = packed_width(len(gaps))
     code = 0
     for i, g in enumerate(gaps[1:]):
-        if not 0 <= g <= MAX_ENCODE_GAP:
-            raise ValueError(f"gap {g} out of encodable range 0..{MAX_ENCODE_GAP}")
-        code |= g << (ENCODE_BITS * i)
+        if not 0 <= g < 1 << width:
+            raise ValueError(f"gap {g} out of encodable range 0..{(1 << width) - 1}")
+        code |= g << (width * i)
     return code
 
 
@@ -218,8 +209,8 @@ def decode_state(code: int, k: int) -> GapState:
     """Inverse of encode_state."""
     if code < 0:
         raise ValueError("state code must be nonnegative")
-    if code >> (ENCODE_BITS * (k - 1)):
+    width = packed_width(k)
+    if code >> (width * (k - 1)):
         raise ValueError(f"code {code} has bits beyond k={k} gaps")
-    return (0,) + tuple(
-        (code >> (ENCODE_BITS * i)) & MAX_ENCODE_GAP for i in range(k - 1)
-    )
+    mask = (1 << width) - 1
+    return (0,) + tuple((code >> (width * i)) & mask for i in range(k - 1))

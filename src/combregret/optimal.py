@@ -13,9 +13,8 @@ T/2 (the expected gain any player is pinned to) gives the expected regret.
 
 The value is horizon-dependent but day-translation-invariant, so the solver
 works in layers.  A forward pass enumerates L_0 ... L_T, where L_d holds the
-packed codes (``forward._packed_width`` bits per gap) of every state
-reachable at day d under some sequence of family members, in ascending
-order.  The layers are codes over one ``forward._TransitionTable`` of the
+packed codes (``game.encode_state``) of every state reachable at day d under
+some sequence of family members, in ascending order.  The layers are codes over one ``forward._TransitionTable`` of the
 whole family, which steps each state once however many layers hold it and
 keeps its children and leader deltas; layers stay codes because table rows
 renumber when states are inserted.  A backward pass then values a whole
@@ -41,8 +40,16 @@ import numpy as np
 from .backend import EXACT, ValueBackend
 from .dyadic import Dyadic
 from .errors import BudgetError
-from .forward import _packed_width, _TransitionTable, _unpack, regret_series_fixed
-from .game import MAX_K, GapState, RankSubset, all_strategies, validate_state
+from .forward import _TransitionTable, _unpack, regret_series_fixed
+from .game import (
+    MAX_K,
+    GapState,
+    RankSubset,
+    all_strategies,
+    encode_state,
+    packed_width,
+    validate_state,
+)
 
 # hard ceilings; exceeding them is an error, never a silent approximation.
 # A layer row keeps an 8 B code and one value per solved horizon (8 B in
@@ -54,7 +61,7 @@ from .game import MAX_K, GapState, RankSubset, all_strategies, validate_state
 MAX_MEMO_NODES = 20_000_000
 MAX_HORIZON = 400
 # every gap reached within MAX_HORIZON days fits the packed width of any k
-assert MAX_HORIZON < 1 << _packed_width(MAX_K)
+assert MAX_HORIZON < 1 << packed_width(MAX_K)
 
 # N(s, r) <= r * 2^r < 2^63 while r <= 57
 INT64_HORIZON = 57
@@ -167,8 +174,8 @@ class AdaptiveSolver:
             raise ValueError(f"state has {len(state)} entries, expected k={self.k}: {state!r}")
         validate_state(state)
         # no layer holds a gap of 2^width or more: gaps never exceed MAX_HORIZON
-        if remaining >= 1 and not state[-1] >> self.table.width:
-            code = sum(g << (self.table.width * i) for i, g in enumerate(state[1:]))
+        if remaining >= 1 and not state[-1] >> packed_width(self.k):
+            code = encode_state(state)
             for t in self._values:
                 d = t - remaining
                 if d < 0:
@@ -194,7 +201,7 @@ class AdaptiveSolver:
             # child table rows to positions in layer d + 1
             at = self._rows(d)[level]
             children = np.searchsorted(self._rows(d + 1), self.table.children[:, at])
-            gaps = _unpack(self._codes[d][level], self.k, self.table.width).tolist()
+            gaps = _unpack(self._codes[d][level], self.k).tolist()
             reached: dict = {}  # insertion-ordered set
             for state, mask, kids in zip(gaps, best, children.T.tolist()):
                 members = [m for m, b in enumerate(mask) if b]

@@ -8,7 +8,7 @@ import pytest
 
 from combregret import cli
 from combregret.checks import CheckResult
-from combregret.forward import read_series_csv, regret_series_fixed
+from combregret.forward import regret_series_fixed
 from combregret.game import RankSubset
 from combregret.optimal import value_adaptive
 
@@ -44,8 +44,8 @@ def test_eval_float_file_deterministic(tmp_path, capsys):
         )
         assert code == 0
     assert p1.read_bytes() == p2.read_bytes()
-    rows = read_series_csv(p1.read_text())
-    assert len(rows) == 60 and rows[0].regret_exact is None
+    rows = [line.split(",") for line in p1.read_text().splitlines()[1:]]
+    assert len(rows) == 60 and rows[0][2] == ""
 
 
 def test_compare_identical_subsets(capsys):
@@ -173,10 +173,11 @@ def test_figure1_rejects_bad_t_max(tmp_path, capsys):
         cli.main(["figure1", "--t-max", "0"])
     assert exc.value.code == 2
     capsys.readouterr()
-    code, _, err = run(capsys, "figure1", "--t-max", "401",
+    # k = 5 packs 12 bits per gap, so a gap, and a horizon, stops at 4095
+    code, _, err = run(capsys, "figure1", "--t-max", "4096",
                        "--out-csv", str(tmp_path / "c"), "--out-svg", str(tmp_path / "s"))
     assert code == 2
-    assert "sweep limit" in err
+    assert "packed-gap range" in err
 
 
 def test_verify_closed_form(capsys):
@@ -234,6 +235,18 @@ def test_prune_rejects_non_finite(capsys, text):
     assert "--prune" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["optimal", "--k", "3", "--family", "all", "--t", "5"],
+    ["best-fixed", "--k", "3", "--t", "5"],
+], ids=["optimal", "best-fixed"])
+def test_prune_rejected_where_unused(capsys, argv):
+    # neither command sweeps with pruning, so --prune is not an option of either
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--prune", "2^-3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --prune" in capsys.readouterr().err
+
+
 def test_float_sweep_survives_empty_frontier(capsys):
     # eps 0.6 prunes both halves of day 1, leaving nothing to step
     rows = {}
@@ -241,7 +254,10 @@ def test_float_sweep_survives_empty_frontier(capsys):
         code, out, _ = run(capsys, "eval", "--k", "3", "--subset", "1", "--t-max", "4",
                            "--backend", backend, "--prune", "0.6")
         assert code == 0
-        rows[backend] = [(r.t, r.regret, r.error_bound) for r in read_series_csv(out)]
+        rows[backend] = [
+            (int(t), float(regret), float(bound))
+            for t, regret, _, bound in (line.split(",") for line in out.splitlines()[1:])
+        ]
     assert rows["float"] == rows["exact"]
     assert rows["exact"][-1] == (4, -1.0, 3.0)
 
@@ -253,6 +269,19 @@ def test_sweep_budget_exit_code(capsys, monkeypatch, backend):
                          "--backend", backend)
     assert code == 2
     assert "table exceeded 100 rows" in err and "Traceback" not in err
+
+
+def test_exact_sweep_byte_budget_exit_code(capsys, monkeypatch):
+    # k = 2 reaches T + 1 states by day T, so T = 300 fits a 400-row float
+    # table; the exact counts take 10 limbs by day 270, when 271 rows at
+    # 150 B plus 8 B per further limb pass the 400 * 150 B budget
+    monkeypatch.setattr("combregret.forward.MAX_TABLE_ROWS", 400)
+    argv = ["eval", "--k", "2", "--subset", "1", "--t-max", "300", "--backend"]
+    code, out, _ = run(capsys, *argv, "float", "--prune", "0")
+    assert code == 0 and out.splitlines()[-1].startswith("300,")
+    code, out, err = run(capsys, *argv, "exact")
+    assert code == 2 and out == ""
+    assert "exact sweep exceeded 60000 bytes" in err and "Traceback" not in err
 
 
 def test_wide_family_table_budget_exit_code(capsys, monkeypatch):

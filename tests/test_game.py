@@ -3,15 +3,15 @@ import itertools
 import numpy as np
 import pytest
 
-from combregret.forward import _branch_gains, _packed_width, _successors, _unpack
+from combregret.forward import _branch_gains, _successors, _unpack
 from combregret.game import (
     RankSubset,
     all_strategies,
     apply_gains,
-    canonical_subset,
     decode_state,
     encode_state,
     initial_state,
+    packed_width,
     step,
     validate_state,
 )
@@ -46,14 +46,13 @@ def test_comb_construction():
 
 
 def test_canonical_subset():
-    assert canonical_subset({2, 4, 5}, 5) == RankSubset.of(5, (1, 3))
-    assert canonical_subset({1, 3}, 5) == RankSubset.of(5, (1, 3))
-    # empty set of members means its complement, the full set
-    assert canonical_subset((), 4) == RankSubset.of(4, (1, 2, 3, 4))
+    assert RankSubset.of(5, (2, 4, 5)).canonical() == RankSubset.of(5, (1, 3))
+    assert RankSubset.of(5, (1, 3)).canonical() == RankSubset.of(5, (1, 3))
+    assert RankSubset.of(4, (1, 2, 3, 4)).canonical() == RankSubset.of(4, (1, 2, 3, 4))
     with pytest.raises(ValueError):
-        canonical_subset({0, 1}, 5)
+        RankSubset.of(5, (0, 1))
     with pytest.raises(ValueError):
-        canonical_subset({6}, 5)
+        RankSubset.of(5, (6,))
 
 
 def test_parse():
@@ -120,7 +119,7 @@ def test_complement_swap():
         for gaps in _small_states(k, 4):
             code = encode_state(gaps)
             for subset in all_strategies(k):
-                if subset.is_full():
+                if len(subset.ranks) == k:
                     continue
                 comp = RankSubset(k, subset.complement_ranks())
                 ca, cb, d = step(code, k, subset.gains(), subset.complement_gains())
@@ -137,22 +136,17 @@ def test_apply_gains_matches_step():
 
 def test_vectorized_successors_match_step():
     # forward._successors, the transition every engine runs, against the
-    # scalar reference; k = 7 and 8 pack fewer bits per gap than encode_state
+    # scalar reference, code for code
     for k in range(2, 9):
-        width = _packed_width(k)
         states = list(_small_states(k, 5 if k <= 6 else 3))
-        codes = np.array(
-            [sum(g << (width * i) for i, g in enumerate(gaps[1:])) for gaps in states],
-            dtype=np.int64,
-        )
-        assert [tuple(row) for row in _unpack(codes, k, width).tolist()] == states
+        codes = [encode_state(gaps) for gaps in states]
+        assert [tuple(row) for row in _unpack(np.array(codes), k).tolist()] == states
         for subset in all_strategies(k):
-            child_codes, deltas = _successors(codes, k, width, _branch_gains(subset))
-            children = [_unpack(c, k, width).tolist() for c in child_codes]
-            for i, gaps in enumerate(states):
-                ca, cb, d = _step(gaps, subset)
-                assert (tuple(children[0][i]), tuple(children[1][i])) == (ca, cb)
-                assert deltas[0, i] + deltas[1, i] == d
+            child_codes, deltas = _successors(np.array(codes), k, _branch_gains(subset))
+            children = child_codes.T.tolist()
+            sums = (deltas[0] + deltas[1]).tolist()
+            for code, kids, d in zip(codes, children, sums):
+                assert step(code, k, subset.gains(), subset.complement_gains()) == (*kids, d)
 
 
 def test_tie_permutation_invariance():
@@ -180,6 +174,14 @@ def test_encode_decode_roundtrip():
             key = encode_state(gaps)
             assert decode_state(key, k) == gaps
     assert encode_state((0,) * 5) == 0
+    # the widest gap of every k round-trips in every field; all k - 1 fields
+    # fit an int64
+    for k in range(2, 9):
+        top = (1 << packed_width(k)) - 1
+        for i in range(1, k):
+            gaps = (0,) * i + (top,) * (k - i)
+            assert decode_state(encode_state(gaps), k) == gaps
+        assert encode_state((0,) + (top,) * (k - 1)) < 1 << 63
 
 
 def test_encode_injective():
@@ -194,10 +196,14 @@ def test_encode_injective():
 
 
 def test_encode_errors():
-    with pytest.raises(ValueError):
-        encode_state((0, 4096))
-    with pytest.raises(ValueError):
-        decode_state(1 << 12, 2)
+    # one past the widest gap of every k, as a gap and as a code
+    widths = {2: 12, 3: 12, 4: 12, 5: 12, 6: 12, 7: 10, 8: 9}
+    for k, width in widths.items():
+        assert packed_width(k) == width
+        with pytest.raises(ValueError, match="encodable range"):
+            encode_state((0,) * (k - 1) + (1 << width,))
+        with pytest.raises(ValueError, match="beyond"):
+            decode_state(1 << (width * (k - 1)), k)
     with pytest.raises(ValueError):
         decode_state(-1, 3)
 

@@ -171,9 +171,9 @@ def test_each_state_stepped_once(monkeypatch):
     # hold it: 3,240 states against 88,560 layer rows
     stepped = []
 
-    def counting(codes, k, width, gains):
+    def counting(codes, k, gains):
         stepped.append(codes.shape[0] * len(gains))  # two branches per member
-        return _successors(codes, k, width, gains)
+        return _successors(codes, k, gains)
 
     monkeypatch.setattr("combregret.forward._successors", counting)
     family = list(all_strategies(3))
