@@ -11,7 +11,7 @@ from .analysis import (
     sqrt_normalized,
     write_diff_csv,
 )
-from .backend import EXACT, FLOAT, ValueBackend, get_backend
+from .backend import EXACT, FLOAT, ValueBackend
 from .dyadic import HALF, ONE, ZERO, Dyadic
 from .errors import BudgetError
 from .forward import (

@@ -7,7 +7,7 @@ The headline quantity is the scaled difference of normalized squared regrets,
 whose positivity (a = [1,3], b = [1,3,5], k = 5) is the evidence that the
 comb strategy is dominated.  D is exactly 0 at T = 1..4 and T = 6, where the
 two regrets tie (R(6) = 13/2^3 for both), and strictly positive at T = 5 and
-every T >= 7 computed (exactly to T = 40, by certified bound to T = 350).
+every T >= 7 computed (exactly to T = 350, from the unpruned exact series).
 Exact input series give exact D values; division by T leaves the
 dyadics, so those are held as Fractions.  For pruned float sweeps, a certified
 lower bound widens each regret by its error bound in the adverse direction,
@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .dyadic import Dyadic
 from .forward import RegretSeries
 
 
@@ -48,18 +49,12 @@ def diff_stat(a: RegretSeries, b: RegretSeries, scale: int = 1000) -> DiffStatSe
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale}")
     exact = a.backend.is_exact and b.backend.is_exact
-    if exact:
-        values = [Fraction(0)]
-        for t in range(1, a.t_max + 1):
-            ra = a.values[t].as_fraction()
-            rb = b.values[t].as_fraction()
-            values.append(Fraction(scale) * (ra * ra - rb * rb) / t)
-    else:
-        values = [0.0]
-        for t in range(1, a.t_max + 1):
-            ra = float(a.values[t])
-            rb = float(b.values[t])
-            values.append(scale * (ra * ra - rb * rb) / t)
+    number = Dyadic.as_fraction if exact else float
+    values = [Fraction(0) if exact else 0.0]
+    for t in range(1, a.t_max + 1):
+        ra = number(a.values[t])
+        rb = number(b.values[t])
+        values.append(scale * (ra * ra - rb * rb) / t)
     return DiffStatSeries(
         k=a.k,
         label_a=a.subset.label(),
@@ -73,9 +68,10 @@ def diff_stat(a: RegretSeries, b: RegretSeries, scale: int = 1000) -> DiffStatSe
 def certified_lower_bounds(a: RegretSeries, b: RegretSeries, scale: int = 1000) -> tuple:
     """Per-horizon lower bounds on the true D(T), safe against pruning.
 
-    Computed values underestimate the truth by at most the error bound, so
-    the true difference is at least scale*(R_a^2 - (R_b + e_b)^2)/T
-    (regrets are nonnegative, hence squaring is monotone).
+    A true regret is nonnegative, at least the computed one and at most
+    that plus its error bound, so the true D(T) is at least
+    scale*(max(R_a, 0)^2 - (R_b + e_b)^2)/T: heavy pruning can drive the
+    computed R_a below 0, where its square would overstate the true one.
 
     The widening covers pruned mass only, not binary64 rounding in the
     sweeps or in this subtraction.  Against the exact series for k = 5,
@@ -88,7 +84,7 @@ def certified_lower_bounds(a: RegretSeries, b: RegretSeries, scale: int = 1000) 
         raise ValueError("series must cover the same game and range")
     out = [0.0]
     for t in range(1, a.t_max + 1):
-        ra = float(a.values[t])
+        ra = max(float(a.values[t]), 0.0)
         rb = float(b.values[t]) + float(b.error_bounds[t])
         out.append(scale * (ra * ra - rb * rb) / t)
     return tuple(out)

@@ -7,36 +7,26 @@ memory and reports a rigorous error bound instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from enum import Enum
 
 
-@dataclass(frozen=True)
-class ValueBackend:
+class ValueBackend(Enum):
     """Selects how weights and values are represented.
 
-    kind is "exact" (scaled integers, returned as ``Dyadic``) or "float"
-    (binary64).  Both are deterministic: results are a pure function of the
-    inputs, independent of hash seeding and iteration order.
+    ``EXACT`` ("exact") computes on scaled integers and returns ``Dyadic``
+    values; ``FLOAT`` ("float") on binary64.  ``ValueBackend(name)`` looks a
+    member up by its command-line name and raises ValueError for any other.
+    Both are deterministic: results are a pure function of the inputs,
+    independent of hash seeding and iteration order.
     """
 
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in ("exact", "float"):
-            raise ValueError(f"unknown backend kind: {self.kind!r}")
+    EXACT = "exact"
+    FLOAT = "float"
 
     @property
     def is_exact(self) -> bool:
-        return self.kind == "exact"
+        return self is ValueBackend.EXACT
 
 
-EXACT = ValueBackend("exact")
-FLOAT = ValueBackend("float")
-
-
-def get_backend(name: str) -> ValueBackend:
-    if name == "exact":
-        return EXACT
-    if name == "float":
-        return FLOAT
-    raise ValueError(f"unknown backend: {name!r} (expected 'exact' or 'float')")
+EXACT = ValueBackend.EXACT
+FLOAT = ValueBackend.FLOAT

@@ -81,7 +81,7 @@ def suite_reference_values() -> list[CheckResult]:
     return [check_k6_t13_adaptive(), check_k6_t13_best_fixed(), check_k5_t5_strict()]
 
 
-def suite_oracle(k: int = 4, t_max: int = 7) -> list[CheckResult]:
+def suite_oracle(k: int, t_max: int) -> list[CheckResult]:
     """Engine-vs-enumeration equality for every canonical subset."""
     out = []
     for subset in all_strategies(k):
@@ -102,7 +102,7 @@ def suite_oracle(k: int = 4, t_max: int = 7) -> list[CheckResult]:
     return out
 
 
-def suite_k2_closed_form(t_max: int = 60) -> list[CheckResult]:
+def suite_k2_closed_form(t_max: int) -> list[CheckResult]:
     """Engine series for k=2 comb against the binomial closed form."""
     series = regret_series_fixed(2, RankSubset.comb(2), t_max, EXACT, eps=0.0)
     out = []
@@ -120,20 +120,27 @@ def suite_k2_closed_form(t_max: int = 60) -> list[CheckResult]:
     return out
 
 
-SUITE_NAMES = ("reference-values", "oracle", "k2-closed-form", "all")
+# each suite with the parameters it takes and their defaults; "all" runs
+# every suite in this order
+SUITES = {
+    "reference-values": (suite_reference_values, {}),
+    "oracle": (suite_oracle, {"k": 4, "t_max": 7}),
+    "k2-closed-form": (suite_k2_closed_form, {"t_max": 60}),
+}
+SUITE_NAMES = (*SUITES, "all")
 
 
 def run_suite(name: str, k: int | None = None, t_max: int | None = None) -> list[CheckResult]:
-    if name == "reference-values":
-        return suite_reference_values()
-    if name == "oracle":
-        return suite_oracle(k if k is not None else 4, t_max if t_max is not None else 7)
-    if name == "k2-closed-form":
-        return suite_k2_closed_form(t_max if t_max is not None else 60)
-    if name == "all":
-        return (
-            suite_reference_values()
-            + suite_oracle(k if k is not None else 4, t_max if t_max is not None else 7)
-            + suite_k2_closed_form(t_max if t_max is not None else 60)
-        )
-    raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    """Run one suite, or all of them; a parameter left None takes its default.
+    Raises ValueError for an unknown suite or a parameter no chosen suite takes."""
+    if name not in SUITE_NAMES:
+        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    chosen = list(SUITES.values()) if name == "all" else [SUITES[name]]
+    given = {p: v for p, v in (("k", k), ("t_max", t_max)) if v is not None}
+    for p in given:
+        if not any(p in params for _, params in chosen):
+            raise ValueError(f"suite {name} takes no --{p.replace('_', '-')}")
+    out = []
+    for suite, params in chosen:
+        out += suite(**{p: given.get(p, default) for p, default in params.items()})
+    return out

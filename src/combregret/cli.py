@@ -19,7 +19,7 @@ from .analysis import (
     summary_lines,
     write_diff_csv,
 )
-from .backend import EXACT, FLOAT, ValueBackend, get_backend
+from .backend import EXACT, FLOAT, ValueBackend
 from .checks import SUITE_NAMES, run_suite
 from .errors import BudgetError
 from .forward import regret_series_fixed, write_series_csv
@@ -29,6 +29,7 @@ from .optimal import best_fixed_subset, value_adaptive
 FIGURE_K = 5
 FIGURE_A = (1, 3)
 FIGURE_B = (1, 3, 5)
+BACKENDS = tuple(b.value for b in ValueBackend)
 
 
 def _positive_int(text: str) -> int:
@@ -55,7 +56,7 @@ def _parse_eps(text: str) -> float:
 def _resolve_backend(name: str | None, t_max: int) -> ValueBackend:
     # small horizons default to exact arithmetic, sweeps to float
     if name is not None:
-        return get_backend(name)
+        return ValueBackend(name)
     return EXACT if t_max <= 30 else FLOAT
 
 
@@ -128,7 +129,7 @@ def _cmd_compare(args) -> int:
 def _cmd_optimal(args) -> int:
     family = _parse_family(args.k, args.family)
     # the solver is exact; --backend float only prints the rounded value
-    backend = get_backend(args.backend)
+    backend = ValueBackend(args.backend)
     result = value_adaptive(args.k, family, args.t)
     print(f"family={result.family_label()}")
     print(f"t={args.t}")
@@ -147,7 +148,7 @@ def _cmd_optimal(args) -> int:
 
 
 def _cmd_best_fixed(args) -> int:
-    backend = get_backend(args.backend)
+    backend = ValueBackend(args.backend)
     result = best_fixed_subset(args.k, args.t, backend)
     print(f"t={args.t}")
     print(f"scanned={result.scanned}")
@@ -238,7 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_backend(p):
-        p.add_argument("--backend", choices=("exact", "float"), default=None,
+        p.add_argument("--backend", choices=BACKENDS, default=None,
                        help="arithmetic backend (default: exact up to T=30, float beyond)")
         p.add_argument("--prune", type=_parse_eps, default=None, metavar="EPS",
                        help="drop states below this weight, e.g. 2^-50 "
@@ -269,7 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True,
                    help="colon-separated subsets, e.g. 1,3,6:1,4,6, or 'all'")
     p.add_argument("--t", type=_positive_int, required=True)
-    p.add_argument("--backend", choices=("exact", "float"), default="exact",
+    p.add_argument("--backend", choices=BACKENDS, default="exact",
                    help="print the exact value, or its correctly rounded float")
     p.add_argument("--trace", default=None, metavar="PATH",
                    help="dump 'state remaining -> maximizers' lines to PATH")
@@ -278,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("best-fixed", help="best single subset strategy at one horizon")
     p.add_argument("--k", type=_positive_int, required=True)
     p.add_argument("--t", type=_positive_int, required=True)
-    p.add_argument("--backend", choices=("exact", "float"), default="exact",
+    p.add_argument("--backend", choices=BACKENDS, default="exact",
                    help="arithmetic backend (default exact)")
     p.set_defaults(func=_cmd_best_fixed)
 
@@ -304,10 +305,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, BudgetError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (ValueError, BudgetError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

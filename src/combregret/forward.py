@@ -1,9 +1,10 @@
 """Forward propagation of the gap-state distribution under a fixed strategy.
 
-The frontier is a sparse map from encoded states to probability weights.  One
-day of play splits every state into its two equally likely branch successors
-and accumulates the expected leader delta; the regret after T days is the sum
-of the daily expected deltas minus T/2.
+The frontier is an ascending array of transition-table rows, that is of the
+states reached in code order, with their probability weights: one float64
+per state, or int64 limb rows of exact path counts.  One day of play splits every state into its two
+equally likely branch successors and accumulates the expected leader delta;
+the regret after T days is the sum of the daily expected deltas minus T/2.
 
 Both backends run this recurrence over one per-series ``_TransitionTable``:
 every state reached so far, sorted by packed code, with the rows of its
@@ -13,8 +14,7 @@ subset, and the adaptive solver in ``optimal`` its whole family.  Each state
 is therefore decoded, stepped and re-encoded once, by ``_successors`` (whose
 scalar reference is ``game.step``: both use the codes of
 ``game.encode_state``), and a day is a gather of child rows plus one
-``np.bincount`` per weight row.  The frontier is an ascending array of table
-rows, that is of states in code order.  The table never forgets a state, so
+``np.bincount`` per weight row.  The table never forgets a state, so
 it is capped at ``MAX_TABLE_ROWS`` rows for one member and fewer for a
 family; growing past the cap raises ``BudgetError``.
 

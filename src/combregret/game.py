@@ -32,24 +32,28 @@ MIN_K = 2
 MAX_K = 8
 
 
-def initial_state(k: int) -> GapState:
-    """Day-zero state: everyone tied with the leader."""
+def check_expert_count(k: int) -> None:
+    """Raise ValueError unless k lies in MIN_K..MAX_K, the expert counts
+    every engine and the packed code support."""
     if not MIN_K <= k <= MAX_K:
         raise ValueError(f"expert count must be in {MIN_K}..{MAX_K}, got k={k}")
+
+
+def initial_state(k: int) -> GapState:
+    """Day-zero state: everyone tied with the leader."""
+    check_expert_count(k)
     return (0,) * k
 
 
 def validate_state(gaps: GapState) -> None:
-    """Raise ValueError unless ``gaps`` is a valid sorted gap vector."""
-    if not MIN_K <= len(gaps) <= MAX_K:
-        raise ValueError(f"state length must be in {MIN_K}..{MAX_K}: {gaps!r}")
+    """Raise ValueError unless ``gaps`` is a valid sorted gap vector: a
+    leader gap of zero, then nondecreasing (hence nonnegative) gaps."""
+    check_expert_count(len(gaps))
     if gaps[0] != 0:
         raise ValueError(f"leader gap must be zero: {gaps!r}")
     for a, b in zip(gaps, gaps[1:]):
         if b < a:
             raise ValueError(f"gaps must be nondecreasing: {gaps!r}")
-    if any(g < 0 for g in gaps):
-        raise ValueError(f"gaps must be nonnegative: {gaps!r}")
 
 
 def apply_gains(gaps: GapState, gains: tuple[int, ...]) -> tuple[GapState, int]:
@@ -80,8 +84,7 @@ class RankSubset:
     ranks: tuple[int, ...]
 
     def __post_init__(self):
-        if not MIN_K <= self.k <= MAX_K:
-            raise ValueError(f"expert count must be in {MIN_K}..{MAX_K}, got k={self.k}")
+        check_expert_count(self.k)
         if not self.ranks:
             raise ValueError("rank subset must be nonempty")
         if list(self.ranks) != sorted(set(self.ranks)):
@@ -164,8 +167,7 @@ def all_strategies(k: int) -> Iterator[RankSubset]:
     in lexicographic rank order, which fixes tie-breaking everywhere a scan
     reports an argmax.
     """
-    if not MIN_K <= k <= MAX_K:
-        raise ValueError(f"expert count must be in {MIN_K}..{MAX_K}, got k={k}")
+    check_expert_count(k)
     others = range(2, k + 1)
     subsets = []
     for size in range(0, k):
@@ -178,8 +180,7 @@ def all_strategies(k: int) -> Iterator[RankSubset]:
 def packed_width(k: int) -> int:
     """Bits per gap in the packed code of a k-expert state: 12, or fewer
     where the k - 1 packed gaps would not fit the 63 bits of an int64."""
-    if not MIN_K <= k <= MAX_K:
-        raise ValueError(f"expert count must be in {MIN_K}..{MAX_K}, got k={k}")
+    check_expert_count(k)
     return min(12, 63 // (k - 1))
 
 
@@ -192,14 +193,11 @@ def encode_state(gaps: GapState) -> int:
     reverse-lexicographic order of the gap tuples (trailer gap is the most
     significant field).
     """
-    if not MIN_K <= len(gaps) <= MAX_K:
-        raise ValueError(f"state length must be in {MIN_K}..{MAX_K}: {gaps!r}")
-    if gaps[0] != 0:
-        raise ValueError(f"leader gap must be zero: {gaps!r}")
+    validate_state(gaps)
     width = packed_width(len(gaps))
     code = 0
     for i, g in enumerate(gaps[1:]):
-        if not 0 <= g < 1 << width:
+        if g >= 1 << width:
             raise ValueError(f"gap {g} out of encodable range 0..{(1 << width) - 1}")
         code |= g << (width * i)
     return code

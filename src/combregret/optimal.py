@@ -48,7 +48,6 @@ from .game import (
     all_strategies,
     encode_state,
     packed_width,
-    validate_state,
 )
 
 # hard ceilings; exceeding them is an error, never a silent approximation.
@@ -172,7 +171,6 @@ class AdaptiveSolver:
         # packed codes drop trailing zero gaps, so check the length first
         if len(state) != self.k:
             raise ValueError(f"state has {len(state)} entries, expected k={self.k}: {state!r}")
-        validate_state(state)
         # no layer holds a gap of 2^width or more: gaps never exceed MAX_HORIZON
         if remaining >= 1 and not state[-1] >> packed_width(self.k):
             code = encode_state(state)

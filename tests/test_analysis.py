@@ -73,6 +73,15 @@ def test_certified_bounds_never_exceed_raw(sweep13, sweep135):
     exact_d = diff_stat(a, b)
     for t, lo in enumerate(certified_lower_bounds(a, b)):
         assert lo == exact_d.values[t]
+    # eps = 0.6 prunes {1}'s computed regret down to -1 by T = 5, whose
+    # square alone would bound D(5) at 200 against the exact 5625/32
+    a = _series(2, (1,), 8, backend=FLOAT, eps=0.6)
+    b = _series(2, (1, 2), 8, backend=FLOAT, eps=0.6)
+    assert a.values[5] == -1.0
+    exact_d = diff_stat(_series(2, (1,), 8), _series(2, (1, 2), 8))
+    assert exact_d.values[5] == Fraction(5625, 32)
+    for t, lo in enumerate(certified_lower_bounds(a, b)):
+        assert lo <= exact_d.values[t]
 
 
 def test_constancy_report():

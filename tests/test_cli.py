@@ -188,6 +188,27 @@ def test_verify_closed_form(capsys):
     assert lines[-1] == "10/10 checks passed"
 
 
+@pytest.mark.parametrize("argv, last", [
+    (["--suite", "oracle", "--k", "3", "--t-max", "4"], "4/4 checks passed"),
+    (["--suite", "all", "--k", "3", "--t-max", "4"], "11/11 checks passed"),
+])
+def test_verify_suite_flags(capsys, argv, last):
+    # all = 3 reference values + one oracle check per k = 3 subset + T = 1..4 closed form
+    code, out, _ = run(capsys, "verify", *argv)
+    assert code == 0
+    assert out.splitlines()[-1] == last
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--suite", "k2-closed-form", "--k", "5"], "--k"),
+    (["--suite", "reference-values", "--t-max", "3"], "--t-max"),
+])
+def test_verify_rejects_flag_no_suite_takes(capsys, argv, flag):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert f"takes no {flag}" in err
+
+
 def test_verify_reference_values(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "reference-values")
     assert code == 0

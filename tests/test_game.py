@@ -206,6 +206,10 @@ def test_encode_errors():
             decode_state(1 << (width * (k - 1)), k)
     with pytest.raises(ValueError):
         decode_state(-1, 3)
+    # codes exist only for sorted states: an unsorted or negative gap has none
+    for gaps in ((0, 3, 1), (0, -1), (0, -1, 2)):
+        with pytest.raises(ValueError, match="nondecreasing"):
+            encode_state(gaps)
 
 
 def test_all_strategies():
