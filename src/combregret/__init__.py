@@ -3,12 +3,10 @@ in the prediction-with-expert-advice game."""
 
 from .analysis import (
     ConstancySummary,
-    ConstantEstimate,
     DiffStatSeries,
     certified_lower_bounds,
     constancy_report,
     diff_stat,
-    sqrt_normalized,
     write_diff_csv,
 )
 from .backend import EXACT, FLOAT, ValueBackend

@@ -16,7 +16,6 @@ so positivity claims survive the lost mass.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -129,46 +128,6 @@ def summary_lines(cs: ConstancySummary) -> list[str]:
         f"mean={cs.mean:.17g}",
         f"slope={cs.slope:.17g}",
     ]
-
-
-@dataclass(frozen=True)
-class ConstantEstimate:
-    """R(T)/sqrt(T) per horizon, with a tail summary for eyeballing limits."""
-
-    k: int
-    label: str
-    values: tuple
-    at_t_max: float
-    window: tuple[int, int]
-    win_min: float
-    win_max: float
-
-    @property
-    def t_max(self) -> int:
-        return len(self.values) - 1
-
-
-def sqrt_normalized(s: RegretSeries, window: tuple[int, int] | None = None) -> ConstantEstimate:
-    """Normalize a regret series by sqrt(T)."""
-    values = [0.0]
-    for t in range(1, s.t_max + 1):
-        values.append(float(s.values[t]) / math.sqrt(t))
-    if window is None:
-        lo = max(1, min(100, s.t_max))
-        window = (lo, s.t_max)
-    lo, hi = window
-    if not 1 <= lo <= hi <= s.t_max:
-        raise ValueError(f"window {window} not inside 1..{s.t_max}")
-    tail = values[lo : hi + 1]
-    return ConstantEstimate(
-        k=s.k,
-        label=s.subset.label(),
-        values=tuple(values),
-        at_t_max=values[-1],
-        window=window,
-        win_min=min(tail),
-        win_max=max(tail),
-    )
 
 
 # ----------------------------------------------------------------------

@@ -1,22 +1,25 @@
 """Forward propagation of the gap-state distribution under a fixed strategy.
 
-The frontier is an ascending array of transition-table rows, that is of the
-states reached in code order, with their probability weights: one float64
-per state, or int64 limb rows of exact path counts.  One day of play splits every state into its two
-equally likely branch successors and accumulates the expected leader delta;
-the regret after T days is the sum of the daily expected deltas minus T/2.
+The frontier is an array of transition-table rows, those of the states
+reached, listed in packed-code order, with their probability weights: one
+float64 per state, or int64 limb rows of exact path counts.  One day of play
+splits every state into its two equally likely branch successors and
+accumulates the expected leader delta; the regret after T days is the sum of
+the daily expected deltas minus T/2.
 
 Both backends run this recurrence over one per-series ``_TransitionTable``:
-every state reached so far, sorted by packed code, with the rows of its
-children and their leader deltas filled in the first day the state is on the
-frontier.  The table holds a family of subsets; a sweep passes its one
-subset, and the adaptive solver in ``optimal`` its whole family.  Each state
-is therefore decoded, stepped and re-encoded once, by ``_successors`` (whose
-scalar reference is ``game.step``: both use the codes of
-``game.encode_state``), and a day is a gather of child rows plus one
-``np.bincount`` per weight row.  The table never forgets a state, so
-it is capped at ``MAX_TABLE_ROWS`` rows for one member and fewer for a
-family; growing past the cap raises ``BudgetError``.
+every state reached so far, one row each, appended as the state first
+appears and never moved, with the rows of its children and their leader
+deltas filled in the first day the state is on the frontier.  The table
+holds a family of subsets; a sweep passes its one subset, and the adaptive
+solver in ``optimal`` its whole family.  Each state is therefore decoded,
+stepped and re-encoded once, by ``_successors`` (whose scalar reference is
+``game.step``: both use the codes of ``game.encode_state``), and a day is a
+gather of child rows plus one ``np.bincount`` per weight row.  Code order,
+which fixes the float sweep's order of addition, is kept by the table alone.
+The table never forgets a state, so it is capped at ``MAX_TABLE_ROWS`` rows
+for one member and fewer for a family; growing past the cap raises
+``BudgetError``.
 
 The backends differ only in how they hold the weights:
 
@@ -25,8 +28,9 @@ The backends differ only in how they hold the weights:
   are held in ``LIMB_BITS``-bit limbs, one int64 row per limb, and the
   regret and the pruned-mass ledger are Python integers over 2^t.
   ``Dyadic`` values are built only for the series handed back to callers.
-* float: one float64 weight per state.  Every reduction adds its operands
-  in code order, so the series are reproducible bit for bit.
+* float: one float64 weight per state.  The frontier is listed in code
+  order, so every reduction adds its operands in code order, whatever rows
+  the states hold, and the series are reproducible bit for bit.
 
 Both backends support pruning: states whose merged weight falls below a
 threshold are dropped (without renormalizing), and the lost mass is logged
@@ -51,17 +55,19 @@ from .game import RankSubset, packed_width
 DEFAULT_FLOAT_EPS = 2.0**-50
 
 # hard ceiling on the rows of a one-member transition table, which keeps
-# every state a sweep ever reaches.  A float sweep peaks at about ROW_BYTES of
-# RSS per row (k = 5 comb, eps = 0, T = 350: 603,903 rows, 85 MiB above a
-# 325-row sweep), so a 2 GiB budget allows about 14.3M rows.  An exact sweep
-# also holds an int64 limb per frontier state for every 28 days of horizon:
-# the same T = 350 sweep (13 limbs) peaks at about 285 B per row (163 MiB),
-# so it charges ROW_BYTES, which covers the first limb as it covers a float
-# weight, plus 8 B per further limb for each row against the same budget.
+# every state a sweep ever reaches.  A float sweep peaks at about 124 B of
+# RSS per row (k = 5 comb, eps = 0, T = 350: 603,903 rows, 71 MiB above a
+# 325-row sweep); ROW_BYTES rounds that up to 128 B, so a 2 GiB budget allows
+# 2^24 rows, the most for which merged limbs stay exact (the assert below).
+# An exact sweep also holds an int64 limb per frontier state for every 28
+# days of horizon: the same T = 350 sweep (13 limbs) peaks at about 257 B per
+# row (148 MiB), so it charges ROW_BYTES, which covers the first limb as it
+# covers a float weight, plus 8 B per further limb for each row against the
+# same budget.
 # A family's table gets fewer rows, in the ratio of one member's row width to
-# its own: 27 B against 585 B for the 32 subsets of k = 6, whose solve peaks
-# at about 1.1 KB of RSS per row (T = 13, 16).
-ROW_BYTES = 150
+# its own: 35 B against 593 B for the 32 subsets of k = 6, whose solve peaks
+# at about 1.2 KB of RSS per row (T = 13, 16).
+ROW_BYTES = 128
 MAX_TABLE_ROWS = (2 << 30) // ROW_BYTES
 
 # exact path counts are split into limbs of this many bits.  np.bincount
@@ -72,13 +78,10 @@ _LIMB_MASK = (1 << LIMB_BITS) - 1
 assert 2 * MAX_TABLE_ROWS << LIMB_BITS <= 1 << 53
 
 
-def _spread(a, old, renumber=None):
-    """A zeroed copy of ``a`` with its last axis moved to the positions
-    flagged in ``old``, each row's entries mapped through ``renumber`` if given."""
-    out = np.zeros(a.shape[:-1] + old.shape, dtype=a.dtype)
-    # row by row: a 1-D boolean assignment is much faster than a 2-D one
-    for src, dst in zip(a.reshape(-1, a.shape[-1]), out.reshape(-1, old.shape[0])):
-        dst[old] = src if renumber is None else renumber[src]
+def _grow(a, size: int):
+    """A zeroed copy of ``a`` with its last axis lengthened to ``size``."""
+    out = np.zeros(a.shape[:-1] + (size,), dtype=a.dtype)
+    out[..., : a.shape[-1]] = a
     return out
 
 
@@ -128,21 +131,22 @@ def _successors(codes, k: int, gains):
 
 
 class _TransitionTable:
-    """Every state reached under a family of subsets, sorted by packed code.
+    """Every state reached under a family of subsets, one row per state.
 
     Row i holds the code of state i and, once the state has been expanded,
-    the table indices of its children and their leader deltas: rows 2j and
-    2j + 1 of ``children`` and ``deltas`` are the two branches of member j.
-    Each state is therefore decoded, stepped and re-encoded once, however
-    many days it stays on a sweep's frontier or in how many of the adaptive
-    solver's layers it lies.  Inserting new codes keeps the rows in code
-    order and renumbers the stored child indices.
+    the rows of its children and their leader deltas: rows 2j and 2j + 1 of
+    ``children`` and ``deltas`` are the two branches of member j.  Each state
+    is therefore decoded, stepped and re-encoded once, however many days it
+    stays on a sweep's frontier or in how many of the adaptive solver's
+    layers it lies.  Rows are appended as states appear and never move;
+    ``order`` lists them in code order, for lookups by code.
     """
 
     def __init__(self, family: tuple[RankSubset, ...]):
         self.k = family[0].k
         self.gains = tuple(g for s in family for g in _branch_gains(s))
         self.codes = np.zeros(1, dtype=np.int64)  # the day-0 state
+        self.order = np.zeros(1, dtype=np.int64)
         self.children = np.zeros((len(self.gains), 1), dtype=np.int64)
         self.deltas = np.zeros((len(self.gains), 1), dtype=np.int8)  # a leader delta is 0 or 1
         self.expanded = np.zeros(1, dtype=bool)
@@ -150,52 +154,52 @@ class _TransitionTable:
     def __len__(self) -> int:
         return self.codes.shape[0]
 
+    def find(self, codes):
+        """The rows of the states ``codes``, -1 for a code with no row."""
+        at = np.searchsorted(self.codes, codes, sorter=self.order)
+        rows = self.order[np.minimum(at, len(self) - 1)]
+        return np.where(self.codes[rows] == codes, rows, -1)
+
     def advance(self, frontier):
-        """One day's moves from the (ascending) frontier rows of a one-member table.
+        """One day's moves from the frontier rows of a one-member table.
 
         Returns the frontier's leader deltas (shape (2, n)), the child rows
         of all its a-branches followed by all its b-branches, and the next
-        frontier: the ascending rows those children reach.
+        frontier: the rows those children reach, in code order.
         """
-        frontier = self.expand(frontier)
+        self.expand(frontier)
         deltas = np.take(self.deltas, frontier, axis=1)
         children = np.take(self.children, frontier, axis=1).ravel()
         reached = np.zeros(len(self), dtype=bool)
         reached[children] = True
-        return deltas, children, np.flatnonzero(reached)
+        return deltas, children, self.order[reached[self.order]]
 
-    def expand(self, rows):
-        """Expand the unexpanded states among the ascending ``rows``; return
-        ``rows`` renumbered after any rows were inserted."""
+    def expand(self, rows) -> None:
+        """Step the unexpanded states among ``rows``, appending their new children."""
         new = rows[~self.expanded[rows]]
         if new.shape[0] == 0:
-            return rows
+            return
         child_codes, child_deltas = _successors(self.codes[new], self.k, self.gains)
         fresh = _sorted_unique(child_codes)
-        at = np.searchsorted(self.codes, fresh)
-        known = self.codes[np.minimum(at, len(self) - 1)] == fresh
-        fresh, at = fresh[~known], at[~known]
+        fresh = fresh[self.find(fresh) < 0]
         if fresh.shape[0]:
-            size = len(self) + fresh.shape[0]
-            fixed = self.codes.itemsize + self.expanded.itemsize
+            n, size = len(self), len(self) + fresh.shape[0]
+            fixed = self.codes.itemsize + self.order.itemsize + self.expanded.itemsize
             branch = self.children.itemsize + self.deltas.itemsize
             limit = MAX_TABLE_ROWS * (fixed + 2 * branch) // (fixed + len(self.gains) * branch)
             if size > limit:
                 raise BudgetError(f"transition table exceeded {limit} rows")
-            # old row i moves down by the number of fresh codes below it
-            old = np.ones(size, dtype=bool)
-            old[at + np.arange(fresh.shape[0])] = False
-            moved = np.flatnonzero(old)
-            self.children = _spread(self.children, old, moved)
-            self.deltas, self.expanded = _spread(self.deltas, old), _spread(self.expanded, old)
-            self.codes = np.insert(self.codes, at, fresh)
-            rows, new = moved[rows], moved[new]
+            self.order = np.insert(
+                self.order, np.searchsorted(self.codes, fresh, sorter=self.order), np.arange(n, size)
+            )
+            self.codes = np.concatenate([self.codes, fresh])
+            self.children, self.deltas = _grow(self.children, size), _grow(self.deltas, size)
+            self.expanded = _grow(self.expanded, size)
         # one branch at a time, to keep the transient row indices small
         for dst, src in zip(self.children, child_codes):
-            dst[new] = np.searchsorted(self.codes, src)
+            dst[new] = self.find(src)
         self.deltas[:, new] = child_deltas
         self.expanded[new] = True
-        return rows
 
 # ----------------------------------------------------------------------
 # exact weights: path counts as int64 limb rows
@@ -315,6 +319,8 @@ def _series_exact(subset: RankSubset, t_max: int, eps) -> RegretSeries:
         if carry.any():
             merged.append(carry)
         counts = merged
+        # free the day's arrays before the next day grows the table
+        del deltas, children, both, limb, sums, carry
         if len(table) * (ROW_BYTES + 8 * (len(counts) - 1)) > budget:
             raise BudgetError(
                 f"exact sweep exceeded {budget} bytes: {len(table)} rows of {len(counts)} limbs"
@@ -337,13 +343,14 @@ def _series_exact(subset: RankSubset, t_max: int, eps) -> RegretSeries:
 def _series_float(subset: RankSubset, t_max: int, eps: float) -> RegretSeries:
     """The float recurrence over a ``_TransitionTable``.
 
-    A day merges the children's weights with one ``np.bincount``.  Every
-    reduction adds the same operands in the same order as a sort-and-merge
-    by code would: the expected-delta sums, each merged weight (bincount
-    adds in input order, every a-child before every b-child, as a stable
-    sort of the concatenated child codes does) and the pruned mass.  The
-    series are reproducible bit for bit and do not depend on when a state
-    entered the table.  A state stays on the frontier when a branch reaches
+    A day merges the children's weights with one ``np.bincount``.  The
+    frontier lists its states in code order, so every reduction adds the
+    same operands in the same order as a sort-and-merge by code would: the
+    expected-delta sums, each merged weight (bincount adds in input order,
+    every a-child before every b-child, as a stable sort of the concatenated
+    child codes does) and the pruned mass.  The series are reproducible bit
+    for bit and do not depend on which row a state holds or when it entered
+    the table.  A state stays on the frontier when a branch reaches
     it, even if its weight has underflowed to 0.0, as the exact engine keeps
     it.  Raises ``BudgetError`` when the table would exceed
     ``MAX_TABLE_ROWS`` rows.
@@ -364,6 +371,8 @@ def _series_float(subset: RankSubset, t_max: int, eps: float) -> RegretSeries:
         expected_delta = float(np.sum(half * deltas[0])) + float(np.sum(half * deltas[1]))
         merged = np.bincount(children, weights=np.concatenate([half, half]), minlength=len(table))
         weights = merged[frontier]
+        # free the day's arrays before the next day grows the table
+        del deltas, children, half, merged
         pruned = 0.0
         if eps > 0.0:
             keep = weights >= eps

@@ -12,12 +12,14 @@ A.  V(initial, T) is the expected maximum total gain after T days; subtracting
 T/2 (the expected gain any player is pinned to) gives the expected regret.
 
 The value is horizon-dependent but day-translation-invariant, so the solver
-works in layers.  A forward pass enumerates L_0 ... L_T, where L_d holds the
-packed codes (``game.encode_state``) of every state reachable at day d under
-some sequence of family members, in ascending order.  The layers are codes over one ``forward._TransitionTable`` of the
-whole family, which steps each state once however many layers hold it and
-keeps its children and leader deltas; layers stay codes because table rows
-renumber when states are inserted.  A backward pass then values a whole
+works in layers.  A forward pass enumerates L_0 ... L_T over one
+``forward._TransitionTable`` of the whole family, which steps each state
+once however many layers hold it and keeps its children and leader deltas.
+L_d holds the table rows of every state reachable at day d under some
+sequence of family members, in ascending order; a row never moves once the
+table has it, so a layer stays valid as later layers add states.  States
+are looked up by packed code (``game.encode_state``) only in
+``maximizers``.  A backward pass then values a whole
 layer at once on the scaled integers N(s, r) = V(s, r) * 2^r, which obey
 
     N(s, r) = max over A of 2^(r-1) * (delta_A + delta_B) + N(s_A, r-1) + N(s_B, r-1)
@@ -51,7 +53,7 @@ from .game import (
 )
 
 # hard ceilings; exceeding them is an error, never a silent approximation.
-# A layer row keeps an 8 B code and one value per solved horizon (8 B in
+# A layer row keeps an 8 B table row index and one value per solved horizon (8 B in
 # int64); children and deltas live in the shared table, capped by
 # forward.MAX_TABLE_ROWS.  Counting the table, peak RSS grows by about
 # 440-490 B per layer row for the 32 subsets of k = 6 (T = 13, 16), 85-110 B
@@ -84,7 +86,7 @@ class AdaptiveSolver:
 
     A single solver can value several horizons: the layers are shared, so
     asking for T after T_max adds no rows, only one backward pass.  States
-    are packed codes inside; gap tuples appear only at the public methods.
+    are table rows inside; gap tuples appear only at the public methods.
     """
 
     def __init__(self, k: int, family: Iterable[RankSubset]):
@@ -93,30 +95,27 @@ class AdaptiveSolver:
             raise ValueError(f"family is for k={self.family[0].k}, not k={k}")
         self.k = k
         self.table = _TransitionTable(self.family)
-        self._codes = [np.zeros(1, dtype=np.int64)]  # L_0: the day-0 state
+        self._layers = [np.zeros(1, dtype=np.int64)]  # L_0: row 0, the day-0 state
         self._values: dict = {}  # horizon t -> [N over L_0, ..., N over L_t]
         self.rows = 0  # states in the expanded layers
 
-    def _rows(self, d: int):
-        """The table rows of layer d's states, ascending."""
-        return np.searchsorted(self.table.codes, self._codes[d])
-
     def _expand(self, t: int) -> None:
         """Enumerate the layers up to L_t."""
-        for d in range(len(self._codes) - 1, t):
-            if self.rows + self._codes[d].shape[0] > MAX_MEMO_NODES:
+        for d in range(len(self._layers) - 1, t):
+            rows = self._layers[d]
+            if self.rows + rows.shape[0] > MAX_MEMO_NODES:
                 raise BudgetError(f"adaptive memo exceeded {MAX_MEMO_NODES} nodes")
-            rows = self.table.expand(self._rows(d))
+            self.table.expand(rows)
             reached = np.zeros(len(self.table), dtype=bool)
             for branch in self.table.children:
                 reached[branch[rows]] = True
-            self._codes.append(self.table.codes[reached])
+            self._layers.append(np.flatnonzero(reached))
             self.rows += rows.shape[0]
 
     def _solve(self, t: int) -> None:
         """The backward pass: N over every layer for horizon t."""
         self._expand(t)
-        n = np.zeros(self._codes[t].shape[0], dtype=np.int64 if t <= INT64_HORIZON else object)
+        n = np.zeros(self._layers[t].shape[0], dtype=np.int64 if t <= INT64_HORIZON else object)
         values = [n]
         for d in reversed(range(t)):
             n = reduce(np.maximum, self._candidates(d, t - d, n))
@@ -128,8 +127,8 @@ class AdaptiveSolver:
         """N(s, r) under each member in turn, of layer d's ``rows``, given
         ``below``, the N over L_{d+1} with r-1 days left."""
         spread = np.zeros(len(self.table), dtype=below.dtype)
-        spread[self._rows(d + 1)] = below
-        at = self._rows(d)[rows]
+        spread[self._layers[d + 1]] = below
+        at = self._layers[d][rows]
         children, deltas = self.table.children, self.table.deltas
         for a in range(0, children.shape[0], 2):
             ca, cb = children[a][at], children[a + 1][at]
@@ -162,7 +161,7 @@ class AdaptiveSolver:
             expected_max=emax,
             regret=emax - Dyadic(t, 1),
             # the states valued for horizon t: L_0 ... L_{t-1}
-            node_count=sum(c.shape[0] for c in self._codes[:t]),
+            node_count=sum(layer.shape[0] for layer in self._layers[:t]),
             solver=self,
         )
 
@@ -173,15 +172,16 @@ class AdaptiveSolver:
             raise ValueError(f"state has {len(state)} entries, expected k={self.k}: {state!r}")
         # no layer holds a gap of 2^width or more: gaps never exceed MAX_HORIZON
         if remaining >= 1 and not state[-1] >> packed_width(self.k):
-            code = encode_state(state)
+            # -1 for a state with no table row, which no layer holds
+            row = self.table.find(np.array([encode_state(state)]))[0]
             for t in self._values:
                 d = t - remaining
                 if d < 0:
                     continue
-                codes = self._codes[d]
-                row = int(np.searchsorted(codes, code))
-                if row < codes.shape[0] and codes[row] == code:
-                    best = self._best(t, d, np.array([row]))[:, 0]
+                layer = self._layers[d]
+                at = int(np.searchsorted(layer, row))
+                if at < layer.shape[0] and layer[at] == row:
+                    best = self._best(t, d, np.array([at]))[:, 0]
                     return tuple(s for s, b in zip(self.family, best) if b)
         raise ValueError(f"node not computed: state={state}, remaining={remaining}")
 
@@ -197,9 +197,9 @@ class AdaptiveSolver:
         for d in range(t):
             best = self._best(t, d, level).T.tolist()
             # child table rows to positions in layer d + 1
-            at = self._rows(d)[level]
-            children = np.searchsorted(self._rows(d + 1), self.table.children[:, at])
-            gaps = _unpack(self._codes[d][level], self.k).tolist()
+            at = self._layers[d][level]
+            children = np.searchsorted(self._layers[d + 1], self.table.children[:, at])
+            gaps = _unpack(self.table.codes[at], self.k).tolist()
             reached: dict = {}  # insertion-ordered set
             for state, mask, kids in zip(gaps, best, children.T.tolist()):
                 members = [m for m, b in enumerate(mask) if b]

@@ -1,13 +1,16 @@
 """Shared helpers for the test suite: state enumeration, an independent
 raw-totals reference for the one-day transition, and a dict-based reference
-for exact forward series."""
+for exact and float forward series."""
 
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
 
+import numpy as np
+
+from combregret.backend import EXACT
 from combregret.dyadic import ZERO, Dyadic
-from combregret.game import encode_state, initial_state, step
+from combregret.game import apply_gains, decode_state, encode_state, initial_state
 
 
 def enumerate_states(k: int, gap_max: int) -> list[tuple[int, ...]]:
@@ -71,17 +74,38 @@ def raw_reference_step(
     return next_gaps, new_max  # old max total is 0 by construction
 
 
-def reference_series(subset, t_max: int, eps: float):
-    """Exact (values, error_bounds, frontier_peak) by a plain dict recurrence.
+def reference_series(subset, t_max: int, eps: float, backend=EXACT):
+    """(values, error_bounds, frontier_peak) by a plain dict recurrence.
 
-    Path counts over 2^day are keyed by packed code and stepped with
-    ``game.step``: the reference for the table engine in ``forward``.
+    Weights are keyed by packed code and stepped with ``game.apply_gains``:
+    the reference for the table engines in ``forward``.  Exact weights are
+    path counts over 2^day.  Float weights are merged over the parents in
+    code order, every a-branch before every b-branch, and the expected delta
+    and the pruned mass are ``np.sum``s over arrays in code order: the
+    operands and the order the float engine adds them in, so its series
+    match these bit for bit.
     """
     subset = subset.canonical()
-    gains_a, gains_b = subset.gains(), subset.complement_gains()
+    k = subset.k
+    gains = subset.gains(), subset.complement_gains()
+    moves: dict = {}  # code -> (child a, child b, delta a, delta b)
+
+    def move(code):
+        if code not in moves:
+            gaps = decode_state(code, k)
+            (child_a, delta_a), (child_b, delta_b) = (apply_gains(gaps, g) for g in gains)
+            moves[code] = encode_state(child_a), encode_state(child_b), delta_a, delta_b
+        return moves[code]
+
+    start = encode_state(initial_state(k))
+    if backend.is_exact:
+        return _reference_exact(move, start, t_max, eps)
+    return _reference_float(move, start, t_max, eps)
+
+
+def _reference_exact(move, start: int, t_max: int, eps: float):
     eps_num, eps_den = float(eps).as_integer_ratio()
-    counts = {encode_state(initial_state(subset.k)): 1}
-    moves: dict = {}  # code -> step(code, ...)
+    counts = {start: 1}
     values, bounds = [ZERO], [ZERO]
     regret = s0 = s1 = 0
     peak = 1
@@ -89,12 +113,10 @@ def reference_series(subset, t_max: int, eps: float):
         nxt: dict = {}
         delta = 0
         for code, w in counts.items():
-            if code not in moves:
-                moves[code] = step(code, subset.k, gains_a, gains_b)
-            code_a, code_b, d = moves[code]
+            code_a, code_b, delta_a, delta_b = move(code)
             nxt[code_a] = nxt.get(code_a, 0) + w
             nxt[code_b] = nxt.get(code_b, 0) + w
-            delta += d * w
+            delta += (delta_a + delta_b) * w
         counts = nxt
         regret = 2 * regret + delta - (1 << (day - 1))
         pruned = 0
@@ -106,4 +128,33 @@ def reference_series(subset, t_max: int, eps: float):
         values.append(Dyadic(regret, day))
         bounds.append(Dyadic(s0 * day - s1, day))
         peak = max(peak, len(counts))
+    return tuple(values), tuple(bounds), peak
+
+
+def _reference_float(move, start: int, t_max: int, eps: float):
+    weights = {start: 1.0}
+    values, bounds = [0.0], [0.0]
+    regret = s0 = s1 = 0.0
+    peak = 1
+    for day in range(1, t_max + 1):
+        parents = sorted(weights)
+        moves = [move(code) for code in parents]
+        half = np.array([weights[code] for code in parents]) * 0.5
+        merged: dict = {}
+        for branch in (0, 1):
+            for m, w in zip(moves, half.tolist()):
+                merged[m[branch]] = merged.get(m[branch], 0.0) + w
+        delta_a = float(np.sum(half * np.array([m[2] for m in moves])))
+        delta_b = float(np.sum(half * np.array([m[3] for m in moves])))
+        codes = sorted(merged)
+        reached = np.array([merged[code] for code in codes])
+        keep = reached >= eps
+        pruned = float(np.sum(reached[~keep]))
+        weights = {code: w for code, w, kept in zip(codes, reached.tolist(), keep) if kept}
+        regret += delta_a + delta_b - 0.5
+        s0 += pruned
+        s1 += pruned * day
+        values.append(regret)
+        bounds.append(s0 * day - s1)
+        peak = max(peak, len(weights))
     return tuple(values), tuple(bounds), peak

@@ -1,5 +1,4 @@
 import io
-import math
 from fractions import Fraction
 
 import pytest
@@ -11,7 +10,6 @@ from combregret.analysis import (
     certified_lower_bounds,
     constancy_report,
     diff_stat,
-    sqrt_normalized,
     summary_lines,
     write_diff_csv,
 )
@@ -109,26 +107,6 @@ def test_summary_lines_format():
     assert lines[0] == "window=100..350"
     assert lines[1] == "min=1"
     assert any(line.startswith("slope=") for line in lines)
-
-
-def test_sqrt_normalized_full_set():
-    full = _series(4, (1, 2, 3, 4), 20)
-    c = sqrt_normalized(full)
-    assert all(v == 0.0 for v in c.values)
-    assert c.window == (20, 20)
-
-
-def test_sqrt_normalized_k2_limit():
-    s = _series(2, (1,), 350, backend=FLOAT)
-    c = sqrt_normalized(s)
-    limit = 1.0 / math.sqrt(2.0 * math.pi)
-    assert c.window == (100, 350)
-    assert abs(c.at_t_max - limit) / limit < 0.05
-    assert c.win_min <= c.at_t_max <= c.win_max
-    with pytest.raises(ValueError):
-        sqrt_normalized(s, window=(0, 10))
-    with pytest.raises(ValueError):
-        sqrt_normalized(s, window=(10, 351))
 
 
 def test_dominance_in_sweeps(sweep13, sweep135):

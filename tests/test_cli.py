@@ -294,27 +294,27 @@ def test_sweep_budget_exit_code(capsys, monkeypatch, backend):
 
 def test_exact_sweep_byte_budget_exit_code(capsys, monkeypatch):
     # k = 2 reaches T + 1 states by day T, so T = 300 fits a 400-row float
-    # table; the exact counts take 10 limbs by day 270, when 271 rows at
-    # 150 B plus 8 B per further limb pass the 400 * 150 B budget
+    # table; the exact counts take 10 limbs by day 256, when 257 rows at
+    # 128 B plus 8 B per further limb pass the 400 * 128 B budget
     monkeypatch.setattr("combregret.forward.MAX_TABLE_ROWS", 400)
     argv = ["eval", "--k", "2", "--subset", "1", "--t-max", "300", "--backend"]
     code, out, _ = run(capsys, *argv, "float", "--prune", "0")
     assert code == 0 and out.splitlines()[-1].startswith("300,")
     code, out, err = run(capsys, *argv, "exact")
     assert code == 2 and out == ""
-    assert "exact sweep exceeded 60000 bytes" in err and "Traceback" not in err
+    assert "exact sweep exceeded 51200 bytes" in err and "Traceback" not in err
 
 
 def test_wide_family_table_budget_exit_code(capsys, monkeypatch):
     # a table row of the 32 subsets of k = 6 holds 64 child rows and 64
-    # deltas, 585 B against 27 B for one member, so the cap scales to
-    # 100,000 * 27 // 585 rows; the k = 6, T = 13 solve needs 8,568
+    # deltas, 593 B against 35 B for one member, so the cap scales to
+    # 100,000 * 35 // 593 rows; the k = 6, T = 13 solve needs 8,568
     monkeypatch.setattr("combregret.forward.MAX_TABLE_ROWS", 100_000)
     code, out, _ = run(capsys, "optimal", "--k", "6", "--family", "1,3,6", "--t", "13")
     assert code == 0 and "t=13" in out.splitlines()
     code, out, err = run(capsys, "optimal", "--k", "6", "--family", "all", "--t", "13")
     assert code == 2
-    assert "table exceeded 4615 rows" in err and "Traceback" not in err
+    assert "table exceeded 5902 rows" in err and "Traceback" not in err
 
 
 def test_sweeps_leave_numpy_ma_unimported(tmp_path):

@@ -167,6 +167,22 @@ def test_pruning_interval_contains_exact():
             assert lo <= truth <= hi
 
 
+@pytest.mark.parametrize("k, ranks, t_max, eps", [
+    (5, (1, 3, 5), 120, 2.0 ** -50),
+    (5, (1, 3), 120, 2.0 ** -50),
+    (4, (1, 3), 80, 2.0 ** -30),
+    (3, (1,), 60, 0.0),
+], ids=["comb", "1,3", "k4", "k3-unpruned"])
+def test_float_matches_dict_reference_bit_for_bit(k, ranks, t_max, eps):
+    # the reference adds every weight, delta and pruned mass in code order,
+    # so a frontier visited in any other order shows in the last bits
+    subset = RankSubset.of(k, ranks)
+    series = regret_series_fixed(k, subset, t_max, FLOAT, eps)
+    assert (series.values, series.error_bounds, series.frontier_peak) == reference_series(
+        subset, t_max, eps, FLOAT
+    )
+
+
 def test_float_determinism():
     s = RankSubset.comb(5)
     a = regret_series_fixed(5, s, 60, backend=FLOAT)

@@ -3,7 +3,7 @@ import pytest
 from combregret.dyadic import ZERO, Dyadic
 from combregret.errors import BudgetError
 from combregret.forward import _successors, regret_series_fixed
-from combregret.game import RankSubset, all_strategies, initial_state
+from combregret.game import RankSubset, all_strategies, encode_state, initial_state, step
 from combregret.optimal import (
     INT64_HORIZON,
     MAX_HORIZON,
@@ -11,6 +11,7 @@ from combregret.optimal import (
     best_fixed_subset,
     value_adaptive,
 )
+from tests.support import enumerate_states
 
 
 def test_singleton_family_equals_fixed_series():
@@ -119,6 +120,31 @@ def test_maximizers_on_missing_node():
         solver.maximizers((0, 9), 1)
 
 
+def test_maximizers_answer_exactly_the_layer_states():
+    # L_d by a plain set walk with game.step; every other valid state,
+    # reachable at another day or never, must read "node not computed"
+    family = [RankSubset.of(4, (1, 3)), RankSubset.of(4, (1, 4))]
+    layers = [{encode_state(initial_state(4))}]
+    for _ in range(5):
+        layers.append({
+            child
+            for code in layers[-1]
+            for s in family
+            for child in step(code, 4, s.gains(), s.complement_gains())[:2]
+        })
+    res = value_adaptive(4, family, 6)
+    answered = set()
+    for state in enumerate_states(4, 9):
+        for remaining in range(1, 7):
+            if encode_state(state) in layers[6 - remaining]:
+                assert res.maximizers(state, remaining)
+                answered.add((state, remaining))
+            else:
+                with pytest.raises(ValueError, match="node not computed"):
+                    res.maximizers(state, remaining)
+    assert len(answered) == res.node_count == 19
+
+
 def test_maximizers_never_alias_wide_gaps():
     # masked to the packed width, each of these states would read as the
     # computed all-tied start; k = 7 packs 10 bits per gap, k = 3 packs 12
@@ -153,13 +179,19 @@ def test_reproducible_and_shared_memo():
     assert five_shared.regret == fresh.regret
     assert a.rows == rows
     assert five_shared.node_count == fresh.node_count < rows
-    # horizons in ascending order: T = 9 inserts table rows after T = 5's
-    # layers were stored, so T = 5's table rows are renumbered
+    # horizons in ascending order: T = 9 appends table rows after T = 5's
+    # layers were stored, and leaves every row T = 5 made as it was
     c = AdaptiveSolver(4, fam)
     c.value(5)
-    table_rows = len(c.table)
+    table, n = c.table, len(c.table)
+    codes, expanded, children, deltas = (
+        x.copy() for x in (table.codes, table.expanded, table.children, table.deltas)
+    )
     c.value(9)
-    assert len(c.table) > table_rows
+    assert len(table) > n
+    assert (table.codes[:n] == codes).all() and table.expanded[:n][expanded].all()
+    assert (table.children[:, :n][:, expanded] == children[:, expanded]).all()
+    assert (table.deltas[:, :n][:, expanded] == deltas[:, expanded]).all()
     assert list(c.trace(5)) == list(fresh.solver.trace(5))
     for state, r, maxers in fresh.solver.trace(5):
         assert c.maximizers(state, r) == fresh.maximizers(state, r) == maxers
