@@ -8,10 +8,10 @@ whose positivity (a = [1,3], b = [1,3,5], k = 5) is the evidence that the
 comb strategy is dominated.  D is exactly 0 at T = 1..4 and T = 6, where the
 two regrets tie (R(6) = 13/2^3 for both), and strictly positive at T = 5 and
 every T >= 7 computed (exactly to T = 350, from the unpruned exact series).
-Exact input series give exact D values; division by T leaves the
-dyadics, so those are held as Fractions.  For pruned float sweeps, a certified
-lower bound widens each regret by its error bound in the adverse direction,
-so positivity claims survive the lost mass.
+Exact input series give exact D values: a ``Dyadic`` is a ``Fraction``,
+and division by T leaves the dyadics, so D is a plain ``Fraction``.  For
+pruned float sweeps, a certified lower bound widens each regret by its error
+bound in the adverse direction, so positivity claims survive the lost mass.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dyadic import Dyadic
 from .forward import RegretSeries
 
 
@@ -48,11 +47,11 @@ def diff_stat(a: RegretSeries, b: RegretSeries, scale: int = 1000) -> DiffStatSe
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale}")
     exact = a.backend.is_exact and b.backend.is_exact
-    number = Dyadic.as_fraction if exact else float
     values = [Fraction(0) if exact else 0.0]
     for t in range(1, a.t_max + 1):
-        ra = number(a.values[t])
-        rb = number(b.values[t])
+        ra, rb = a.values[t], b.values[t]
+        if not exact:
+            ra, rb = float(ra), float(rb)
         values.append(scale * (ra * ra - rb * rb) / t)
     return DiffStatSeries(
         k=a.k,

@@ -1,14 +1,17 @@
-"""Exact arithmetic on dyadic rationals (rationals with power-of-two denominators).
+"""Exact dyadic rationals (rationals with power-of-two denominators).
 
 Every probability in a balanced-branch game is a power of 1/2 and every daily
 increment is an integer, so every game value is dyadic.  Arbitrary-precision
 integer numerators keep long-horizon sums exact; at horizon 350 numerators can
 run to hundreds of bits.
 
-``Dyadic`` is the edge type: the engines compute on scaled Python integers
-(a weight after day t is an integer over 2^t, an adaptive value with r days
+``Dyadic`` is a ``Fraction`` built as ``num / 2**exp``, with the exact
+decimal and ``n/2^e`` formatters the CSV writers and the command line print.
+Its arithmetic and comparisons are ``Fraction``'s, so a sum or difference is
+a plain ``Fraction``.  The engines compute on scaled Python integers (a
+weight after day t is an integer over 2^t, an adaptive value with r days
 left an integer over 2^r) and build a ``Dyadic`` only for values handed to
-callers, the CSV writers and the command line.
+callers.
 """
 
 from __future__ import annotations
@@ -16,123 +19,51 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-class Dyadic:
+class Dyadic(Fraction):
     """An immutable rational ``num / 2**exp`` with ``exp >= 0``.
 
-    Canonical form: the fraction is in lowest terms, i.e. ``num`` is odd, or
-    ``exp == 0`` (integers keep exponent zero), and zero is ``0 / 2**0``.
-    Construction normalizes, so equal values always compare and hash equal.
+    ``Dyadic(num, exp)`` builds ``num / 2**exp``; ``Dyadic(x)`` converts a
+    ``Fraction`` whose denominator is a power of two and rejects any other.
+    The value is held in lowest terms: ``num`` is odd, or ``exp == 0``.
     """
 
-    __slots__ = ("num", "exp")
+    __slots__ = ()
 
-    num: int
-    exp: int
-
-    def __init__(self, num: int, exp: int = 0):
+    def __new__(cls, num, exp: int = 0):
         if exp < 0:
             raise ValueError(f"exponent must be nonnegative, got {exp}")
-        if num == 0:
-            exp = 0
-        elif exp > 0:
-            # strip shared factors of two, but never push exp below zero
-            shift = min((num & -num).bit_length() - 1, exp)
-            if shift:
-                num >>= shift
-                exp -= shift
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "exp", exp)
+        self = super().__new__(cls, num, 1 << exp)
+        if self.denominator & (self.denominator - 1):
+            raise ValueError(f"not a dyadic rational: {num!r}")
+        return self
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Dyadic is immutable")
+    @property
+    def num(self) -> int:
+        return self.numerator
 
-    # ------------------------------------------------------------------
-    # arithmetic
+    @property
+    def exp(self) -> int:
+        return self.denominator.bit_length() - 1
 
-    @staticmethod
-    def _coerce(other) -> "Dyadic | None":
-        if isinstance(other, Dyadic):
-            return other
-        if isinstance(other, int):
-            return Dyadic(other)
-        return None
+    # Fraction's versions build the value as cls(numerator, denominator),
+    # which this constructor reads as numerator / 2**denominator.  Fraction
+    # compares with a float through from_float.
+    @classmethod
+    def from_float(cls, f):
+        return cls(Fraction.from_float(f))
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        e = max(self.exp, o.exp)
-        return Dyadic((self.num << (e - self.exp)) + (o.num << (e - o.exp)), e)
+    @classmethod
+    def from_decimal(cls, dec):
+        return cls(Fraction.from_decimal(dec))
 
-    __radd__ = __add__
+    def __reduce__(self):
+        return (type(self), (self.num, self.exp))
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        e = max(self.exp, o.exp)
-        return Dyadic((self.num << (e - self.exp)) - (o.num << (e - o.exp)), e)
+    def __copy__(self):
+        return self
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __neg__(self):
-        return Dyadic(-self.num, self.exp)
-
-    # ------------------------------------------------------------------
-    # comparison: shift to a common exponent, compare numerators
-
-    def _cmp(self, other) -> int:
-        o = self._coerce(other)
-        if o is None:
-            raise TypeError(f"cannot compare Dyadic with {type(other).__name__}")
-        if self.exp >= o.exp:
-            a, b = self.num, o.num << (self.exp - o.exp)
-        else:
-            a, b = self.num << (o.exp - self.exp), o.num
-        return (a > b) - (a < b)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.num == o.num and self.exp == o.exp
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
-
-    def __hash__(self):
-        # match the hash of the equal Fraction/int so mixed-key dicts behave
-        return hash(self.as_fraction())
-
-    def __bool__(self):
-        return self.num != 0
-
-    # ------------------------------------------------------------------
-    # conversions
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.num, 1 << self.exp)
-
-    def __float__(self) -> float:
-        # int/int true division is correctly rounded even for huge numerators
-        return self.num / (1 << self.exp)
+    def __deepcopy__(self, memo):
+        return self
 
     def decimal(self) -> str:
         """Exact terminating decimal expansion, no rounding.
@@ -141,12 +72,12 @@ class Dyadic:
         most ``exp`` fractional digits; an odd numerator means the final
         digit is never a removable zero.
         """
-        if self.exp == 0:
-            return str(self.num)
-        scaled = abs(self.num) * 5**self.exp
-        digits = str(scaled).rjust(self.exp + 1, "0")
-        sign = "-" if self.num < 0 else ""
-        return f"{sign}{digits[:-self.exp]}.{digits[-self.exp:]}"
+        num, exp = self.num, self.exp
+        if exp == 0:
+            return str(num)
+        digits = str(abs(num) * 5**exp).rjust(exp + 1, "0")
+        sign = "-" if num < 0 else ""
+        return f"{sign}{digits[:-exp]}.{digits[-exp:]}"
 
     def interchange(self) -> str:
         """The exact interchange form ``n/2^e``."""

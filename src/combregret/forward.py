@@ -27,7 +27,8 @@ The backends differ only in how they hold the weights:
   over 2^t, so a parent's count passes unchanged to both children.  Counts
   are held in ``LIMB_BITS``-bit limbs, one int64 row per limb, and the
   regret and the pruned-mass ledger are Python integers over 2^t.
-  ``Dyadic`` values are built only for the series handed back to callers.
+  The series handed back to callers are built from them as ``Dyadic``
+  values, ``Fraction``s with exact decimal and ``n/2^e`` formatters.
 * float: one float64 weight per state.  The frontier is listed in code
   order, so every reduction adds its operands in code order, whatever rows
   the states hold, and the series are reproducible bit for bit.
@@ -60,10 +61,11 @@ DEFAULT_FLOAT_EPS = 2.0**-50
 # 325-row sweep); ROW_BYTES rounds that up to 128 B, so a 2 GiB budget allows
 # 2^24 rows, the most for which merged limbs stay exact (the assert below).
 # An exact sweep also holds an int64 limb per frontier state for every 28
-# days of horizon: the same T = 350 sweep (13 limbs) peaks at about 257 B per
-# row (148 MiB), so it charges ROW_BYTES, which covers the first limb as it
-# covers a float weight, plus 8 B per further limb for each row against the
-# same budget.
+# days of horizon: the same T = 350 sweep (13 limbs) peaks at 177-181 MiB,
+# 147-152 MiB above a T = 30 sweep, about 256-263 B per row.  It charges
+# ROW_BYTES, which covers the first limb as it covers a float weight, plus
+# 16 B per further limb for each row against the same budget: 320 B at 13
+# limbs, which covers the whole peak.
 # A family's table gets fewer rows, in the ratio of one member's row width to
 # its own: 35 B against 593 B for the 32 subsets of k = 6, whose solve peaks
 # at about 1.2 KB of RSS per row (T = 13, 16).
@@ -287,7 +289,7 @@ def _series_exact(subset: RankSubset, t_max: int, eps) -> RegretSeries:
     ``np.bincount`` of the child rows, gathers the sums to the next frontier
     and carries into the next limb; a row is appended when a carry first
     passes the top limb.  Raises ``BudgetError`` when the table would exceed
-    ``MAX_TABLE_ROWS`` rows, or its rows at ``ROW_BYTES`` plus 8 B per limb
+    ``MAX_TABLE_ROWS`` rows, or its rows at ``ROW_BYTES`` plus 16 B per limb
     after the first the float sweep's ``MAX_TABLE_ROWS * ROW_BYTES`` bytes.
     """
     table = _TransitionTable((subset,))
@@ -321,7 +323,7 @@ def _series_exact(subset: RankSubset, t_max: int, eps) -> RegretSeries:
         counts = merged
         # free the day's arrays before the next day grows the table
         del deltas, children, both, limb, sums, carry
-        if len(table) * (ROW_BYTES + 8 * (len(counts) - 1)) > budget:
+        if len(table) * (ROW_BYTES + 16 * (len(counts) - 1)) > budget:
             raise BudgetError(
                 f"exact sweep exceeded {budget} bytes: {len(table)} rows of {len(counts)} limbs"
             )

@@ -26,9 +26,10 @@ layer at once on the scaled integers N(s, r) = V(s, r) * 2^r, which obey
 
 so every comparison is exact, and ties are exact equalities.  N(s, r) is at
 most r * 2^r, so a horizon up to ``INT64_HORIZON`` is valued in int64 and a
-longer one in Python integers.  Values leave the solver as ``Dyadic(N, r)``;
-there is no float solver (the CLI prints the correctly rounded float of the
-exact value when asked for one).
+longer one in Python integers.  Values leave the solver as ``Dyadic(N, r)``,
+and regrets as ``Dyadic(x)`` of their ``Fraction`` difference; there is no
+float solver (the CLI prints the correctly rounded float of the exact value
+when asked for one).
 """
 
 from __future__ import annotations
@@ -159,7 +160,7 @@ class AdaptiveSolver:
             t=t,
             family=self.family,
             expected_max=emax,
-            regret=emax - Dyadic(t, 1),
+            regret=Dyadic(emax - Dyadic(t, 1)),
             # the states valued for horizon t: L_0 ... L_{t-1}
             node_count=sum(layer.shape[0] for layer in self._layers[:t]),
             solver=self,
@@ -272,7 +273,7 @@ def best_fixed_subset(k: int, t: int, backend: ValueBackend = EXACT) -> BestFixe
         elif v == best:
             winners.append(subset)
     if backend.is_exact:
-        emax = best + Dyadic(t, 1)
+        emax = Dyadic(best + Dyadic(t, 1))
     else:
         emax = best + t / 2.0
     return BestFixedResult(

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from .dyadic import ZERO, Dyadic
+from .dyadic import Dyadic
 from .errors import BudgetError
 from .game import RankSubset
 
@@ -71,8 +71,8 @@ def brute_regret_fixed(
         gb = _advance(gains, order, ranks_b)
         return total_max(ga, r - 1) + total_max(gb, r - 1)
 
-    expected_max = Dyadic(total_max((0,) * k, t), t)
-    return expected_max - Dyadic(t, 1)
+    # 2^t * (E[max] - t/2)
+    return Dyadic(total_max((0,) * k, t) - (t << (t - 1)), t)
 
 
 def brute_value_adaptive(
@@ -112,8 +112,8 @@ def brute_value_adaptive(
                 best = v
         return best
 
-    expected_max = Dyadic(total_max((0,) * k, t), t)
-    return expected_max - Dyadic(t, 1)
+    # 2^t * (E[max] - t/2)
+    return Dyadic(total_max((0,) * k, t) - (t << (t - 1)), t)
 
 
 def k2_closed_form(t: int) -> Dyadic:
@@ -125,7 +125,4 @@ def k2_closed_form(t: int) -> Dyadic:
     """
     if t < 1:
         raise ValueError(f"horizon must be at least 1, got {t}")
-    acc = ZERO
-    for s in range(0, t, 2):
-        acc = acc + Dyadic(math.comb(s, s // 2), s + 1)
-    return acc
+    return Dyadic(sum(math.comb(s, s // 2) << (t - s - 1) for s in range(0, t, 2)), t)

@@ -294,15 +294,16 @@ def test_sweep_budget_exit_code(capsys, monkeypatch, backend):
 
 def test_exact_sweep_byte_budget_exit_code(capsys, monkeypatch):
     # k = 2 reaches T + 1 states by day T, so T = 300 fits a 400-row float
-    # table; the exact counts take 10 limbs by day 256, when 257 rows at
-    # 128 B plus 8 B per further limb pass the 400 * 128 B budget
+    # table; the exact counts take 8 limbs by day 213, when 214 rows at
+    # 128 B plus 16 B per further limb pass the 400 * 128 B budget
     monkeypatch.setattr("combregret.forward.MAX_TABLE_ROWS", 400)
     argv = ["eval", "--k", "2", "--subset", "1", "--t-max", "300", "--backend"]
     code, out, _ = run(capsys, *argv, "float", "--prune", "0")
     assert code == 0 and out.splitlines()[-1].startswith("300,")
     code, out, err = run(capsys, *argv, "exact")
     assert code == 2 and out == ""
-    assert "exact sweep exceeded 51200 bytes" in err and "Traceback" not in err
+    assert "exact sweep exceeded 51200 bytes: 214 rows of 8 limbs" in err
+    assert "Traceback" not in err
 
 
 def test_wide_family_table_budget_exit_code(capsys, monkeypatch):

@@ -1,3 +1,6 @@
+import copy
+import pickle
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -50,13 +53,36 @@ def test_immutability():
 
 
 def test_arithmetic_matches_fractions():
+    # arithmetic is Fraction's; what is Dyadic's own is the num/exp view and
+    # Dyadic(x), which brings a sum back to it
     for a in SAMPLES:
-        fa = a.as_fraction()
-        assert (-a).as_fraction() == -fa
+        fa = Fraction(a.num, 2**a.exp)
+        assert a == fa and -a == -fa
         for b in SAMPLES:
-            fb = b.as_fraction()
-            assert (a + b).as_fraction() == fa + fb
-            assert (a - b).as_fraction() == fa - fb
+            fb = Fraction(b.num, 2**b.exp)
+            for got, want in ((a + b, fa + fb), (a - b, fa - fb)):
+                d = Dyadic(got)
+                assert got == want and Fraction(d.num, 2**d.exp) == want
+
+
+def test_non_dyadic_values_rejected():
+    with pytest.raises(ValueError):
+        Dyadic(Fraction(1, 3))
+
+
+def test_copies_keep_value_and_type():
+    # Fraction's copy and pickle rebuild type(self)(numerator, denominator),
+    # which this constructor would read as numerator / 2**denominator
+    for d in SAMPLES:
+        for twin in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+            assert type(twin) is Dyadic
+            assert (twin.num, twin.exp) == (d.num, d.exp)
+
+
+def test_repr_is_constructor_form():
+    assert repr(Dyadic(677, 8)) == "Dyadic(677, 8)"
+    assert repr(Dyadic(6, 3)) == "Dyadic(3, 2)"
+    assert str(Dyadic(677, 8)) == "2.64453125"
 
 
 def test_decimal_strings_are_exact():
@@ -83,6 +109,10 @@ def test_int_mixing():
     assert 1 - HALF == HALF
     assert HALF < 1
     assert Dyadic(5, 1) > 2
+    # comparisons with floats are numeric, as for any Fraction
+    assert HALF == 0.5 and HALF < 0.75 and Dyadic(-3, 2) > -1.0
+    assert Dyadic.from_float(0.375) == Dyadic(3, 3)
+    assert Dyadic.from_decimal(Decimal("-0.75")) == Dyadic(-3, 2)
 
 
 def test_hash_and_equality():
