@@ -47,7 +47,7 @@ def check_k6_t13_adaptive() -> CheckResult:
 
 
 def check_k6_t13_best_fixed() -> CheckResult:
-    result = best_fixed_subset(6, 13, EXACT)
+    result = best_fixed_subset(6, 13)
     expected = K6_T13_BEST_FIXED_EXPECTED_MAX
     value_ok = result.expected_max == expected
     subset_ok = (1, 3, 6) in {s.ranks for s in result.maximizers}

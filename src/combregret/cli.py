@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import math
 import sys
+from decimal import Decimal
 
 from .analysis import (
     certified_lower_bounds,
@@ -42,14 +43,18 @@ def _positive_int(text: str) -> int:
 def _parse_eps(text: str) -> float:
     """Prune threshold: '0', a float literal, or a power like '2^-50'."""
     s = text.strip()
+    power = s.startswith("2^")
     try:
-        value = 2.0 ** int(s[2:]) if s.startswith("2^") else float(s)
+        value = 2.0 ** int(s[2:]) if power else float(s)
     except OverflowError:
         raise argparse.ArgumentTypeError(f"prune threshold {text} overflows a float") from None
     if not 0.0 <= value < math.inf:
         raise argparse.ArgumentTypeError(
             f"prune threshold must be finite and nonnegative, got {text}"
         )
+    if value == 0.0 and (power or Decimal(s) != 0):
+        raise argparse.ArgumentTypeError(f"prune threshold {text} underflows to 0 as a float "
+                                         "(smallest positive: 2^-1074); pass 0 for no pruning")
     return value
 
 
@@ -75,10 +80,12 @@ def _parse_family(k: int, text: str) -> list[RankSubset]:
     return [RankSubset.parse(k, part) for part in text.split(":")]
 
 
-def _value_lines(prefix: str, value, backend: ValueBackend) -> list[str]:
-    if backend.is_exact:
-        return [f"{prefix}={value.decimal()} ({value.interchange()})"]
-    return [f"{prefix}={float(value):.17g}"]
+def _print_values(result, backend_name: str) -> None:
+    """Print a solver's expected_max and regret exactly or correctly rounded."""
+    exact = ValueBackend(backend_name).is_exact
+    for name, value in (("expected_max", result.expected_max), ("regret", result.regret)):
+        text = f"{value.decimal()} ({value.interchange()})" if exact else f"{float(value):.17g}"
+        print(f"{name}={text}")
 
 
 # ----------------------------------------------------------------------
@@ -128,16 +135,11 @@ def _cmd_compare(args) -> int:
 
 def _cmd_optimal(args) -> int:
     family = _parse_family(args.k, args.family)
-    # the solver is exact; --backend float only prints the rounded value
-    backend = ValueBackend(args.backend)
     result = value_adaptive(args.k, family, args.t)
     print(f"family={result.family_label()}")
     print(f"t={args.t}")
     print(f"nodes={result.node_count}")
-    for line in _value_lines("expected_max", result.expected_max, backend):
-        print(line)
-    for line in _value_lines("regret", result.regret, backend):
-        print(line)
+    _print_values(result, args.backend)
     if args.trace is not None:
         label = {s: s.label() for s in result.family}
         with open(args.trace, "w", encoding="utf-8") as f:
@@ -148,16 +150,12 @@ def _cmd_optimal(args) -> int:
 
 
 def _cmd_best_fixed(args) -> int:
-    backend = ValueBackend(args.backend)
-    result = best_fixed_subset(args.k, args.t, backend)
+    result = best_fixed_subset(args.k, args.t)
     print(f"t={args.t}")
     print(f"scanned={result.scanned}")
     print(f"best={result.primary().label()}")
     print(f"maximizers={':'.join(s.label() for s in result.maximizers)}")
-    for line in _value_lines("expected_max", result.expected_max, backend):
-        print(line)
-    for line in _value_lines("regret", result.regret, backend):
-        print(line)
+    _print_values(result, args.backend)
     return 0
 
 
@@ -245,6 +243,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="drop states below this weight, e.g. 2^-50 "
                        "(default: 0 exact, 2^-50 float)")
 
+    def add_print_format(p):
+        # the solvers are exact; float only rounds what they print
+        p.add_argument("--backend", choices=BACKENDS, default="exact",
+                       help="print the exact value, or its correctly rounded float")
+
     p = sub.add_parser("eval", help="regret series of one fixed subset strategy")
     p.add_argument("--k", type=_positive_int, required=True)
     p.add_argument("--subset", required=True, help="comma-separated ranks, e.g. 1,3, or comb")
@@ -270,8 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True,
                    help="colon-separated subsets, e.g. 1,3,6:1,4,6, or 'all'")
     p.add_argument("--t", type=_positive_int, required=True)
-    p.add_argument("--backend", choices=BACKENDS, default="exact",
-                   help="print the exact value, or its correctly rounded float")
+    add_print_format(p)
     p.add_argument("--trace", default=None, metavar="PATH",
                    help="dump 'state remaining -> maximizers' lines to PATH")
     p.set_defaults(func=_cmd_optimal)
@@ -279,8 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("best-fixed", help="best single subset strategy at one horizon")
     p.add_argument("--k", type=_positive_int, required=True)
     p.add_argument("--t", type=_positive_int, required=True)
-    p.add_argument("--backend", choices=BACKENDS, default="exact",
-                   help="arithmetic backend (default exact)")
+    add_print_format(p)
     p.set_defaults(func=_cmd_best_fixed)
 
     p = sub.add_parser("figure1", help="D(T) sweep for k=5, [1,3] vs [1,3,5]: CSV plus SVG")

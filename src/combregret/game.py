@@ -11,11 +11,12 @@ horizon regardless of the player's algorithm, which reduces expected regret
 to the expected maximum total gain minus that constant.  The day index and
 absolute totals therefore never need to be part of the state.
 
-This module alone knows the packed state code: ``encode_state`` stores each
-gap after the leader's in ``packed_width(k)`` bits.  Every engine, the
+The packed state code stores each gap after the leader's in
+``packed_width(k)`` bits.  Two modules know its layout: this one
+(``encode_state``, ``decode_state``) and ``forward``, whose ``_unpack`` and
+``_successors`` unpack and pack whole arrays of codes.  Every engine, the
 forward sweeps and the adaptive solver alike, steps each state once in a
-``forward._TransitionTable``, which advances whole arrays of these codes with
-one vectorized transition, ``forward._successors``.  ``step`` is the scalar
+``forward._TransitionTable`` through ``_successors``.  ``step`` is the scalar
 transition on the same codes: the reference the tests check the engines
 against.
 """

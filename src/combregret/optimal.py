@@ -27,9 +27,9 @@ layer at once on the scaled integers N(s, r) = V(s, r) * 2^r, which obey
 so every comparison is exact, and ties are exact equalities.  N(s, r) is at
 most r * 2^r, so a horizon up to ``INT64_HORIZON`` is valued in int64 and a
 longer one in Python integers.  Values leave the solver as ``Dyadic(N, r)``,
-and regrets as ``Dyadic(x)`` of their ``Fraction`` difference; there is no
-float solver (the CLI prints the correctly rounded float of the exact value
-when asked for one).
+and regrets as ``Dyadic(x)`` of their ``Fraction`` difference.  Neither this
+solver nor ``best_fixed_subset`` (exact forward sweeps) has a float engine:
+the CLI prints the correctly rounded float of the exact value when asked.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .backend import EXACT, ValueBackend
 from .dyadic import Dyadic
 from .errors import BudgetError
 from .forward import _TransitionTable, _unpack, regret_series_fixed
@@ -242,46 +241,32 @@ class BestFixedResult:
 
     k: int
     t: int
-    backend: ValueBackend
     maximizers: tuple[RankSubset, ...]
-    regret: object
-    expected_max: object
+    regret: Dyadic
+    expected_max: Dyadic
     scanned: int
 
     def primary(self) -> RankSubset:
         return self.maximizers[0]
 
 
-def best_fixed_subset(k: int, t: int, backend: ValueBackend = EXACT) -> BestFixedResult:
+def best_fixed_subset(k: int, t: int) -> BestFixedResult:
     """The best single subset strategy at horizon t, with all tied maximizers.
 
-    Scans all 2^(k-1) canonical subsets; ties are reported in lexicographic
-    rank order, so the primary maximizer is deterministic.
+    Scans all 2^(k-1) canonical subsets with exact, unpruned sweeps; ties are
+    exact equalities, reported in lexicographic rank order, so the primary
+    maximizer is deterministic.
     """
     if t < 1:
         raise ValueError(f"horizon must be at least 1, got {t}")
-    best = None
-    winners: list[RankSubset] = []
-    scanned = 0
-    for subset in all_strategies(k):
-        scanned += 1
-        series = regret_series_fixed(k, subset, t, backend, eps=0.0)
-        v = series.regret_at(t)
-        if best is None or v > best:
-            best = v
-            winners = [subset]
-        elif v == best:
-            winners.append(subset)
-    if backend.is_exact:
-        emax = Dyadic(best + Dyadic(t, 1))
-    else:
-        emax = best + t / 2.0
+    subsets = list(all_strategies(k))
+    regrets = [regret_series_fixed(k, s, t).regret_at(t) for s in subsets]
+    best = max(regrets)
     return BestFixedResult(
         k=k,
         t=t,
-        backend=backend,
-        maximizers=tuple(winners),
+        maximizers=tuple(s for s, v in zip(subsets, regrets) if v == best),
         regret=best,
-        expected_max=emax,
-        scanned=scanned,
+        expected_max=Dyadic(best + Dyadic(t, 1)),
+        scanned=len(subsets),
     )

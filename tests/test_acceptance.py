@@ -13,7 +13,7 @@ import pytest
 
 from combregret import cli
 from combregret.analysis import certified_lower_bounds, constancy_report, diff_stat
-from combregret.backend import EXACT, FLOAT
+from combregret.backend import FLOAT
 from combregret.dyadic import ZERO, Dyadic
 from combregret.forward import regret_series_fixed
 from combregret.game import RankSubset, all_strategies, apply_gains
@@ -41,7 +41,7 @@ def test_criterion_1_adaptive_two_subset_family(k6_family):
 
 def test_criterion_2_best_fixed_subset_scan():
     t0 = time.perf_counter()
-    result = best_fixed_subset(6, 13, EXACT)
+    result = best_fixed_subset(6, 13)
     elapsed = time.perf_counter() - t0
     expected = Dyadic(37451, 12)
     value_ok = result.expected_max == expected

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 
 import pytest
 
@@ -10,7 +11,6 @@ from combregret import cli
 from combregret.checks import CheckResult
 from combregret.forward import regret_series_fixed
 from combregret.game import RankSubset
-from combregret.optimal import value_adaptive
 
 
 def run(capsys, *argv):
@@ -77,10 +77,11 @@ def test_compare_out_file_summary_on_stdout(tmp_path, capsys):
 
 
 def test_compare_bad_window(capsys):
-    code, _, err = run(capsys, "compare", "--k", "5", "--a", "1,3", "--b", "1,3,5",
-                       "--t-max", "10", "--window", "8:2")
-    assert code == 2
-    assert "error:" in err
+    for window in ("8:2", "3:3", "0:5", "5:11"):
+        code, _, err = run(capsys, "compare", "--k", "5", "--a", "1,3", "--b", "1,3,5",
+                           "--t-max", "10", "--window", window)
+        assert code == 2
+        assert f"error: window {window} must satisfy 1 <= LO < HI <= 10" in err
 
 
 def test_optimal_k6_reference(capsys):
@@ -95,14 +96,28 @@ def test_optimal_k6_reference(capsys):
     assert any(line.startswith("nodes=") for line in lines)
 
 
-def test_optimal_float_prints_rounded_exact_value(capsys, k6_family):
-    code, out, _ = run(capsys, "optimal", "--k", "6", "--family", "1,3,6:1,4,6",
-                       "--t", "13", "--backend", "float")
+@pytest.mark.parametrize("argv, pinned", [
+    (["optimal", "--k", "6", "--family", "1,3,6:1,4,6", "--t", "13"],
+     ["expected_max=9.14453125", "regret=2.64453125"]),
+    # {1,3} and {1,4} tie exactly, and both are reported
+    (["best-fixed", "--k", "4", "--t", "80"],
+     ["t=80", "scanned=8", "best=1,3", "maximizers=1,3:1,4",
+      "expected_max=45.599212323396159", "regret=5.5992123233961584"]),
+], ids=["optimal", "best-fixed"])
+def test_optimal_float_prints_rounded_exact_value(capsys, argv, pinned):
+    code, exact_out, _ = run(capsys, *argv)
     assert code == 0
-    exact = value_adaptive(6, k6_family, 13)
+    code, out, _ = run(capsys, *argv, "--backend", "float")
+    assert code == 0
     lines = out.splitlines()
-    assert f"expected_max={float(exact.expected_max):.17g}" in lines
-    assert f"regret={float(exact.regret):.17g}" in lines
+    assert all(line in lines for line in pinned)
+    # the float lines are the exact lines, correctly rounded; the rest agree
+    for line in exact_out.splitlines():
+        name, _, text = line.partition("=")
+        if name in ("expected_max", "regret"):
+            num, exp = text[text.index("(") + 1:-1].split("/2^")
+            line = f"{name}={float(Fraction(int(num), 1 << int(exp))):.17g}"
+        assert line in lines
 
 
 def test_optimal_all_family_matches_eval(capsys):
@@ -243,11 +258,13 @@ def test_parse_eps():
     assert cli._parse_eps("2^-50") == 2.0 ** -50
     assert cli._parse_eps("0") == 0.0
     assert cli._parse_eps("1e-9") == 1e-9
+    assert cli._parse_eps("2^-1074") == 5e-324
     with pytest.raises(Exception):
         cli._parse_eps("-1")
 
 
-@pytest.mark.parametrize("text", ["nan", "inf", "2^5000"])
+# a threshold that rounds to 0 as a float would silently switch pruning off
+@pytest.mark.parametrize("text", ["nan", "inf", "2^5000", "2^-2000", "1e-400"])
 def test_prune_rejects_non_finite(capsys, text):
     with pytest.raises(SystemExit) as exc:
         cli.main(["eval", "--k", "3", "--subset", "1", "--t-max", "4", "--prune", text])

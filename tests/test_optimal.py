@@ -83,6 +83,9 @@ def test_best_fixed_small_cases():
     res5 = best_fixed_subset(5, 5)
     assert res5.primary().ranks == (1, 3)
     assert res5.scanned == 16
+    # {1,3} and {1,4} tie exactly at k=4, so both are reported
+    res4 = best_fixed_subset(4, 80)
+    assert res4.maximizers == (RankSubset.of(4, (1, 3)), RankSubset.of(4, (1, 4)))
 
 
 def test_adaptive_trace_k6(k6_family):
