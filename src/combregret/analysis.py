@@ -40,8 +40,8 @@ class DiffStatSeries:
 
 def diff_stat(a: RegretSeries, b: RegretSeries, scale: int = 1000) -> DiffStatSeries:
     """Scaled difference of normalized squared regrets, entry per horizon."""
-    if a.k != b.k:
-        raise ValueError(f"series disagree on k: {a.k} vs {b.k}")
+    if a.subset.k != b.subset.k:
+        raise ValueError(f"series disagree on k: {a.subset.k} vs {b.subset.k}")
     if a.t_max != b.t_max:
         raise ValueError(f"series cover different ranges: {a.t_max} vs {b.t_max}")
     if scale <= 0:
@@ -54,7 +54,7 @@ def diff_stat(a: RegretSeries, b: RegretSeries, scale: int = 1000) -> DiffStatSe
             ra, rb = float(ra), float(rb)
         values.append(scale * (ra * ra - rb * rb) / t)
     return DiffStatSeries(
-        k=a.k,
+        k=a.subset.k,
         label_a=a.subset.label(),
         label_b=b.subset.label(),
         scale=scale,
@@ -78,7 +78,7 @@ def certified_lower_bounds(a: RegretSeries, b: RegretSeries, scale: int = 1000) 
     rounds to 7.446573694850673), far below the ~3.46 minimum of D off the
     ties.
     """
-    if a.k != b.k or a.t_max != b.t_max:
+    if a.subset.k != b.subset.k or a.t_max != b.t_max:
         raise ValueError("series must cover the same game and range")
     out = [0.0]
     for t in range(1, a.t_max + 1):

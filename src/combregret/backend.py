@@ -2,7 +2,7 @@
 
 The forward engine can run either way over one transition table.  The exact
 backend is the reference; the float backend trades exactness for speed and
-memory and reports a rigorous error bound instead.
+memory, and its error bound covers pruned mass but not its own rounding.
 """
 
 from __future__ import annotations

@@ -63,8 +63,8 @@ def check_k6_t13_best_fixed() -> CheckResult:
 def check_k5_t5_strict() -> CheckResult:
     a = RankSubset.of(5, (1, 3))
     b = RankSubset.of(5, (1, 3, 5))
-    ra = regret_series_fixed(5, a, 5, EXACT, eps=0.0).regret_at(5)
-    rb = regret_series_fixed(5, b, 5, EXACT, eps=0.0).regret_at(5)
+    ra = regret_series_fixed(5, a, 5, EXACT, eps=0.0).values[5]
+    rb = regret_series_fixed(5, b, 5, EXACT, eps=0.0).values[5]
     oa = brute_regret_fixed(5, a, 5)
     ob = brute_regret_fixed(5, b, 5)
     ok = ra == oa and rb == ob and ra > rb
@@ -89,12 +89,12 @@ def suite_oracle(k: int, t_max: int) -> list[CheckResult]:
         bad = None
         for t in range(1, t_max + 1):
             oracle_value = brute_regret_fixed(k, subset, t)
-            if series.regret_at(t) != oracle_value:
-                bad = (t, oracle_value, series.regret_at(t))
+            if series.values[t] != oracle_value:
+                bad = (t, oracle_value, series.values[t])
                 break
         name = f"oracle_k{k}_subset_{subset.label().replace(',', '_')}"
         if bad is None:
-            final = series.regret_at(t_max).interchange()
+            final = series.values[t_max].interchange()
             out.append(CheckResult(name, True, f"engine=oracle through T={t_max}", f"both {final}"))
         else:
             t, ov, ev = bad
@@ -108,7 +108,7 @@ def suite_k2_closed_form(t_max: int) -> list[CheckResult]:
     out = []
     for t in range(1, t_max + 1):
         expected = k2_closed_form(t)
-        got = series.regret_at(t)
+        got = series.values[t]
         out.append(
             CheckResult(
                 name=f"k2_closed_form_t{t}",

@@ -48,6 +48,9 @@ def _parse_eps(text: str) -> float:
         value = 2.0 ** int(s[2:]) if power else float(s)
     except OverflowError:
         raise argparse.ArgumentTypeError(f"prune threshold {text} overflows a float") from None
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"prune threshold {text} is not 0, a float or 2^N") from None
     if not 0.0 <= value < math.inf:
         raise argparse.ArgumentTypeError(
             f"prune threshold must be finite and nonnegative, got {text}"
@@ -136,12 +139,12 @@ def _cmd_compare(args) -> int:
 def _cmd_optimal(args) -> int:
     family = _parse_family(args.k, args.family)
     result = value_adaptive(args.k, family, args.t)
-    print(f"family={result.family_label()}")
+    label = {s: s.label() for s in result.family}
+    print(f"family={':'.join(label.values())}")
     print(f"t={args.t}")
     print(f"nodes={result.node_count}")
     _print_values(result, args.backend)
     if args.trace is not None:
-        label = {s: s.label() for s in result.family}
         with open(args.trace, "w", encoding="utf-8") as f:
             for state, remaining, maxers in result.solver.trace(args.t):
                 state_txt = ",".join(map(str, state))
@@ -153,7 +156,7 @@ def _cmd_best_fixed(args) -> int:
     result = best_fixed_subset(args.k, args.t)
     print(f"t={args.t}")
     print(f"scanned={result.scanned}")
-    print(f"best={result.primary().label()}")
+    print(f"best={result.maximizers[0].label()}")
     print(f"maximizers={':'.join(s.label() for s in result.maximizers)}")
     _print_values(result, args.backend)
     return 0

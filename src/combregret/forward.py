@@ -35,9 +35,10 @@ The backends differ only in how they hold the weights:
 
 Both backends support pruning: states whose merged weight falls below a
 threshold are dropped (without renormalizing), and the lost mass is logged
-per day so a rigorous error interval can be reported.  A trajectory lost at
-day t contributes between 0 and 1 to each of the T - t remaining leader
-deltas, so the true regret lies in [R(T), R(T) + sum_t pruned_t * (T - t)].
+per day.  A trajectory lost at day t adds between 0 and 1 to each of the
+T - t remaining leader deltas, so the true regret lies in [R(T), R(T) +
+sum_t pruned_t * (T - t)] for the exact R; the float bound covers the
+pruned mass but not binary64 rounding.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ import numpy as np
 from .backend import EXACT, FLOAT, ValueBackend
 from .dyadic import ZERO, Dyadic
 from .errors import BudgetError
-from .game import RankSubset, packed_width
+from .game import GapState, RankSubset, encode_state, packed_width, validate_state
 
 # default prune threshold for float sweeps; exact runs default to no pruning
 DEFAULT_FLOAT_EPS = 2.0**-50
@@ -141,7 +142,7 @@ class _TransitionTable:
     is therefore decoded, stepped and re-encoded once, however many days it
     stays on a sweep's frontier or in how many of the adaptive solver's
     layers it lies.  Rows are appended as states appear and never move;
-    ``order`` lists them in code order, for lookups by code.
+    ``order`` lists them in code order, for lookups by code or gap tuple.
     """
 
     def __init__(self, family: tuple[RankSubset, ...]):
@@ -161,6 +162,21 @@ class _TransitionTable:
         at = np.searchsorted(self.codes, codes, sorter=self.order)
         rows = self.order[np.minimum(at, len(self) - 1)]
         return np.where(self.codes[rows] == codes, rows, -1)
+
+    def row_of(self, state: GapState) -> int:
+        """The row of the gap vector ``state``, or -1 if no row holds it."""
+        # packed codes drop trailing zero gaps, so check the length first
+        if len(state) != self.k:
+            raise ValueError(f"state has {len(state)} entries, expected k={self.k}: {state!r}")
+        validate_state(state)
+        # a gap of 2^width or more has no code, so no row holds it
+        if state[-1] >> packed_width(self.k):
+            return -1
+        return int(self.find(np.array([encode_state(state)]))[0])
+
+    def gaps(self, rows) -> list[GapState]:
+        """The gap vectors of the states in ``rows``."""
+        return [tuple(g) for g in _unpack(self.codes[rows], self.k).tolist()]
 
     def advance(self, frontier):
         """One day's moves from the frontier rows of a one-member table.
@@ -233,13 +249,12 @@ class RegretSeries:
     """R(T) for one strategy at every horizon 1..t_max.
 
     values[T] is the expected regret after T days (values[0] is zero); with
-    pruning, the true value lies within error_bounds[T] above the stored one.
+    pruning, the true value lies within error_bounds[T] above an exact
+    stored one (a float bound does not cover binary64 rounding).
     """
 
-    k: int
     subset: RankSubset
     backend: ValueBackend
-    eps: float
     values: tuple
     error_bounds: tuple
     frontier_peak: int
@@ -247,12 +262,6 @@ class RegretSeries:
     @property
     def t_max(self) -> int:
         return len(self.values) - 1
-
-    def regret_at(self, t: int):
-        return self.values[t]
-
-    def bound_at(self, t: int):
-        return self.error_bounds[t]
 
 
 def regret_series_fixed(
@@ -339,7 +348,7 @@ def _series_exact(subset: RankSubset, t_max: int, eps) -> RegretSeries:
         values.append(Dyadic(regret, day))
         bounds.append(Dyadic(s0 * day - s1, day))
         peak = max(peak, frontier.shape[0])
-    return RegretSeries(subset.k, subset, EXACT, float(eps), tuple(values), tuple(bounds), peak)
+    return RegretSeries(subset, EXACT, tuple(values), tuple(bounds), peak)
 
 
 def _series_float(subset: RankSubset, t_max: int, eps: float) -> RegretSeries:
@@ -387,7 +396,7 @@ def _series_float(subset: RankSubset, t_max: int, eps: float) -> RegretSeries:
         values.append(regret)
         bounds.append(s0 * day - s1)
         peak = max(peak, frontier.shape[0])
-    return RegretSeries(subset.k, subset, FLOAT, eps, tuple(values), tuple(bounds), peak)
+    return RegretSeries(subset, FLOAT, tuple(values), tuple(bounds), peak)
 
 
 # ----------------------------------------------------------------------

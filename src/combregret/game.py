@@ -16,9 +16,10 @@ The packed state code stores each gap after the leader's in
 (``encode_state``, ``decode_state``) and ``forward``, whose ``_unpack`` and
 ``_successors`` unpack and pack whole arrays of codes.  Every engine, the
 forward sweeps and the adaptive solver alike, steps each state once in a
-``forward._TransitionTable`` through ``_successors``.  ``step`` is the scalar
-transition on the same codes: the reference the tests check the engines
-against.
+``forward._TransitionTable`` through ``_successors``, and the adaptive
+solver maps gap tuples to rows and back through the table's ``row_of`` and
+``gaps``.  ``step`` is the scalar transition on the same codes: the
+reference the tests check the engines against.
 """
 
 from __future__ import annotations

@@ -17,10 +17,10 @@ works in layers.  A forward pass enumerates L_0 ... L_T over one
 once however many layers hold it and keeps its children and leader deltas.
 L_d holds the table rows of every state reachable at day d under some
 sequence of family members, in ascending order; a row never moves once the
-table has it, so a layer stays valid as later layers add states.  States
-are looked up by packed code (``game.encode_state``) only in
-``maximizers``.  A backward pass then values a whole
-layer at once on the scaled integers N(s, r) = V(s, r) * 2^r, which obey
+table has it, so a layer stays valid as later layers add states.  Gap
+tuples become rows and back only through the table's ``row_of`` and
+``gaps``.  A backward pass then values a whole layer at once on the scaled
+integers N(s, r) = V(s, r) * 2^r, which obey
 
     N(s, r) = max over A of 2^(r-1) * (delta_A + delta_B) + N(s_A, r-1) + N(s_B, r-1)
 
@@ -42,15 +42,8 @@ import numpy as np
 
 from .dyadic import Dyadic
 from .errors import BudgetError
-from .forward import _TransitionTable, _unpack, regret_series_fixed
-from .game import (
-    MAX_K,
-    GapState,
-    RankSubset,
-    all_strategies,
-    encode_state,
-    packed_width,
-)
+from .forward import _TransitionTable, regret_series_fixed
+from .game import MAX_K, GapState, RankSubset, all_strategies, packed_width
 
 # hard ceilings; exceeding them is an error, never a silent approximation.
 # A layer row keeps an 8 B table row index and one value per solved horizon (8 B in
@@ -97,20 +90,19 @@ class AdaptiveSolver:
         self.table = _TransitionTable(self.family)
         self._layers = [np.zeros(1, dtype=np.int64)]  # L_0: row 0, the day-0 state
         self._values: dict = {}  # horizon t -> [N over L_0, ..., N over L_t]
-        self.rows = 0  # states in the expanded layers
 
     def _expand(self, t: int) -> None:
         """Enumerate the layers up to L_t."""
         for d in range(len(self._layers) - 1, t):
             rows = self._layers[d]
-            if self.rows + rows.shape[0] > MAX_MEMO_NODES:
+            # the states of L_0 .. L_d, those valued for horizon d + 1
+            if sum(layer.shape[0] for layer in self._layers) > MAX_MEMO_NODES:
                 raise BudgetError(f"adaptive memo exceeded {MAX_MEMO_NODES} nodes")
             self.table.expand(rows)
             reached = np.zeros(len(self.table), dtype=bool)
             for branch in self.table.children:
                 reached[branch[rows]] = True
             self._layers.append(np.flatnonzero(reached))
-            self.rows += rows.shape[0]
 
     def _solve(self, t: int) -> None:
         """The backward pass: N over every layer for horizon t."""
@@ -167,13 +159,9 @@ class AdaptiveSolver:
 
     def maximizers(self, state: GapState, remaining: int) -> tuple[RankSubset, ...]:
         """All family members achieving the max at a computed node."""
-        # packed codes drop trailing zero gaps, so check the length first
-        if len(state) != self.k:
-            raise ValueError(f"state has {len(state)} entries, expected k={self.k}: {state!r}")
-        # no layer holds a gap of 2^width or more: gaps never exceed MAX_HORIZON
-        if remaining >= 1 and not state[-1] >> packed_width(self.k):
-            # -1 for a state with no table row, which no layer holds
-            row = self.table.find(np.array([encode_state(state)]))[0]
+        row = self.table.row_of(state)
+        # -1, a state with no table row, is in no layer
+        if remaining >= 1 and row >= 0:
             for t in self._values:
                 d = t - remaining
                 if d < 0:
@@ -199,11 +187,10 @@ class AdaptiveSolver:
             # child table rows to positions in layer d + 1
             at = self._layers[d][level]
             children = np.searchsorted(self._layers[d + 1], self.table.children[:, at])
-            gaps = _unpack(self.table.codes[at], self.k).tolist()
             reached: dict = {}  # insertion-ordered set
-            for state, mask, kids in zip(gaps, best, children.T.tolist()):
+            for state, mask, kids in zip(self.table.gaps(at), best, children.T.tolist()):
                 members = [m for m, b in enumerate(mask) if b]
-                yield tuple(state), t - d, tuple(self.family[m] for m in members)
+                yield state, t - d, tuple(self.family[m] for m in members)
                 for m in members:
                     reached.setdefault(kids[2 * m])
                     reached.setdefault(kids[2 * m + 1])
@@ -226,9 +213,6 @@ class AdaptivePolicyValue:
     def maximizers(self, state: GapState, remaining: int) -> tuple[RankSubset, ...]:
         return self.solver.maximizers(state, remaining)
 
-    def family_label(self) -> str:
-        return ":".join(s.label() for s in self.family)
-
 
 def value_adaptive(k: int, family: Iterable[RankSubset], t: int) -> AdaptivePolicyValue:
     """Expected regret of the best adaptive policy over ``family`` at horizon t."""
@@ -246,9 +230,6 @@ class BestFixedResult:
     expected_max: Dyadic
     scanned: int
 
-    def primary(self) -> RankSubset:
-        return self.maximizers[0]
-
 
 def best_fixed_subset(k: int, t: int) -> BestFixedResult:
     """The best single subset strategy at horizon t, with all tied maximizers.
@@ -260,7 +241,7 @@ def best_fixed_subset(k: int, t: int) -> BestFixedResult:
     if t < 1:
         raise ValueError(f"horizon must be at least 1, got {t}")
     subsets = list(all_strategies(k))
-    regrets = [regret_series_fixed(k, s, t).regret_at(t) for s in subsets]
+    regrets = [regret_series_fixed(k, s, t).values[t] for s in subsets]
     best = max(regrets)
     return BestFixedResult(
         k=k,

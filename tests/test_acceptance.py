@@ -63,8 +63,8 @@ def test_criterion_2_best_fixed_subset_scan():
 def test_criterion_3_strict_dominance_at_t5():
     a = RankSubset.of(5, (1, 3))
     b = RankSubset.comb(5)
-    ra = regret_series_fixed(5, a, 5).regret_at(5)
-    rb = regret_series_fixed(5, b, 5).regret_at(5)
+    ra = regret_series_fixed(5, a, 5).values[5]
+    rb = regret_series_fixed(5, b, 5).values[5]
     oa = brute_regret_fixed(5, a, 5)
     ob = brute_regret_fixed(5, b, 5)
     ok = ra == oa and rb == ob and ra > rb
@@ -194,7 +194,7 @@ def test_criterion_5_adaptive_matches_best_member():
         solver.expected_max(t_max)
         for t in range(1, t_max + 1):
             adaptive = solver.value(t).regret
-            fixed = series.regret_at(t)
+            fixed = series.values[t]
             assert adaptive == fixed, (
                 f"k={k} T={t}: adaptive-over-all {adaptive.interchange()} != "
                 f"fixed [{','.join(map(str, best_ranks))}] {fixed.interchange()}"
@@ -213,7 +213,7 @@ def test_criterion_6_oracle_equivalence(k6_family):
         for subset in all_strategies(k):
             series = regret_series_fixed(k, subset, 7)
             for t in range(1, 8):
-                assert series.regret_at(t) == brute_regret_fixed(k, subset, t)
+                assert series.values[t] == brute_regret_fixed(k, subset, t)
                 checked += 1
     fam3 = list(all_strategies(3))
     for t in range(1, 7):
@@ -233,14 +233,14 @@ def test_criterion_7_k2_closed_form_and_limit():
     subset = RankSubset.of(2, (1,))
     exact = regret_series_fixed(2, subset, 60)
     for t in range(1, 61):
-        assert exact.regret_at(t) == k2_closed_form(t)
+        assert exact.values[t] == k2_closed_form(t)
     sweep = regret_series_fixed(2, subset, 350, FLOAT)
     worst = 0.0
     for t in range(1, 351):
-        err = abs(sweep.regret_at(t) - float(k2_closed_form(t)))
+        err = abs(sweep.values[t] - float(k2_closed_form(t)))
         worst = max(worst, err)
     limit = 1.0 / math.sqrt(2.0 * math.pi)
-    measured = sweep.regret_at(350) / math.sqrt(350.0)
+    measured = sweep.values[350] / math.sqrt(350.0)
     rel = abs(measured - limit) / limit
     ok = worst <= 1e-9 and rel < 0.05
     _report(
@@ -257,10 +257,10 @@ def test_criterion_8_monotonicity(sweep13, sweep135):
         for subset in all_strategies(k):
             series = regret_series_fixed(k, subset, 12)
             for t in range(1, 13):
-                assert series.regret_at(t) >= series.regret_at(t - 1)
+                assert series.values[t] >= series.values[t - 1]
     for sweep in (sweep13, sweep135):
         for t in range(1, 351):
-            assert sweep.regret_at(t) >= sweep.regret_at(t - 1) - 1e-12
+            assert sweep.values[t] >= sweep.values[t - 1] - 1e-12
     _report(
         "criterion_8_monotonicity", True,
         "exact series nondecreasing for every canonical subset, k=2..5, T<=12; "
@@ -278,7 +278,7 @@ def test_criterion_8_complement_invariance():
         a = regret_series_fixed(k, RankSubset.of(k, ranks), 8)
         b = regret_series_fixed(k, RankSubset(k, comp), 8)
         for t in range(9):
-            assert a.regret_at(t) == b.regret_at(t)
+            assert a.values[t] == b.values[t]
     _report(
         "criterion_8_complement_invariance", True,
         "subset and complement give identical exact series through T=8",
@@ -324,11 +324,11 @@ def test_criterion_8_pruning_interval(exact13_t40):
     for eps in (2.0 ** -30, 2.0 ** -40):
         approx = regret_series_fixed(5, subset, 40, FLOAT, eps)
         for t in range(41):
-            truth = float(exact13_t40.regret_at(t))
-            lo = approx.regret_at(t) - 1e-11
-            hi = approx.regret_at(t) + approx.bound_at(t) + 1e-11
+            truth = float(exact13_t40.values[t])
+            lo = approx.values[t] - 1e-11
+            hi = approx.values[t] + approx.error_bounds[t] + 1e-11
             assert lo <= truth <= hi, f"eps=2^{math.log2(eps):.0f} T={t}"
-        details.append(f"eps={eps:.3g} bound(40)={approx.bound_at(40):.3g}")
+        details.append(f"eps={eps:.3g} bound(40)={approx.error_bounds[40]:.3g}")
     _report(
         "criterion_8_pruning_interval", True,
         "k=5 [1,3] T<=40: exact value inside [R, R+bound] for " + "; ".join(details),

@@ -123,7 +123,7 @@ def test_optimal_float_prints_rounded_exact_value(capsys, argv, pinned):
 def test_optimal_all_family_matches_eval(capsys):
     code, out, _ = run(capsys, "optimal", "--k", "5", "--family", "all", "--t", "10")
     assert code == 0
-    expected = regret_series_fixed(5, RankSubset.of(5, (1, 3)), 10).regret_at(10)
+    expected = regret_series_fixed(5, RankSubset.of(5, (1, 3)), 10).values[10]
     assert f"regret={expected.decimal()} ({expected.interchange()})" in out.splitlines()
 
 
@@ -271,6 +271,16 @@ def test_prune_rejects_non_finite(capsys, text):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "--prune" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ["2^x", "abc"])
+def test_prune_rejects_malformed(capsys, text):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["eval", "--k", "5", "--subset", "1,3", "--t-max", "5", "--prune", text])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --prune: prune threshold {text} is not 0, a float or 2^N" in err
+    assert "_parse_eps" not in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -22,7 +22,7 @@ def test_exact_pruning_after_merge_and_delta():
     assert pruned.frontier_peak == 2
     assert pruned.values[:4] == full.values[:4]
     assert pruned.error_bounds == (ZERO, ZERO, ZERO, ZERO, Dyadic(1, 2))
-    assert pruned.regret_at(4) < full.regret_at(4)
+    assert pruned.values[4] < full.values[4]
 
 
 def test_exact_pruning_interval_and_mass_ledger():
@@ -30,13 +30,13 @@ def test_exact_pruning_interval_and_mass_ledger():
     full = regret_series_fixed(5, s, 15)
     for eps in (2.0 ** -12, 2.0 ** -10, 2.0 ** -6, 0.3):
         pruned = regret_series_fixed(5, s, 15, eps=eps)
-        assert pruned.backend is EXACT and pruned.eps == eps
+        assert pruned.backend is EXACT
         for t in range(16):
-            v, b = pruned.regret_at(t), pruned.bound_at(t)
-            assert v <= full.regret_at(t) <= v + b
+            v, b = pruned.values[t], pruned.error_bounds[t]
+            assert v <= full.values[t] <= v + b
         # bound(t+1) - bound(t) is the mass pruned through day t: it never
         # shrinks and never exceeds the unit of probability
-        mass = [pruned.bound_at(t + 1) - pruned.bound_at(t) for t in range(15)]
+        mass = [pruned.error_bounds[t + 1] - pruned.error_bounds[t] for t in range(15)]
         assert all(ZERO <= a <= b <= ONE for a, b in zip(mass, mass[1:]))
         assert mass[-1] > ZERO
     # a threshold above 1/2 drops all of day 1's mass, exactly one unit,
@@ -44,21 +44,21 @@ def test_exact_pruning_interval_and_mass_ledger():
     for eps in (0.6, 2.0 ** 40):
         gone = regret_series_fixed(5, s, 15, eps=eps)
         assert gone.frontier_peak == 1
-        assert all(gone.bound_at(t) == Dyadic(t - 1) for t in range(1, 16))
+        assert all(gone.error_bounds[t] == Dyadic(t - 1) for t in range(1, 16))
 
 
 def test_small_exact_values():
     series = regret_series_fixed(2, RankSubset.of(2, (1,)), 3)
-    assert series.regret_at(0) == ZERO
-    assert series.regret_at(1) == HALF
-    assert series.regret_at(2) == HALF
-    assert series.regret_at(3) == Dyadic(3, 2)
+    assert series.values[0] == ZERO
+    assert series.values[1] == HALF
+    assert series.values[2] == HALF
+    assert series.values[3] == Dyadic(3, 2)
 
 
 def test_matches_closed_form_exact():
     series = regret_series_fixed(2, RankSubset.of(2, (1,)), 60)
     for t in range(1, 61):
-        assert series.regret_at(t) == k2_closed_form(t)
+        assert series.values[t] == k2_closed_form(t)
 
 
 def test_full_set_regret_is_zero():
@@ -66,14 +66,14 @@ def test_full_set_regret_is_zero():
         full = RankSubset.of(k, tuple(range(1, k + 1)))
         series = regret_series_fixed(k, full, 12)
         for t in range(13):
-            assert series.regret_at(t) == ZERO
+            assert series.values[t] == ZERO
 
 
 def test_complement_invariance():
     base = regret_series_fixed(5, RankSubset.of(5, (1, 3)), 8)
     other = regret_series_fixed(5, RankSubset(5, (2, 4, 5)), 8)
     for t in range(9):
-        assert base.regret_at(t) == other.regret_at(t)
+        assert base.values[t] == other.values[t]
     assert other.subset.ranks == (1, 3)
 
 
@@ -81,7 +81,7 @@ def test_monotone_nondecreasing_exact():
     for subset in all_strategies(4):
         series = regret_series_fixed(4, subset, 10)
         for t in range(1, 11):
-            assert series.regret_at(t) >= series.regret_at(t - 1)
+            assert series.values[t] >= series.values[t - 1]
 
 
 def test_float_matches_exact_small_horizons():
@@ -90,7 +90,7 @@ def test_float_matches_exact_small_horizons():
         exact = regret_series_fixed(k, s, 20, backend=EXACT)
         approx = regret_series_fixed(k, s, 20, backend=FLOAT, eps=0.0)
         for t in range(21):
-            assert abs(approx.regret_at(t) - float(exact.regret_at(t))) <= 2.0 ** -40
+            assert abs(approx.values[t] - float(exact.values[t])) <= 2.0 ** -40
 
 
 @st.composite
@@ -112,8 +112,8 @@ def test_float_matches_exact_property(case):
     approx = regret_series_fixed(k, subset, t_max, FLOAT, eps)
     assert approx.frontier_peak == exact.frontier_peak
     for t in range(t_max + 1):
-        assert abs(approx.regret_at(t) - float(exact.regret_at(t))) <= 2.0 ** -40
-        assert abs(approx.bound_at(t) - float(exact.bound_at(t))) <= 2.0 ** -40
+        assert abs(approx.values[t] - float(exact.values[t])) <= 2.0 ** -40
+        assert abs(approx.error_bounds[t] - float(exact.error_bounds[t])) <= 2.0 ** -40
 
 
 def test_float_frontier_keeps_underflowed_states():
@@ -161,9 +161,9 @@ def test_pruning_interval_contains_exact():
     for eps in (2.0 ** -30, 2.0 ** -40):
         approx = regret_series_fixed(5, RankSubset.of(5, (1, 3)), 40, backend=FLOAT, eps=eps)
         for t in range(41):
-            truth = float(exact.regret_at(t))
-            lo = approx.regret_at(t) - 1e-11
-            hi = approx.regret_at(t) + approx.bound_at(t) + 1e-11
+            truth = float(exact.values[t])
+            lo = approx.values[t] - 1e-11
+            hi = approx.values[t] + approx.error_bounds[t] + 1e-11
             assert lo <= truth <= hi
 
 
@@ -235,5 +235,5 @@ def test_csv_roundtrip_float(tmp_path):
     assert lines[0] == SERIES_HEADER and len(lines) == 31
     for line in lines[1:]:
         t, regret, regret_exact, _ = line.split(",")
-        assert float(regret) == series.regret_at(int(t))
+        assert float(regret) == series.values[int(t)]
         assert regret_exact == ""

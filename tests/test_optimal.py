@@ -20,7 +20,7 @@ def test_singleton_family_equals_fixed_series():
             series = regret_series_fixed(k, subset, 8)
             solver = AdaptiveSolver(k, [subset])
             for t in range(1, 9):
-                assert solver.value(t).regret == series.regret_at(t)
+                assert solver.value(t).regret == series.values[t]
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -32,7 +32,7 @@ def test_singleton_family_across_int64_switch(k):
         series = regret_series_fixed(k, subset, 64)
         solver = AdaptiveSolver(k, [subset])
         for t in (56, 57, 58, 64):
-            assert solver.value(t).regret == series.regret_at(t)
+            assert solver.value(t).regret == series.values[t]
 
 
 def test_all_subset_values_and_node_counts():
@@ -63,7 +63,7 @@ def test_k6_t13_two_subset_family(k6_family):
     assert res.expected_max == Dyadic(2341, 8)
     assert res.regret == Dyadic(677, 8)
     assert res.expected_max - res.regret == Dyadic(13, 1)
-    assert res.family_label() == "1,3,6:1,4,6"
+    assert ":".join(s.label() for s in res.family) == "1,3,6:1,4,6"
     assert res.node_count == 312
 
 
@@ -73,7 +73,7 @@ def test_k6_t13_best_fixed():
     assert res.regret == Dyadic(10827, 12)
     assert res.scanned == 32
     assert res.maximizers == (RankSubset.of(6, (1, 3, 6)),)
-    assert res.primary().ranks == (1, 3, 6)
+    assert res.maximizers[0].ranks == (1, 3, 6)
 
 
 def test_best_fixed_small_cases():
@@ -81,7 +81,7 @@ def test_best_fixed_small_cases():
         res = best_fixed_subset(2, t)
         assert res.maximizers[0].ranks == (1,)
     res5 = best_fixed_subset(5, 5)
-    assert res5.primary().ranks == (1, 3)
+    assert res5.maximizers[0].ranks == (1, 3)
     assert res5.scanned == 16
     # {1,3} and {1,4} tie exactly at k=4, so both are reported
     res4 = best_fixed_subset(4, 80)
@@ -167,6 +167,9 @@ def test_maximizers_validates_state():
         solver.maximizers((0, 0), 1)
     with pytest.raises(ValueError, match="nondecreasing"):
         solver.maximizers((0, 2, 1), 1)
+    # the state is checked before the horizon, even where no node is valued
+    with pytest.raises(ValueError, match="nondecreasing"):
+        solver.maximizers((0, 2, 1), 0)
     assert solver.maximizers((0, 0, 0), 2) == (RankSubset.of(3, (1,)),)
 
 
@@ -174,14 +177,15 @@ def test_reproducible_and_shared_memo():
     fam = [RankSubset.of(4, (1, 3)), RankSubset.of(4, (1, 4))]
     a = AdaptiveSolver(4, fam)
     b = AdaptiveSolver(4, fam)
-    assert a.value(9).regret == b.value(9).regret
+    nine = a.value(9)
+    assert nine.regret == b.value(9).regret
     # a smaller horizon afterwards reuses the layers: it adds no rows
-    rows = a.rows
+    sizes = len(a.table), len(a._layers)
     five_shared = a.value(5)
     fresh = AdaptiveSolver(4, fam).value(5)
     assert five_shared.regret == fresh.regret
-    assert a.rows == rows
-    assert five_shared.node_count == fresh.node_count < rows
+    assert (len(a.table), len(a._layers)) == sizes
+    assert five_shared.node_count == fresh.node_count < nine.node_count
     # horizons in ascending order: T = 9 appends table rows after T = 5's
     # layers were stored, and leaves every row T = 5 made as it was
     c = AdaptiveSolver(4, fam)

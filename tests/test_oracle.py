@@ -40,7 +40,7 @@ def test_engine_matches_oracle_all_subsets():
         for subset in all_strategies(k):
             series = regret_series_fixed(k, subset, 7)
             for t in range(1, 8):
-                assert series.regret_at(t) == brute_regret_fixed(k, subset, t)
+                assert series.values[t] == brute_regret_fixed(k, subset, t)
 
 
 @st.composite
@@ -58,8 +58,8 @@ def test_exact_series_matches_oracle_property(case):
     k, subset, t_max = case
     series = regret_series_fixed(k, subset, t_max)
     for t in range(1, t_max + 1):
-        assert series.regret_at(t) == brute_regret_fixed(k, subset, t)
-    assert value_adaptive(k, [subset], t_max).regret == series.regret_at(t_max)
+        assert series.values[t] == brute_regret_fixed(k, subset, t)
+    assert value_adaptive(k, [subset], t_max).regret == series.values[t_max]
 
 
 @st.composite
