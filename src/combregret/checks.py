@@ -15,7 +15,7 @@ from .dyadic import Dyadic
 from .forward import regret_series_fixed
 from .game import RankSubset, all_strategies
 from .optimal import best_fixed_subset, value_adaptive
-from .oracle import brute_regret_fixed, k2_closed_form
+from .oracle import MAX_FIXED_HORIZON, brute_regret_fixed, k2_closed_form
 
 # frozen reference values for the k=6, T=13 computations
 K6_T13_ADAPTIVE_EXPECTED_MAX = Dyadic(2341, 8)  # 9.14453125
@@ -83,6 +83,8 @@ def suite_reference_values() -> list[CheckResult]:
 
 def suite_oracle(k: int, t_max: int) -> list[CheckResult]:
     """Engine-vs-enumeration equality for every canonical subset."""
+    if t_max > MAX_FIXED_HORIZON:
+        raise ValueError(f"--t-max {t_max} exceeds the oracle's limit of {MAX_FIXED_HORIZON}")
     out = []
     for subset in all_strategies(k):
         series = regret_series_fixed(k, subset, t_max, EXACT, eps=0.0)

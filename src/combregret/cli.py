@@ -106,24 +106,24 @@ def _cmd_eval(args) -> int:
 def _cmd_compare(args) -> int:
     a = RankSubset.parse(args.k, args.a)
     b = RankSubset.parse(args.k, args.b)
-    backend = _resolve_backend(args.backend, args.t_max)
-    sa = regret_series_fixed(args.k, a, args.t_max, backend, args.prune)
-    sb = regret_series_fixed(args.k, b, args.t_max, backend, args.prune)
-    d = diff_stat(sa, sb, args.scale)
-
+    # the window is checked before the sweeps, which may take long
     if args.window is not None:
         try:
             lo_txt, hi_txt = args.window.split(":")
             lo, hi = int(lo_txt), int(hi_txt)
         except ValueError:
-            raise ValueError(f"window must be LO:HI, got {args.window!r}")
-        lines = summary_lines(constancy_report(d, lo, hi))
+            raise ValueError(f"window must be LO:HI, got {args.window!r}") from None
+        if not 1 <= lo < hi <= args.t_max:
+            raise ValueError(f"window {lo}:{hi} must satisfy 1 <= LO < HI <= {args.t_max}")
+    elif args.t_max > 100:
+        lo, hi = 100, args.t_max
     else:
-        if args.t_max > 100:
-            lo, hi = 100, args.t_max
-        else:
-            lo, hi = max(1, args.t_max // 2), args.t_max
-        lines = summary_lines(constancy_report(d, lo, hi)) if lo < hi else []
+        lo, hi = max(1, args.t_max // 2), args.t_max
+    backend = _resolve_backend(args.backend, args.t_max)
+    sa = regret_series_fixed(args.k, a, args.t_max, backend, args.prune)
+    sb = regret_series_fixed(args.k, b, args.t_max, backend, args.prune)
+    d = diff_stat(sa, sb, args.scale)
+    lines = summary_lines(constancy_report(d, lo, hi)) if lo < hi else []
 
     with _open_out(args.out) as f:
         write_diff_csv(d, f)

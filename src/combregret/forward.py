@@ -1,11 +1,11 @@
 """Forward propagation of the gap-state distribution under a fixed strategy.
 
-The frontier is an array of transition-table rows, those of the states
-reached, listed in packed-code order, with their probability weights: one
-float64 per state, or int64 limb rows of exact path counts.  One day of play
-splits every state into its two equally likely branch successors and
-accumulates the expected leader delta; the regret after T days is the sum of
-the daily expected deltas minus T/2.
+The frontier is the ascending array of the transition-table rows of the
+states reached, with their probability weights: one float64 per state, or
+int64 limb rows of exact path counts.  One day of play splits every state
+into its two equally likely branch successors and accumulates the expected
+leader delta; the regret after T days is the sum of the daily expected
+deltas minus T/2.
 
 Both backends run this recurrence over one per-series ``_TransitionTable``:
 every state reached so far, one row each, appended as the state first
@@ -14,12 +14,11 @@ deltas filled in the first day the state is on the frontier.  The table
 holds a family of subsets; a sweep passes its one subset, and the adaptive
 solver in ``optimal`` its whole family.  Each state is therefore decoded,
 stepped and re-encoded once, by ``_successors`` (whose scalar reference is
-``game.step``: both use the codes of ``game.encode_state``), and a day is a
-gather of child rows plus one ``np.bincount`` per weight row.  Code order,
-which fixes the float sweep's order of addition, is kept by the table alone.
-The table never forgets a state, so it is capped at ``MAX_TABLE_ROWS`` rows
-for one member and fewer for a family; growing past the cap raises
-``BudgetError``.
+``game.step``: both use the codes of ``game.encode_state``).  The table's
+``advance`` is the day step of every engine, sweeps and solver alike, and a
+sweep's day adds one ``np.bincount`` per weight row.  The table never
+forgets a state, so it is capped at ``MAX_TABLE_ROWS`` rows for one member
+and fewer for a family; growing past the cap raises ``BudgetError``.
 
 The backends differ only in how they hold the weights:
 
@@ -29,9 +28,9 @@ The backends differ only in how they hold the weights:
   regret and the pruned-mass ledger are Python integers over 2^t.
   The series handed back to callers are built from them as ``Dyadic``
   values, ``Fraction``s with exact decimal and ``n/2^e`` formatters.
-* float: one float64 weight per state.  The frontier is listed in code
-  order, so every reduction adds its operands in code order, whatever rows
-  the states hold, and the series are reproducible bit for bit.
+* float: one float64 weight per state.  Every reduction adds its operands
+  in row order, and a sweep appends rows by the day a state is first
+  reached, then by code, so the series are reproducible bit for bit.
 
 Both backends support pruning: states whose merged weight falls below a
 threshold are dropped (without renormalizing), and the lost mass is logged
@@ -141,8 +140,8 @@ class _TransitionTable:
     ``children`` and ``deltas`` are the two branches of member j.  Each state
     is therefore decoded, stepped and re-encoded once, however many days it
     stays on a sweep's frontier or in how many of the adaptive solver's
-    layers it lies.  Rows are appended as states appear and never move;
-    ``order`` lists them in code order, for lookups by code or gap tuple.
+    layers it lies.  Rows are appended as states appear, each batch in code
+    order, and never move; ``order`` lists them in code order, for lookups.
     """
 
     def __init__(self, family: tuple[RankSubset, ...]):
@@ -178,19 +177,18 @@ class _TransitionTable:
         """The gap vectors of the states in ``rows``."""
         return [tuple(g) for g in _unpack(self.codes[rows], self.k).tolist()]
 
-    def advance(self, frontier):
-        """One day's moves from the frontier rows of a one-member table.
+    def advance(self, rows):
+        """One day from the states ``rows``: the day step of every engine.
 
-        Returns the frontier's leader deltas (shape (2, n)), the child rows
-        of all its a-branches followed by all its b-branches, and the next
-        frontier: the rows those children reach, in code order.
+        Returns their leader deltas, shape (2m, n) for m members, their child
+        rows in the same order, flattened, and the rows those reach, ascending.
         """
-        self.expand(frontier)
-        deltas = np.take(self.deltas, frontier, axis=1)
-        children = np.take(self.children, frontier, axis=1).ravel()
+        self.expand(rows)
+        deltas = np.take(self.deltas, rows, axis=1)
+        children = np.take(self.children, rows, axis=1).ravel()
         reached = np.zeros(len(self), dtype=bool)
         reached[children] = True
-        return deltas, children, self.order[reached[self.order]]
+        return deltas, children, np.flatnonzero(reached)
 
     def expand(self, rows) -> None:
         """Step the unexpanded states among ``rows``, appending their new children."""
@@ -355,16 +353,14 @@ def _series_float(subset: RankSubset, t_max: int, eps: float) -> RegretSeries:
     """The float recurrence over a ``_TransitionTable``.
 
     A day merges the children's weights with one ``np.bincount``.  The
-    frontier lists its states in code order, so every reduction adds the
-    same operands in the same order as a sort-and-merge by code would: the
-    expected-delta sums, each merged weight (bincount adds in input order,
-    every a-child before every b-child, as a stable sort of the concatenated
-    child codes does) and the pruned mass.  The series are reproducible bit
-    for bit and do not depend on which row a state holds or when it entered
-    the table.  A state stays on the frontier when a branch reaches
-    it, even if its weight has underflowed to 0.0, as the exact engine keeps
-    it.  Raises ``BudgetError`` when the table would exceed
-    ``MAX_TABLE_ROWS`` rows.
+    frontier lists its rows in ascending order, which is the order of the
+    day each state was first reached, then of its code, so every reduction
+    adds its operands in that fixed order: the expected-delta sums, each
+    merged weight (bincount adds in input order, every a-child before every
+    b-child) and the pruned mass.  The series are reproducible bit for bit.
+    A state stays on the frontier when a branch reaches it, even if its
+    weight has underflowed to 0.0, as the exact engine keeps it.  Raises
+    ``BudgetError`` when the table would exceed ``MAX_TABLE_ROWS`` rows.
     """
     table = _TransitionTable((subset,))
     frontier = np.zeros(1, dtype=np.int64)

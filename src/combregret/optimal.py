@@ -16,11 +16,12 @@ works in layers.  A forward pass enumerates L_0 ... L_T over one
 ``forward._TransitionTable`` of the whole family, which steps each state
 once however many layers hold it and keeps its children and leader deltas.
 L_d holds the table rows of every state reachable at day d under some
-sequence of family members, in ascending order; a row never moves once the
-table has it, so a layer stays valid as later layers add states.  Gap
-tuples become rows and back only through the table's ``row_of`` and
-``gaps``.  A backward pass then values a whole layer at once on the scaled
-integers N(s, r) = V(s, r) * 2^r, which obey
+sequence of family members, in ascending order: L_{d+1} is the table's day
+step ``advance`` from L_d, the same step the forward sweeps take from their
+frontier.  A row never moves once the table has it, so a layer stays valid
+as later layers add states.  Gap tuples become rows and back only through
+the table's ``row_of`` and ``gaps``.  A backward pass then values a whole
+layer at once on the scaled integers N(s, r) = V(s, r) * 2^r, which obey
 
     N(s, r) = max over A of 2^(r-1) * (delta_A + delta_B) + N(s_A, r-1) + N(s_B, r-1)
 
@@ -94,15 +95,10 @@ class AdaptiveSolver:
     def _expand(self, t: int) -> None:
         """Enumerate the layers up to L_t."""
         for d in range(len(self._layers) - 1, t):
-            rows = self._layers[d]
             # the states of L_0 .. L_d, those valued for horizon d + 1
             if sum(layer.shape[0] for layer in self._layers) > MAX_MEMO_NODES:
                 raise BudgetError(f"adaptive memo exceeded {MAX_MEMO_NODES} nodes")
-            self.table.expand(rows)
-            reached = np.zeros(len(self.table), dtype=bool)
-            for branch in self.table.children:
-                reached[branch[rows]] = True
-            self._layers.append(np.flatnonzero(reached))
+            self._layers.append(self.table.advance(self._layers[d])[2])
 
     def _solve(self, t: int) -> None:
         """The backward pass: N over every layer for horizon t."""
@@ -210,9 +206,6 @@ class AdaptivePolicyValue:
     node_count: int
     solver: AdaptiveSolver = field(repr=False, compare=False)
 
-    def maximizers(self, state: GapState, remaining: int) -> tuple[RankSubset, ...]:
-        return self.solver.maximizers(state, remaining)
-
 
 def value_adaptive(k: int, family: Iterable[RankSubset], t: int) -> AdaptivePolicyValue:
     """Expected regret of the best adaptive policy over ``family`` at horizon t."""
@@ -235,7 +228,7 @@ def best_fixed_subset(k: int, t: int) -> BestFixedResult:
     """The best single subset strategy at horizon t, with all tied maximizers.
 
     Scans all 2^(k-1) canonical subsets with exact, unpruned sweeps; ties are
-    exact equalities, reported in lexicographic rank order, so the primary
+    exact equalities, reported in lexicographic rank order, so the first
     maximizer is deterministic.
     """
     if t < 1:

@@ -79,11 +79,13 @@ def reference_series(subset, t_max: int, eps: float, backend=EXACT):
 
     Weights are keyed by packed code and stepped with ``game.apply_gains``:
     the reference for the table engines in ``forward``.  Exact weights are
-    path counts over 2^day.  Float weights are merged over the parents in
-    code order, every a-branch before every b-branch, and the expected delta
-    and the pruned mass are ``np.sum``s over arrays in code order: the
-    operands and the order the float engine adds them in, so its series
-    match these bit for bit.
+    path counts over 2^day.  Float states are listed by the day they were
+    first reached, then by code, the order of the float engine's table rows:
+    weights are merged over the parents in that order, every a-branch before
+    every b-branch, and the expected delta and the pruned mass are
+    ``np.sum``s over arrays in that order.  These are the operands and the
+    order the float engine adds them in, so its series match these bit for
+    bit.
     """
     subset = subset.canonical()
     k = subset.k
@@ -133,11 +135,12 @@ def _reference_exact(move, start: int, t_max: int, eps: float):
 
 def _reference_float(move, start: int, t_max: int, eps: float):
     weights = {start: 1.0}
+    first = {start: 0}  # code -> the day it was first reached, pruned or not
     values, bounds = [0.0], [0.0]
     regret = s0 = s1 = 0.0
     peak = 1
     for day in range(1, t_max + 1):
-        parents = sorted(weights)
+        parents = sorted(weights, key=lambda code: (first[code], code))
         moves = [move(code) for code in parents]
         half = np.array([weights[code] for code in parents]) * 0.5
         merged: dict = {}
@@ -146,7 +149,9 @@ def _reference_float(move, start: int, t_max: int, eps: float):
                 merged[m[branch]] = merged.get(m[branch], 0.0) + w
         delta_a = float(np.sum(half * np.array([m[2] for m in moves])))
         delta_b = float(np.sum(half * np.array([m[3] for m in moves])))
-        codes = sorted(merged)
+        for code in merged:
+            first.setdefault(code, day)
+        codes = sorted(merged, key=lambda code: (first[code], code))
         reached = np.array([merged[code] for code in codes])
         keep = reached >= eps
         pruned = float(np.sum(reached[~keep]))

@@ -84,6 +84,22 @@ def test_compare_bad_window(capsys):
         assert f"error: window {window} must satisfy 1 <= LO < HI <= 10" in err
 
 
+@pytest.mark.parametrize("window, message", [
+    ("abc", "window must be LO:HI, got 'abc'"),
+    ("1:2:3", "window must be LO:HI, got '1:2:3'"),
+    ("400:500", "window 400:500 must satisfy 1 <= LO < HI <= 200"),
+])
+def test_compare_window_checked_before_sweeps(monkeypatch, capsys, window, message):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("swept before the window was checked")
+
+    monkeypatch.setattr(cli, "regret_series_fixed", no_sweep)
+    code, out, err = run(capsys, "compare", "--k", "5", "--a", "1,3", "--b", "1,3,5",
+                         "--t-max", "200", "--backend", "exact", "--window", window)
+    assert code == 2 and out == ""
+    assert f"error: {message}" in err
+
+
 def test_optimal_k6_reference(capsys):
     code, out, _ = run(capsys, "optimal", "--k", "6", "--family", "1,3,6:1,4,6",
                        "--t", "13")
@@ -222,6 +238,17 @@ def test_verify_rejects_flag_no_suite_takes(capsys, argv, flag):
     code, out, err = run(capsys, "verify", *argv)
     assert code == 2 and out == ""
     assert f"takes no {flag}" in err
+
+
+def test_verify_oracle_checks_t_max_first(monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before --t-max was checked")
+
+    monkeypatch.setattr("combregret.checks.brute_regret_fixed", no_work)
+    monkeypatch.setattr("combregret.checks.regret_series_fixed", no_work)
+    code, out, err = run(capsys, "verify", "--suite", "oracle", "--k", "2", "--t-max", "21")
+    assert code == 2 and out == ""
+    assert "--t-max 21 exceeds the oracle's limit of 20" in err
 
 
 def test_verify_reference_values(capsys):

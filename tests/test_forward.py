@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,7 +6,12 @@ from hypothesis import strategies as st
 from combregret.backend import EXACT, FLOAT
 from combregret.dyadic import HALF, ONE, ZERO, Dyadic
 from combregret.errors import BudgetError
-from combregret.forward import SERIES_HEADER, regret_series_fixed, write_series_csv
+from combregret.forward import (
+    SERIES_HEADER,
+    _TransitionTable,
+    regret_series_fixed,
+    write_series_csv,
+)
 from combregret.game import RankSubset, all_strategies
 from combregret.oracle import k2_closed_form
 from tests.support import reference_series
@@ -135,6 +141,33 @@ def test_table_budget(monkeypatch, backend):
         regret_series_fixed(5, s, 30, backend)
 
 
+def test_advance_reaches_the_child_rows_of_every_branch():
+    # a family table: 8 members, 16 branches, each day from every row reached
+    table = _TransitionTable(tuple(all_strategies(4)))
+    rows = np.zeros(1, dtype=np.int64)
+    for _ in range(6):
+        deltas, children, nxt = table.advance(rows)
+        assert (deltas == table.deltas[:, rows]).all() and deltas.shape == (16, rows.shape[0])
+        assert (children == table.children[:, rows].ravel()).all()
+        assert (np.diff(nxt) > 0).all()
+        assert nxt.tolist() == sorted(set(children.tolist()))
+        rows = nxt
+
+
+def test_sweep_rows_in_first_reached_day_then_code_order():
+    # the float sweep adds in row order, so this order fixes its digits
+    table = _TransitionTable((RankSubset.comb(5),))
+    first = {0: 0}  # row -> the day it was first reached
+    rows = np.zeros(1, dtype=np.int64)
+    for day in range(1, 40):
+        rows = table.advance(rows)[2]
+        assert (np.diff(rows) > 0).all()
+        for row in rows.tolist():
+            first.setdefault(row, day)
+    keys = [(first[row], int(table.codes[row])) for row in range(len(table))]
+    assert len(first) == len(table) and keys == sorted(keys)
+
+
 @st.composite
 def _reference_cases(draw):
     k = draw(st.integers(2, 5))
@@ -174,8 +207,9 @@ def test_pruning_interval_contains_exact():
     (3, (1,), 60, 0.0),
 ], ids=["comb", "1,3", "k4", "k3-unpruned"])
 def test_float_matches_dict_reference_bit_for_bit(k, ranks, t_max, eps):
-    # the reference adds every weight, delta and pruned mass in code order,
-    # so a frontier visited in any other order shows in the last bits
+    # the reference adds every weight, delta and pruned mass by first-reached
+    # day, then code, so a frontier visited in any other order shows in the
+    # last bits
     subset = RankSubset.of(k, ranks)
     series = regret_series_fixed(k, subset, t_max, FLOAT, eps)
     assert (series.values, series.error_bounds, series.frontier_peak) == reference_series(
