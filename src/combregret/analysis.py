@@ -98,10 +98,15 @@ class ConstancySummary:
     slope: float
 
 
+def check_window(t_lo: int, t_hi: int, t_max: int) -> None:
+    """Raise ``ValueError`` unless 1 <= t_lo < t_hi <= t_max."""
+    if not 1 <= t_lo < t_hi <= t_max:
+        raise ValueError(f"window {t_lo}:{t_hi} must satisfy 1 <= LO < HI <= {t_max}")
+
+
 def constancy_report(d: DiffStatSeries, t_lo: int, t_hi: int) -> ConstancySummary:
     """Window statistics of D: min, max, mean, and least-squares slope in T."""
-    if not 1 <= t_lo < t_hi <= d.t_max:
-        raise ValueError(f"window {t_lo}:{t_hi} must satisfy 1 <= LO < HI <= {d.t_max}")
+    check_window(t_lo, t_hi, d.t_max)
     ys = [float(d.values[t]) for t in range(t_lo, t_hi + 1)]
     ts = list(range(t_lo, t_hi + 1))
     n = len(ys)

@@ -15,6 +15,7 @@ from decimal import Decimal
 
 from .analysis import (
     certified_lower_bounds,
+    check_window,
     constancy_report,
     diff_stat,
     summary_lines,
@@ -109,12 +110,10 @@ def _cmd_compare(args) -> int:
     # the window is checked before the sweeps, which may take long
     if args.window is not None:
         try:
-            lo_txt, hi_txt = args.window.split(":")
-            lo, hi = int(lo_txt), int(hi_txt)
+            lo, hi = map(int, args.window.split(":"))
         except ValueError:
             raise ValueError(f"window must be LO:HI, got {args.window!r}") from None
-        if not 1 <= lo < hi <= args.t_max:
-            raise ValueError(f"window {lo}:{hi} must satisfy 1 <= LO < HI <= {args.t_max}")
+        check_window(lo, hi, args.t_max)
     elif args.t_max > 100:
         lo, hi = 100, args.t_max
     else:
@@ -127,12 +126,9 @@ def _cmd_compare(args) -> int:
 
     with _open_out(args.out) as f:
         write_diff_csv(d, f)
-        if args.out == "-":
-            for line in lines:
-                f.write(f"# {line}\n")
-    if args.out != "-":
-        for line in lines:
-            print(line)
+    # after a CSV on stdout, the summary lines are comments
+    for line in lines:
+        print(f"# {line}" if args.out == "-" else line)
     return 0
 
 

@@ -14,11 +14,12 @@ deltas filled in the first day the state is on the frontier.  The table
 holds a family of subsets; a sweep passes its one subset, and the adaptive
 solver in ``optimal`` its whole family.  Each state is therefore decoded,
 stepped and re-encoded once, by ``_successors`` (whose scalar reference is
-``game.step``: both use the codes of ``game.encode_state``).  The table's
-``advance`` is the day step of every engine, sweeps and solver alike, and a
-sweep's day adds one ``np.bincount`` per weight row.  The table never
-forgets a state, so it is capped at ``MAX_TABLE_ROWS`` rows for one member
-and fewer for a family; growing past the cap raises ``BudgetError``.
+``game.step``: both use the codes of ``game.encode_state``).  Every engine
+expands a day's states and hands their child rows to the table's ``reach``,
+which returns the next frontier or layer; a sweep also adds one
+``np.bincount`` per weight row.  The table never forgets a state, so it is
+capped at ``MAX_TABLE_ROWS`` rows for one member and fewer for a family;
+growing past the cap raises ``BudgetError``.
 
 The backends differ only in how they hold the weights:
 
@@ -177,18 +178,13 @@ class _TransitionTable:
         """The gap vectors of the states in ``rows``."""
         return [tuple(g) for g in _unpack(self.codes[rows], self.k).tolist()]
 
-    def advance(self, rows):
-        """One day from the states ``rows``: the day step of every engine.
-
-        Returns their leader deltas, shape (2m, n) for m members, their child
-        rows in the same order, flattened, and the rows those reach, ascending.
-        """
-        self.expand(rows)
-        deltas = np.take(self.deltas, rows, axis=1)
-        children = np.take(self.children, rows, axis=1).ravel()
+    def reach(self, children):
+        """The rows that ``children``, arrays of child rows, reach, ascending: every
+        engine's next frontier or layer (the solver passes one branch at a time)."""
         reached = np.zeros(len(self), dtype=bool)
-        reached[children] = True
-        return deltas, children, np.flatnonzero(reached)
+        for rows in children:
+            reached[rows] = True
+        return np.flatnonzero(reached)
 
     def expand(self, rows) -> None:
         """Step the unexpanded states among ``rows``, appending their new children."""
@@ -311,7 +307,10 @@ def _series_exact(subset: RankSubset, t_max: int, eps) -> RegretSeries:
     regret = s0 = s1 = 0
     peak = 1
     for day in range(1, t_max + 1):
-        deltas, children, frontier = table.advance(frontier)
+        table.expand(frontier)
+        deltas = np.take(table.deltas, frontier, axis=1)
+        children = np.take(table.children, frontier, axis=1)
+        frontier = table.reach(children)
         both = deltas[0] + deltas[1]
         delta = _join(limb @ both for limb in counts)
         merged = []
@@ -319,7 +318,7 @@ def _series_exact(subset: RankSubset, t_max: int, eps) -> RegretSeries:
         while counts:
             # popped, so each limb is freed once merged
             limb = counts.pop(0)
-            sums = np.bincount(children, weights=np.concatenate([limb, limb]), minlength=len(table))
+            sums = np.bincount(children.ravel(), weights=np.concatenate([limb, limb]), minlength=len(table))
             row = sums[frontier].astype(np.int64)
             row += carry
             carry = row >> LIMB_BITS
@@ -372,11 +371,14 @@ def _series_float(subset: RankSubset, t_max: int, eps: float) -> RegretSeries:
     s1 = 0.0
     peak = 1
     for day in range(1, t_max + 1):
-        deltas, children, frontier = table.advance(frontier)
+        table.expand(frontier)
+        deltas = np.take(table.deltas, frontier, axis=1)
+        children = np.take(table.children, frontier, axis=1)
+        frontier = table.reach(children)
         half = weights * 0.5
         # the expected delta is accumulated before pruning
         expected_delta = float(np.sum(half * deltas[0])) + float(np.sum(half * deltas[1]))
-        merged = np.bincount(children, weights=np.concatenate([half, half]), minlength=len(table))
+        merged = np.bincount(children.ravel(), weights=np.concatenate([half, half]), minlength=len(table))
         weights = merged[frontier]
         # free the day's arrays before the next day grows the table
         del deltas, children, half, merged

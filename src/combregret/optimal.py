@@ -16,12 +16,13 @@ works in layers.  A forward pass enumerates L_0 ... L_T over one
 ``forward._TransitionTable`` of the whole family, which steps each state
 once however many layers hold it and keeps its children and leader deltas.
 L_d holds the table rows of every state reachable at day d under some
-sequence of family members, in ascending order: L_{d+1} is the table's day
-step ``advance`` from L_d, the same step the forward sweeps take from their
-frontier.  A row never moves once the table has it, so a layer stays valid
-as later layers add states.  Gap tuples become rows and back only through
-the table's ``row_of`` and ``gaps``.  A backward pass then values a whole
-layer at once on the scaled integers N(s, r) = V(s, r) * 2^r, which obey
+sequence of family members, in ascending order: L_{d+1} is what the table's
+``reach`` returns for the child rows of L_d, as the forward sweeps build
+their next frontier.  A row never moves once the table has it, so a layer
+stays valid as later layers add states.  Gap tuples become rows and back
+only through the table's ``row_of`` and ``gaps``.  A backward pass then
+values a whole layer at once on the scaled integers N(s, r) = V(s, r) * 2^r,
+which obey
 
     N(s, r) = max over A of 2^(r-1) * (delta_A + delta_B) + N(s_A, r-1) + N(s_B, r-1)
 
@@ -98,7 +99,9 @@ class AdaptiveSolver:
             # the states of L_0 .. L_d, those valued for horizon d + 1
             if sum(layer.shape[0] for layer in self._layers) > MAX_MEMO_NODES:
                 raise BudgetError(f"adaptive memo exceeded {MAX_MEMO_NODES} nodes")
-            self._layers.append(self.table.advance(self._layers[d])[2])
+            rows = self._layers[d]
+            self.table.expand(rows)
+            self._layers.append(self.table.reach(branch[rows] for branch in self.table.children))
 
     def _solve(self, t: int) -> None:
         """The backward pass: N over every layer for horizon t."""

@@ -141,16 +141,16 @@ def test_table_budget(monkeypatch, backend):
         regret_series_fixed(5, s, 30, backend)
 
 
-def test_advance_reaches_the_child_rows_of_every_branch():
+def test_reach_returns_the_child_rows_of_every_branch():
     # a family table: 8 members, 16 branches, each day from every row reached
     table = _TransitionTable(tuple(all_strategies(4)))
     rows = np.zeros(1, dtype=np.int64)
     for _ in range(6):
-        deltas, children, nxt = table.advance(rows)
-        assert (deltas == table.deltas[:, rows]).all() and deltas.shape == (16, rows.shape[0])
-        assert (children == table.children[:, rows].ravel()).all()
+        table.expand(rows)
+        assert table.expanded[rows].all() and table.children.shape[0] == 16
+        nxt = table.reach(branch[rows] for branch in table.children)
         assert (np.diff(nxt) > 0).all()
-        assert nxt.tolist() == sorted(set(children.tolist()))
+        assert nxt.tolist() == sorted(set(table.children[:, rows].ravel().tolist()))
         rows = nxt
 
 
@@ -160,7 +160,8 @@ def test_sweep_rows_in_first_reached_day_then_code_order():
     first = {0: 0}  # row -> the day it was first reached
     rows = np.zeros(1, dtype=np.int64)
     for day in range(1, 40):
-        rows = table.advance(rows)[2]
+        table.expand(rows)
+        rows = table.reach(table.children[:, rows])
         assert (np.diff(rows) > 0).all()
         for row in rows.tolist():
             first.setdefault(row, day)
