@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -80,6 +81,11 @@ LIMB_BITS = 28
 _LIMB_MASK = (1 << LIMB_BITS) - 1
 assert 2 * MAX_TABLE_ROWS << LIMB_BITS <= 1 << 53
 
+# the most branch-rows (branches times states) one numpy call steps, looks
+# up or values at once: a small layer goes in one call, a layer of more
+# rows one branch (or one member) at a time
+BLOCK_CELLS = 1 << 13
+
 
 def _grow(a, size: int):
     """A zeroed copy of ``a`` with its last axis lengthened to ``size``."""
@@ -95,19 +101,30 @@ def _sorted_unique(codes):
     return out[np.concatenate(([True], out[1:] != out[:-1]))]
 
 
-def _unpack(codes, k: int):
-    """Gap vectors, shape (n, k), of the packed states ``codes``."""
+def _gap_columns(codes, k: int) -> list:
+    """The gaps of the packed states ``codes`` rank by rank: k arrays of
+    shape (n,), the leader's zeros first."""
     width = packed_width(k)
     mask = np.int64((1 << width) - 1)
-    gaps = np.zeros((codes.shape[0], k), dtype=np.int64)
-    for i in range(1, k):
-        gaps[:, i] = (codes >> np.int64(width * (i - 1))) & mask
-    return gaps
+    return [np.zeros_like(codes)] + [(codes >> np.int64(width * (i - 1))) & mask for i in range(1, k)]
+
+
+def _unpack(codes, k: int):
+    """Gap vectors, shape (n, k), of the packed states ``codes``."""
+    return np.stack(_gap_columns(codes, k), axis=1)
 
 
 def _branch_gains(subset: RankSubset):
     """The int64 per-rank gains of ``subset``'s two branches, for ``_successors``."""
     return tuple(np.array(g, dtype=np.int64) for g in (subset.gains(), subset.complement_gains()))
+
+
+def _branch_blocks(branches: int, rows: int, pair: int = 1) -> list[slice]:
+    """Slices covering ``branches`` for a step of ``rows`` rows: blocks of as
+    many whole groups of ``pair`` branches as fit in ``BLOCK_CELLS``
+    branch-rows, and at least one group."""
+    step = max(1, BLOCK_CELLS // (pair * max(rows, 1))) * pair
+    return [slice(lo, lo + step) for lo in range(0, branches, step)]
 
 
 def _successors(codes, k: int, gains):
@@ -116,20 +133,30 @@ def _successors(codes, k: int, gains):
     ``gains`` holds the int64 per-rank gains of each branch (a subset and its
     complement, for one or more subsets in turn).  Returns the child codes
     and the leader deltas of every branch, shape (len(gains), n) each.
+    Branches are stepped in blocks of ``_branch_blocks``, rank by rank: each
+    rank's gaps are one (branches, n) array, so no numpy call runs along the
+    short rank axis.
     """
     n = codes.shape[0]
     width = packed_width(k)
-    gaps = _unpack(codes, k)
-    child_codes = np.zeros((len(gains), n), dtype=np.int64)
-    deltas = np.empty((len(gains), n), dtype=np.int8)  # a leader delta is 0 or 1
-    for b, branch in enumerate(gains):
-        rel = branch[None, :] - gaps
-        delta = rel.max(axis=1)
-        nxt = delta[:, None] - rel
-        nxt.sort(axis=1)
+    gaps = _gap_columns(codes, k)
+    gains = np.asarray(gains, dtype=np.int64)
+    child_codes = np.zeros((gains.shape[0], n), dtype=np.int64)
+    deltas = np.empty((gains.shape[0], n), dtype=np.int8)  # a leader delta is 0 or 1
+    for block in _branch_blocks(gains.shape[0], n):
+        rel = [gains[block, i, None] - gaps[i] for i in range(k)]
+        delta = reduce(np.maximum, rel)
+        nxt = [np.subtract(delta, r, out=r) for r in rel]
+        # an insertion network of compare-exchanges sorts each child's gaps
         for i in range(1, k):
-            child_codes[b] |= nxt[:, i] << np.int64(width * (i - 1))
-        deltas[b] = delta
+            for j in range(i, 0, -1):
+                low = np.minimum(nxt[j - 1], nxt[j])
+                nxt[j] = np.maximum(nxt[j - 1], nxt[j])
+                nxt[j - 1] = low
+        out = child_codes[block]
+        for i in range(1, k):
+            out |= nxt[i] << np.int64(width * (i - 1))
+        deltas[block] = delta
     return child_codes, deltas
 
 
@@ -143,11 +170,13 @@ class _TransitionTable:
     stays on a sweep's frontier or in how many of the adaptive solver's
     layers it lies.  Rows are appended as states appear, each batch in code
     order, and never move; ``order`` lists them in code order, for lookups.
+    States are stepped, and their child rows looked up, in blocks of
+    branches of at most ``BLOCK_CELLS`` branch-rows.
     """
 
     def __init__(self, family: tuple[RankSubset, ...]):
         self.k = family[0].k
-        self.gains = tuple(g for s in family for g in _branch_gains(s))
+        self.gains = np.array([g for s in family for g in _branch_gains(s)])  # (branches, k)
         self.codes = np.zeros(1, dtype=np.int64)  # the day-0 state
         self.order = np.zeros(1, dtype=np.int64)
         self.children = np.zeros((len(self.gains), 1), dtype=np.int64)
@@ -180,7 +209,7 @@ class _TransitionTable:
 
     def reach(self, children):
         """The rows that ``children``, arrays of child rows, reach, ascending: every
-        engine's next frontier or layer (the solver passes one branch at a time)."""
+        engine's next frontier or layer (the solver passes blocks of branches)."""
         reached = np.zeros(len(self), dtype=bool)
         for rows in children:
             reached[rows] = True
@@ -207,9 +236,9 @@ class _TransitionTable:
             self.codes = np.concatenate([self.codes, fresh])
             self.children, self.deltas = _grow(self.children, size), _grow(self.deltas, size)
             self.expanded = _grow(self.expanded, size)
-        # one branch at a time, to keep the transient row indices small
-        for dst, src in zip(self.children, child_codes):
-            dst[new] = self.find(src)
+        # in blocks of branches, to keep the transient row indices small
+        for block in _branch_blocks(len(self.gains), new.shape[0]):
+            self.children[block, new] = self.find(child_codes[block])
         self.deltas[:, new] = child_deltas
         self.expanded[new] = True
 

@@ -27,8 +27,11 @@ which obey
     N(s, r) = max over A of 2^(r-1) * (delta_A + delta_B) + N(s_A, r-1) + N(s_B, r-1)
 
 so every comparison is exact, and ties are exact equalities.  N(s, r) is at
-most r * 2^r, so a horizon up to ``INT64_HORIZON`` is valued in int64 and a
-longer one in Python integers.  Values leave the solver as ``Dyadic(N, r)``,
+most r * 2^r, so a layer with up to ``INT64_HORIZON`` days left is valued in
+one int64 limb, and one with more in int64 limb rows: lower limbs of
+``LIMB_BITS`` bits below a top limb, compared from the top.  Members are
+valued in blocks of ``forward.BLOCK_CELLS`` branch-rows.  Values leave the
+solver as ``Dyadic(N, r)``,
 and regrets as ``Dyadic(x)`` of their ``Fraction`` difference.  Neither this
 solver nor ``best_fixed_subset`` (exact forward sweeps) has a float engine:
 the CLI prints the correctly rounded float of the exact value when asked.
@@ -44,23 +47,61 @@ import numpy as np
 
 from .dyadic import Dyadic
 from .errors import BudgetError
-from .forward import _TransitionTable, regret_series_fixed
+from .forward import _branch_blocks, _TransitionTable, regret_series_fixed
 from .game import MAX_K, GapState, RankSubset, all_strategies, packed_width
 
 # hard ceilings; exceeding them is an error, never a silent approximation.
-# A layer row keeps an 8 B table row index and one value per solved horizon (8 B in
-# int64); children and deltas live in the shared table, capped by
+# A layer row keeps an 8 B table row index and one value per solved horizon
+# (8 B per int64 limb: one limb while r <= 57 days are left, two through
+# r = 117); children and deltas live in the shared table, capped by
 # forward.MAX_TABLE_ROWS.  Counting the table, peak RSS grows by about
-# 440-490 B per layer row for the 32 subsets of k = 6 (T = 13, 16), 85-110 B
-# for the 16 of k = 5 (T = 30, 40) and 44-58 B for the 4 of k = 3 (T = 80,
-# 200, Python-int values).
+# 440-480 B per layer row for the 32 subsets of k = 6 (T = 13, 16), 87-109 B
+# for the 16 of k = 5 (T = 30, 40) and 17-22 B for the 4 of k = 3 (T = 80,
+# 200: up to two and four limbs).
 MAX_MEMO_NODES = 20_000_000
 MAX_HORIZON = 400
 # every gap reached within MAX_HORIZON days fits the packed width of any k
 assert MAX_HORIZON < 1 << packed_width(MAX_K)
 
-# N(s, r) <= r * 2^r < 2^63 while r <= 57
+# N(s, r) <= r * 2^r < 2^63 while r <= 57, so one int64 limb holds every
+# value with up to INT64_HORIZON days left.  More days add lower limbs of
+# LIMB_BITS bits, least significant first: a sum of three of them plus a carry
+# stays below 2^63, and the top limb holds the bits above them.
 INT64_HORIZON = 57
+LIMB_BITS = 61
+_LIMB_MASK = (1 << LIMB_BITS) - 1
+
+
+def _limb_count(r: int) -> int:
+    """The limbs that hold every N(s, r) <= r * 2^r, with r days left."""
+    bits = r + r.bit_length()  # of r * 2^r
+    return 1 + max(0, -(-(bits - 63) // LIMB_BITS))
+
+
+assert _limb_count(INT64_HORIZON) == 1 < _limb_count(INT64_HORIZON + 1)
+
+
+def _lex_max(c):
+    """Per row, the largest over members of the limb rows ``c``, shape
+    (limbs, members, rows): the top limb decides, and each lower limb only
+    among the members tied on every limb above it."""
+    if c.shape[1] == 1:
+        return c[:, 0]
+    out = np.empty((c.shape[0], c.shape[2]), dtype=np.int64)
+    lane = c[-1]
+    out[-1] = lane.max(axis=0)
+    for j in reversed(range(c.shape[0] - 1)):
+        # limbs are nonnegative, so -1 never wins or ties
+        lane = np.where(lane == out[j + 1], c[j], -1)
+        out[j] = lane.max(axis=0)
+    return out
+
+
+def _lex_maximum(a, b):
+    """Per row, the larger of the limb rows ``a`` and ``b``."""
+    if a.shape[0] == 1:
+        return np.maximum(a, b)
+    return _lex_max(np.stack((a, b), axis=1))
 
 
 def _canonical_family(family: Iterable[RankSubset]) -> tuple[RankSubset, ...]:
@@ -101,37 +142,59 @@ class AdaptiveSolver:
                 raise BudgetError(f"adaptive memo exceeded {MAX_MEMO_NODES} nodes")
             rows = self._layers[d]
             self.table.expand(rows)
-            self._layers.append(self.table.reach(branch[rows] for branch in self.table.children))
+            children = self.table.children
+            blocks = _branch_blocks(children.shape[0], rows.shape[0])
+            self._layers.append(self.table.reach(np.take(children[b], rows, axis=1) for b in blocks))
 
     def _solve(self, t: int) -> None:
         """The backward pass: N over every layer for horizon t."""
         self._expand(t)
-        n = np.zeros(self._layers[t].shape[0], dtype=np.int64 if t <= INT64_HORIZON else object)
+        n = np.zeros((1, self._layers[t].shape[0]), dtype=np.int64)
         values = [n]
         for d in reversed(range(t)):
-            n = reduce(np.maximum, self._candidates(d, t - d, n))
+            n = reduce(_lex_maximum, map(_lex_max, self._candidates(d, t - d, n)))
             values.append(n)
         values.reverse()
         self._values[t] = values
 
     def _candidates(self, d: int, r: int, below, rows=slice(None)):
-        """N(s, r) under each member in turn, of layer d's ``rows``, given
-        ``below``, the N over L_{d+1} with r-1 days left."""
-        spread = np.zeros(len(self.table), dtype=below.dtype)
-        spread[self._layers[d + 1]] = below
+        """N(s, r) of layer d's ``rows`` under each block of members in turn,
+        given ``below``, the N over L_{d+1} with r-1 days left: limb rows of
+        shape (limbs, members, rows), carries propagated."""
+        limbs = _limb_count(r)
+        spread = np.zeros((limbs, len(self.table)), dtype=np.int64)
+        spread[: below.shape[0], self._layers[d + 1]] = below
+        # where r needs one more limb than r - 1, split the top limb of
+        # ``below``, which may hold more than LIMB_BITS bits
+        for j in range(below.shape[0] - 1, limbs - 1):
+            spread[j + 1] = spread[j] >> LIMB_BITS
+            spread[j] &= _LIMB_MASK
         at = self._layers[d][rows]
+        # 2^(r-1) is bit `shift` of limb `limb`
+        limb = min((r - 1) // LIMB_BITS, limbs - 1)
+        shift = r - 1 - LIMB_BITS * limb
         children, deltas = self.table.children, self.table.deltas
-        for a in range(0, children.shape[0], 2):
-            ca, cb = children[a][at], children[a + 1][at]
-            dsum = deltas[a][at] + deltas[a + 1][at]
-            # cast before shifting: an int8 shifted by 56 bits would overflow
-            yield (dsum.astype(below.dtype) << (r - 1)) + spread[ca] + spread[cb]
+        for block in _branch_blocks(children.shape[0], at.shape[0], 2):
+            # np.take, not 2-D fancy indexing, which is several times slower
+            kids = np.take(children[block], at, axis=1)
+            n = np.take(spread, kids[0::2], axis=1)
+            n += np.take(spread, kids[1::2], axis=1)
+            dsum = np.take(deltas[block], at, axis=1)
+            # each member's int8 delta sum, at most 2, is cast before its shift
+            # by up to 60 bits
+            n[limb] += (dsum[0::2] + dsum[1::2]).astype(np.int64) << shift
+            for j in range(limbs - 1):
+                n[j + 1] += n[j] >> LIMB_BITS
+                n[j] &= _LIMB_MASK
+            yield n
 
     def _best(self, t: int, d: int, rows):
         """Mask (members, rows) of the members achieving N at layer d's rows."""
         values = self._values[t]
-        target = values[d][rows]
-        return np.stack([c == target for c in self._candidates(d, t - d, values[d + 1], rows)])
+        target = values[d][:, None, rows]
+        return np.concatenate(
+            [(c == target).all(axis=0) for c in self._candidates(d, t - d, values[d + 1], rows)]
+        )
 
     def expected_max(self, t: int) -> Dyadic:
         """E[max total gain] after t days of best adaptive play."""
@@ -141,7 +204,8 @@ class AdaptiveSolver:
             raise BudgetError(f"horizon {t} exceeds the adaptive engine cap {MAX_HORIZON}")
         if t not in self._values:
             self._solve(t)
-        return Dyadic(int(self._values[t][0][0]), t)
+        limbs = self._values[t][0][:, 0].tolist()
+        return Dyadic(sum(x << (LIMB_BITS * j) for j, x in enumerate(limbs)), t)
 
     def value(self, t: int) -> "AdaptivePolicyValue":
         emax = self.expected_max(t)

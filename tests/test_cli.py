@@ -251,6 +251,18 @@ def test_verify_oracle_checks_t_max_first(monkeypatch, capsys):
     assert "--t-max 21 exceeds the oracle's limit of 20" in err
 
 
+def test_verify_all_checks_oracle_limits_before_any_suite(monkeypatch, capsys):
+    # the reference-values suite comes first in "all"; none of it may run
+    def no_work(*args, **kwargs):
+        raise AssertionError("a suite ran before the oracle's --t-max was checked")
+
+    for name in ("value_adaptive", "best_fixed_subset", "regret_series_fixed", "brute_regret_fixed"):
+        monkeypatch.setattr(f"combregret.checks.{name}", no_work)
+    code, out, err = run(capsys, "verify", "--suite", "all", "--t-max", "21")
+    assert code == 2 and out == ""
+    assert "--t-max 21 exceeds the oracle's limit of 20" in err
+
+
 def test_verify_reference_values(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "reference-values")
     assert code == 0

@@ -1,5 +1,6 @@
 import pytest
 
+from combregret import forward
 from combregret.dyadic import ZERO, Dyadic
 from combregret.errors import BudgetError
 from combregret.forward import _successors, regret_series_fixed
@@ -8,6 +9,7 @@ from combregret.optimal import (
     INT64_HORIZON,
     MAX_HORIZON,
     AdaptiveSolver,
+    _limb_count,
     best_fixed_subset,
     value_adaptive,
 )
@@ -25,14 +27,33 @@ def test_singleton_family_equals_fixed_series():
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_singleton_family_across_int64_switch(k):
-    # values are int64 through T = INT64_HORIZON and Python ints beyond;
-    # both sides of the switch must match the forward engine exactly
+    # a value with up to INT64_HORIZON days left is one int64 limb, and two
+    # beyond; both sides of the switch must match the forward engine
+    # exactly, and at k = 2 both sides of the switch to three limbs after
+    # 117 days too
     assert INT64_HORIZON == 57
+    assert [_limb_count(t) for t in (57, 58, 117, 118)] == [1, 2, 2, 3]
+    horizons = (56, 57, 58, 64) + ((116, 117, 118, 119) if k == 2 else ())
     for subset in all_strategies(k):
-        series = regret_series_fixed(k, subset, 64)
+        series = regret_series_fixed(k, subset, horizons[-1])
         solver = AdaptiveSolver(k, [subset])
-        for t in (56, 57, 58, 64):
+        for t in horizons:
             assert solver.value(t).regret == series.values[t]
+
+
+def test_k3_all_family_equals_comb_at_t100():
+    # with two limbs past 57 days left, adaptive play over all four subsets
+    # of k = 3 gains nothing over the fixed {1,3}
+    fixed = regret_series_fixed(3, RankSubset.of(3, (1, 3)), 100).values[100]
+    assert value_adaptive(3, all_strategies(3), 100).regret == fixed
+
+
+@pytest.mark.slow
+def test_k5_all_family_equals_13_at_t60():
+    # the headline family, with two limbs past 57 days left: no adaptive
+    # gain over the fixed [1,3]
+    fixed = regret_series_fixed(5, RankSubset.of(5, (1, 3)), 60).values[60]
+    assert value_adaptive(5, all_strategies(5), 60).regret == fixed
 
 
 def test_all_subset_values_and_node_counts():
@@ -216,6 +237,36 @@ def test_each_state_stepped_once(monkeypatch):
     family = list(all_strategies(3))
     assert value_adaptive(3, family, 80).node_count == 88_560
     assert sum(stepped) == 2 * len(family) * 3_240
+
+
+def test_blocked_steps_match_one_block(monkeypatch):
+    # the 64 branches of the k = 6 all-family table, stepped, looked up and
+    # valued in blocks of several branches, against one block per layer
+    blocks = []
+
+    def counting(branches, rows, pair=1):
+        out = branch_blocks(branches, rows, pair)
+        blocks.append((branches // pair, len(out)))
+        return out
+
+    branch_blocks = forward._branch_blocks
+    monkeypatch.setattr("combregret.forward._branch_blocks", counting)
+    monkeypatch.setattr("combregret.optimal._branch_blocks", counting)
+    runs = []
+    for cells in (1 << 40, 200):
+        monkeypatch.setattr("combregret.forward.BLOCK_CELLS", cells)
+        blocks.clear()
+        solver = AdaptiveSolver(6, all_strategies(6))
+        runs.append((solver, solver.value(9), list(blocks)))
+    (one, v1, one_blocks), (several, v2, several_blocks) = runs
+    assert {n for _, n in one_blocks} == {1}
+    # branches (64) and members (32) both went in several blocks of more than one
+    assert {groups for groups, n in several_blocks if 1 < n < groups / 2} == {32, 64}
+    assert several.table.children.shape[0] == 64
+    for name in ("codes", "order", "children", "deltas", "expanded"):
+        assert (getattr(several.table, name) == getattr(one.table, name)).all()
+    assert v2.expected_max == v1.expected_max and v2.node_count == v1.node_count
+    assert list(several.trace(9)) == list(one.trace(9))
 
 
 def test_node_budget_counts_node_count(monkeypatch):
