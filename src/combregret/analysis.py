@@ -38,14 +38,20 @@ class DiffStatSeries:
         return len(self.values) - 1
 
 
-def diff_stat(a: RegretSeries, b: RegretSeries, scale: int = 1000) -> DiffStatSeries:
-    """Scaled difference of normalized squared regrets, entry per horizon."""
+def _check_pair(a: RegretSeries, b: RegretSeries, scale: int) -> None:
+    """Raise ``ValueError`` unless ``a`` and ``b`` cover one game over one
+    range and ``scale`` is positive."""
     if a.subset.k != b.subset.k:
         raise ValueError(f"series disagree on k: {a.subset.k} vs {b.subset.k}")
     if a.t_max != b.t_max:
         raise ValueError(f"series cover different ranges: {a.t_max} vs {b.t_max}")
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale}")
+
+
+def diff_stat(a: RegretSeries, b: RegretSeries, scale: int = 1000) -> DiffStatSeries:
+    """Scaled difference of normalized squared regrets, entry per horizon."""
+    _check_pair(a, b, scale)
     exact = a.backend.is_exact and b.backend.is_exact
     values = [Fraction(0) if exact else 0.0]
     for t in range(1, a.t_max + 1):
@@ -78,8 +84,7 @@ def certified_lower_bounds(a: RegretSeries, b: RegretSeries, scale: int = 1000) 
     rounds to 7.446573694850673), far below the ~3.46 minimum of D off the
     ties.
     """
-    if a.subset.k != b.subset.k or a.t_max != b.t_max:
-        raise ValueError("series must cover the same game and range")
+    _check_pair(a, b, scale)
     out = [0.0]
     for t in range(1, a.t_max + 1):
         ra = max(float(a.values[t]), 0.0)

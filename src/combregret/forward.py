@@ -245,9 +245,22 @@ class _TransitionTable:
 # ----------------------------------------------------------------------
 # exact weights: path counts as int64 limb rows
 
-def _join(limbs) -> int:
-    """The Python integer sum of the j-th of ``limbs`` times 2^(LIMB_BITS * j)."""
-    return sum(int(x) << (LIMB_BITS * j) for j, x in enumerate(limbs))
+# Every limb row in the package follows one convention: limb j, least
+# significant first, is an int64 (or a row of them) below 2^bits, worth
+# 2^(bits * j).  Sweeps use LIMB_BITS; the adaptive solver its own, wider one.
+
+def _carry(limbs, bits: int) -> None:
+    """Normalize the limb rows ``limbs`` in place: carry every limb's bits at
+    and above ``bits`` into the next one.  The top limb is not masked: the
+    caller sizes ``limbs`` so that it stays below 2^bits."""
+    for j in range(len(limbs) - 1):
+        limbs[j + 1] += limbs[j] >> bits
+        limbs[j] &= (1 << bits) - 1
+
+
+def _join(limbs, bits: int) -> int:
+    """The Python integer of the limbs ``limbs``: the sum of the j-th times 2^(bits * j)."""
+    return sum(int(x) << (bits * j) for j, x in enumerate(limbs))
 
 
 def _at_least(counts: list, value: int):
@@ -319,8 +332,8 @@ def _series_exact(subset: RankSubset, t_max: int, eps) -> RegretSeries:
     ``LIMB_BITS``-bit limbs, least significant first; entry i of each row
     belongs to frontier state i.  A day merges each limb with one
     ``np.bincount`` of the child rows, gathers the sums to the next frontier
-    and carries into the next limb; a row is appended when a carry first
-    passes the top limb.  Raises ``BudgetError`` when the table would exceed
+    and ``_carry``s them into a spare top limb, kept only when the carry
+    reaches it.  Raises ``BudgetError`` when the table would exceed
     ``MAX_TABLE_ROWS`` rows, or its rows at ``ROW_BYTES`` plus 16 B per limb
     after the first the float sweep's ``MAX_TABLE_ROWS * ROW_BYTES`` bytes.
     """
@@ -341,23 +354,18 @@ def _series_exact(subset: RankSubset, t_max: int, eps) -> RegretSeries:
         children = np.take(table.children, frontier, axis=1)
         frontier = table.reach(children)
         both = deltas[0] + deltas[1]
-        delta = _join(limb @ both for limb in counts)
+        delta = _join((limb @ both for limb in counts), LIMB_BITS)
         merged = []
-        carry = 0
         while counts:
             # popped, so each limb is freed once merged
             limb = counts.pop(0)
             sums = np.bincount(children.ravel(), weights=np.concatenate([limb, limb]), minlength=len(table))
-            row = sums[frontier].astype(np.int64)
-            row += carry
-            carry = row >> LIMB_BITS
-            row &= _LIMB_MASK
-            merged.append(row)
-        if carry.any():
-            merged.append(carry)
-        counts = merged
+            merged.append(sums[frontier].astype(np.int64))
+        merged.append(np.zeros_like(frontier))
+        _carry(merged, LIMB_BITS)
+        counts = merged if merged[-1].any() else merged[:-1]
         # free the day's arrays before the next day grows the table
-        del deltas, children, both, limb, sums, carry
+        del deltas, children, both, limb, sums
         if len(table) * (ROW_BYTES + 16 * (len(counts) - 1)) > budget:
             raise BudgetError(
                 f"exact sweep exceeded {budget} bytes: {len(table)} rows of {len(counts)} limbs"
@@ -367,7 +375,7 @@ def _series_exact(subset: RankSubset, t_max: int, eps) -> RegretSeries:
         if eps_num:
             # w/2^day < eps exactly when the integer w < ceil(eps * 2^day)
             keep = _at_least(counts, -(-(eps_num << day) // eps_den))
-            pruned = _join(limb[~keep].sum() for limb in counts)
+            pruned = _join((limb[~keep].sum() for limb in counts), LIMB_BITS)
             frontier, counts = frontier[keep], [limb[keep] for limb in counts]
         s0 = 2 * s0 + pruned
         s1 = 2 * s1 + pruned * day

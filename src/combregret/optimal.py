@@ -27,14 +27,14 @@ which obey
     N(s, r) = max over A of 2^(r-1) * (delta_A + delta_B) + N(s_A, r-1) + N(s_B, r-1)
 
 so every comparison is exact, and ties are exact equalities.  N(s, r) is at
-most r * 2^r, so a layer with up to ``INT64_HORIZON`` days left is valued in
-one int64 limb, and one with more in int64 limb rows: lower limbs of
-``LIMB_BITS`` bits below a top limb, compared from the top.  Members are
-valued in blocks of ``forward.BLOCK_CELLS`` branch-rows.  Values leave the
-solver as ``Dyadic(N, r)``,
-and regrets as ``Dyadic(x)`` of their ``Fraction`` difference.  Neither this
-solver nor ``best_fixed_subset`` (exact forward sweeps) has a float engine:
-the CLI prints the correctly rounded float of the exact value when asked.
+most r * 2^r, which ``_limb_count(r)`` int64 limbs of ``LIMB_BITS`` bits hold
+in ``forward``'s limb convention (one limb while r <= 55, two through
+r = 115); limb rows are compared from the top.  Members are valued in blocks
+of ``forward.BLOCK_CELLS`` branch-rows.  Values leave the solver as
+``Dyadic(N, r)``, and regrets as ``Dyadic(x)`` of their ``Fraction``
+difference.  Neither this solver nor ``best_fixed_subset`` (exact forward
+sweeps) has a float engine: the CLI prints the correctly rounded float of the
+exact value when asked.
 """
 
 from __future__ import annotations
@@ -47,13 +47,13 @@ import numpy as np
 
 from .dyadic import Dyadic
 from .errors import BudgetError
-from .forward import _branch_blocks, _TransitionTable, regret_series_fixed
+from .forward import _branch_blocks, _carry, _join, _TransitionTable, regret_series_fixed
 from .game import MAX_K, GapState, RankSubset, all_strategies, packed_width
 
 # hard ceilings; exceeding them is an error, never a silent approximation.
 # A layer row keeps an 8 B table row index and one value per solved horizon
-# (8 B per int64 limb: one limb while r <= 57 days are left, two through
-# r = 117); children and deltas live in the shared table, capped by
+# (8 B per int64 limb: one limb while r <= 55 days are left, two through
+# r = 115); children and deltas live in the shared table, capped by
 # forward.MAX_TABLE_ROWS.  Counting the table, peak RSS grows by about
 # 440-480 B per layer row for the 32 subsets of k = 6 (T = 13, 16), 87-109 B
 # for the 16 of k = 5 (T = 30, 40) and 17-22 B for the 4 of k = 3 (T = 80,
@@ -63,22 +63,16 @@ MAX_HORIZON = 400
 # every gap reached within MAX_HORIZON days fits the packed width of any k
 assert MAX_HORIZON < 1 << packed_width(MAX_K)
 
-# N(s, r) <= r * 2^r < 2^63 while r <= 57, so one int64 limb holds every
-# value with up to INT64_HORIZON days left.  More days add lower limbs of
-# LIMB_BITS bits, least significant first: a sum of three of them plus a carry
-# stays below 2^63, and the top limb holds the bits above them.
-INT64_HORIZON = 57
+# values are limb rows of LIMB_BITS bits.  Before its carry, a limb of a
+# candidate sums two limbs, a delta sum of at most 2 shifted by up to 60 bits
+# and a carry of at most 3, so it stays in int64.
 LIMB_BITS = 61
-_LIMB_MASK = (1 << LIMB_BITS) - 1
+assert 2 * ((1 << LIMB_BITS) - 1) + (2 << 60) + 3 < 1 << 63
 
 
 def _limb_count(r: int) -> int:
     """The limbs that hold every N(s, r) <= r * 2^r, with r days left."""
-    bits = r + r.bit_length()  # of r * 2^r
-    return 1 + max(0, -(-(bits - 63) // LIMB_BITS))
-
-
-assert _limb_count(INT64_HORIZON) == 1 < _limb_count(INT64_HORIZON + 1)
+    return max(1, -(-(r + r.bit_length()) // LIMB_BITS))  # the bits of r * 2^r
 
 
 def _lex_max(c):
@@ -105,16 +99,14 @@ def _lex_maximum(a, b):
 
 
 def _canonical_family(family: Iterable[RankSubset]) -> tuple[RankSubset, ...]:
-    seen = {}
-    for s in family:
-        c = s.canonical()
-        seen[c.ranks] = c
-    if not seen:
+    # a set of subsets, not of rank tuples: {1} of k = 4 is not {1} of k = 5
+    members = {s.canonical() for s in family}
+    if not members:
         raise ValueError("strategy family must be nonempty")
-    ks = {s.k for s in seen.values()}
+    ks = {s.k for s in members}
     if len(ks) != 1:
         raise ValueError(f"family mixes expert counts: {sorted(ks)}")
-    return tuple(seen[r] for r in sorted(seen))
+    return tuple(sorted(members, key=lambda s: s.ranks))
 
 
 class AdaptiveSolver:
@@ -159,20 +151,13 @@ class AdaptiveSolver:
 
     def _candidates(self, d: int, r: int, below, rows=slice(None)):
         """N(s, r) of layer d's ``rows`` under each block of members in turn,
-        given ``below``, the N over L_{d+1} with r-1 days left: limb rows of
-        shape (limbs, members, rows), carries propagated."""
-        limbs = _limb_count(r)
-        spread = np.zeros((limbs, len(self.table)), dtype=np.int64)
+        given ``below``, the N over L_{d+1} with r-1 days left: carried limb
+        rows of shape (limbs, members, rows)."""
+        spread = np.zeros((_limb_count(r), len(self.table)), dtype=np.int64)
         spread[: below.shape[0], self._layers[d + 1]] = below
-        # where r needs one more limb than r - 1, split the top limb of
-        # ``below``, which may hold more than LIMB_BITS bits
-        for j in range(below.shape[0] - 1, limbs - 1):
-            spread[j + 1] = spread[j] >> LIMB_BITS
-            spread[j] &= _LIMB_MASK
         at = self._layers[d][rows]
         # 2^(r-1) is bit `shift` of limb `limb`
-        limb = min((r - 1) // LIMB_BITS, limbs - 1)
-        shift = r - 1 - LIMB_BITS * limb
+        limb, shift = divmod(r - 1, LIMB_BITS)
         children, deltas = self.table.children, self.table.deltas
         for block in _branch_blocks(children.shape[0], at.shape[0], 2):
             # np.take, not 2-D fancy indexing, which is several times slower
@@ -183,9 +168,7 @@ class AdaptiveSolver:
             # each member's int8 delta sum, at most 2, is cast before its shift
             # by up to 60 bits
             n[limb] += (dsum[0::2] + dsum[1::2]).astype(np.int64) << shift
-            for j in range(limbs - 1):
-                n[j + 1] += n[j] >> LIMB_BITS
-                n[j] &= _LIMB_MASK
+            _carry(n, LIMB_BITS)
             yield n
 
     def _best(self, t: int, d: int, rows):
@@ -204,8 +187,7 @@ class AdaptiveSolver:
             raise BudgetError(f"horizon {t} exceeds the adaptive engine cap {MAX_HORIZON}")
         if t not in self._values:
             self._solve(t)
-        limbs = self._values[t][0][:, 0].tolist()
-        return Dyadic(sum(x << (LIMB_BITS * j) for j, x in enumerate(limbs)), t)
+        return Dyadic(_join(self._values[t][0][:, 0], LIMB_BITS), t)
 
     def value(self, t: int) -> "AdaptivePolicyValue":
         emax = self.expected_max(t)

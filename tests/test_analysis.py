@@ -59,6 +59,20 @@ def test_diff_validation():
         diff_stat(a, a, scale=0)
 
 
+@pytest.mark.parametrize("stat", [diff_stat, certified_lower_bounds])
+@pytest.mark.parametrize("b, scale, message", [
+    pytest.param((4, (1, 3), 8), 1000, "series disagree on k: 5 vs 4", id="k"),
+    pytest.param((5, (1, 3, 5), 9), 1000, "series cover different ranges: 8 vs 9", id="range"),
+    pytest.param((5, (1, 3, 5), 8), 0, "scale must be positive, got 0", id="zero-scale"),
+    pytest.param((5, (1, 3, 5), 8), -1000, "scale must be positive, got -1000", id="negative-scale"),
+])
+def test_pair_checks_match(stat, b, scale, message):
+    # both statistics reject the same pairs with the same message; a
+    # negative scale would flip the sign of every certified lower bound
+    with pytest.raises(ValueError, match=message):
+        stat(_series(5, (1, 3), 8), _series(*b), scale)
+
+
 def test_certified_bounds_never_exceed_raw(sweep13, sweep135):
     d = diff_stat(sweep13, sweep135)
     certified = certified_lower_bounds(sweep13, sweep135)

@@ -9,8 +9,10 @@ import pytest
 
 from combregret import cli
 from combregret.checks import CheckResult
+from combregret.dyadic import HALF, Dyadic
 from combregret.forward import regret_series_fixed
 from combregret.game import RankSubset
+from combregret.oracle import brute_regret_fixed
 
 
 def run(capsys, *argv):
@@ -74,6 +76,13 @@ def test_compare_out_file_summary_on_stdout(tmp_path, capsys):
     assert code == 0
     assert "window=5..12" in out
     assert p.read_text().splitlines()[0] == "T,D"
+
+
+def test_compare_default_window_past_t100(capsys):
+    code, out, _ = run(capsys, "compare", "--k", "3", "--a", "1", "--b", "1,3",
+                       "--t-max", "103")
+    assert code == 0
+    assert "# window=100..103" in out.splitlines()
 
 
 def test_compare_bad_window(capsys):
@@ -261,6 +270,24 @@ def test_verify_all_checks_oracle_limits_before_any_suite(monkeypatch, capsys):
     code, out, err = run(capsys, "verify", "--suite", "all", "--t-max", "21")
     assert code == 2 and out == ""
     assert "--t-max 21 exceeds the oracle's limit of 20" in err
+
+
+def test_verify_oracle_reports_disagreement(monkeypatch, capsys):
+    # an oracle that disagrees from T = 3 on: each subset fails there
+    def off_by_half(k, subset, t):
+        value = brute_regret_fixed(k, subset, t)
+        return Dyadic(value + HALF) if t >= 3 else value
+
+    monkeypatch.setattr("combregret.checks.brute_regret_fixed", off_by_half)
+    code, out, _ = run(capsys, "verify", "--suite", "oracle", "--k", "3", "--t-max", "4")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[-1] == "0/4 checks passed"
+    engine = regret_series_fixed(3, RankSubset.of(3, (1,)), 3).values[3]
+    assert lines[0] == (
+        f"oracle_k3_subset_1: FAIL expected=T=3: {Dyadic(engine + HALF).interchange()}, "
+        f"got={engine.interchange()}"
+    )
 
 
 def test_verify_reference_values(capsys):

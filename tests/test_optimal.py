@@ -1,12 +1,11 @@
 import pytest
 
-from combregret import forward
+from combregret import forward, optimal
 from combregret.dyadic import ZERO, Dyadic
 from combregret.errors import BudgetError
 from combregret.forward import _successors, regret_series_fixed
 from combregret.game import RankSubset, all_strategies, encode_state, initial_state, step
 from combregret.optimal import (
-    INT64_HORIZON,
     MAX_HORIZON,
     AdaptiveSolver,
     _limb_count,
@@ -27,13 +26,11 @@ def test_singleton_family_equals_fixed_series():
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_singleton_family_across_int64_switch(k):
-    # a value with up to INT64_HORIZON days left is one int64 limb, and two
-    # beyond; both sides of the switch must match the forward engine
-    # exactly, and at k = 2 both sides of the switch to three limbs after
-    # 117 days too
-    assert INT64_HORIZON == 57
-    assert [_limb_count(t) for t in (57, 58, 117, 118)] == [1, 2, 2, 3]
-    horizons = (56, 57, 58, 64) + ((116, 117, 118, 119) if k == 2 else ())
+    # a value with up to 55 days left is one int64 limb, and two beyond;
+    # both sides of the switch must match the forward engine exactly, and at
+    # k = 2 both sides of the switch to three limbs after 115 days too
+    assert [_limb_count(t) for t in (55, 56, 115, 116)] == [1, 2, 2, 3]
+    horizons = (55, 56, 57, 58) + ((115, 116, 117, 118) if k == 2 else ())
     for subset in all_strategies(k):
         series = regret_series_fixed(k, subset, horizons[-1])
         solver = AdaptiveSolver(k, [subset])
@@ -46,6 +43,23 @@ def test_k3_all_family_equals_comb_at_t100():
     # of k = 3 gains nothing over the fixed {1,3}
     fixed = regret_series_fixed(3, RankSubset.of(3, (1, 3)), 100).values[100]
     assert value_adaptive(3, all_strategies(3), 100).regret == fixed
+
+
+def test_k3_all_family_in_small_blocks(monkeypatch):
+    # blocks of 16 branch-rows split every layer's members, so blocks of
+    # two-limb values meet in _lex_maximum; default blocks split only large
+    # late layers, whose values are one limb
+    limbs = []
+
+    def counting(a, b):
+        limbs.append(a.shape[0])
+        return lex_maximum(a, b)
+
+    lex_maximum = optimal._lex_maximum
+    monkeypatch.setattr("combregret.optimal._lex_maximum", counting)
+    monkeypatch.setattr("combregret.forward.BLOCK_CELLS", 16)
+    test_k3_all_family_equals_comb_at_t100()
+    assert max(limbs) == 2
 
 
 @pytest.mark.slow
@@ -133,6 +147,19 @@ def test_full_set_never_unique_at_start():
     full = RankSubset.of(3, (1, 2, 3))
     res = value_adaptive(3, [full, RankSubset.of(3, (1,))], 4)
     assert res.solver.maximizers(initial_state(3), 4) == (RankSubset.of(3, (1,)),)
+
+
+def test_maximizers_skip_shorter_horizons():
+    # T = 3 was solved first, and has no layer with 5 or 6 days left
+    family = [RankSubset.of(4, (1, 3)), RankSubset.of(4, (1, 4))]
+    solver = AdaptiveSolver(4, family)
+    solver.expected_max(3)
+    solver.expected_max(6)
+    fresh = AdaptiveSolver(4, family)
+    fresh.expected_max(6)
+    for state, r, maxers in fresh.trace(6):
+        if r > 3:
+            assert solver.maximizers(state, r) == maxers
 
 
 def test_maximizers_on_missing_node():

@@ -6,7 +6,8 @@ from combregret.dyadic import Dyadic, HALF
 from combregret.errors import BudgetError
 from combregret.forward import regret_series_fixed
 from combregret.game import RankSubset, all_strategies
-from combregret.optimal import value_adaptive
+from combregret.checks import run_suite
+from combregret.optimal import AdaptiveSolver, value_adaptive
 from combregret.oracle import (
     brute_regret_fixed,
     brute_value_adaptive,
@@ -120,6 +121,26 @@ def test_budget_guards():
         brute_regret_fixed(2, RankSubset.of(2, (1,)), 0)
     with pytest.raises(ValueError):
         brute_value_adaptive(2, [], 3)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: brute_regret_fixed(3, RankSubset.comb(3), 2, tie_order="middle"),
+                 "tie_order must be one of", id="tie-order"),
+    pytest.param(lambda: brute_regret_fixed(4, RankSubset.comb(3), 2),
+                 "subset is for k=3, not k=4", id="fixed-subset-k"),
+    pytest.param(lambda: brute_value_adaptive(4, [RankSubset.comb(3)], 2),
+                 "family member 1,3 is for k=3, not k=4", id="adaptive-member-k"),
+    pytest.param(lambda: brute_value_adaptive(3, [RankSubset.comb(3)], 0),
+                 "horizon must be at least 1, got 0", id="adaptive-t0"),
+    # {1} of k = 5 and {1} of k = 4 share their ranks, not their game
+    pytest.param(lambda: AdaptiveSolver(4, [RankSubset.of(5, (1,)), RankSubset.of(4, (1,))]),
+                 r"family mixes expert counts: \[4, 5\]", id="family-mixes-k"),
+    pytest.param(lambda: RankSubset(3, ()), "rank subset must be nonempty", id="empty-subset"),
+    pytest.param(lambda: run_suite("nope"), "unknown suite 'nope'", id="unknown-suite"),
+])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 @pytest.mark.slow
