@@ -51,8 +51,8 @@ from .forward import _branch_blocks, _carry, _join, _TransitionTable, regret_ser
 from .game import MAX_K, GapState, RankSubset, all_strategies, packed_width
 
 # hard ceilings; exceeding them is an error, never a silent approximation.
-# A layer row keeps an 8 B table row index and one value per solved horizon
-# (8 B per int64 limb: one limb while r <= 55 days are left, two through
+# A layer row keeps an 8 B table row index and its value for the one horizon
+# held (8 B per int64 limb: one limb while r <= 55 days are left, two through
 # r = 115); children and deltas live in the shared table, capped by
 # forward.MAX_TABLE_ROWS.  Counting the table, peak RSS grows by about
 # 440-480 B per layer row for the 32 subsets of k = 6 (T = 13, 16), 87-109 B
@@ -73,6 +73,11 @@ assert 2 * ((1 << LIMB_BITS) - 1) + (2 << 60) + 3 < 1 << 63
 def _limb_count(r: int) -> int:
     """The limbs that hold every N(s, r) <= r * 2^r, with r days left."""
     return max(1, -(-(r + r.bit_length()) // LIMB_BITS))  # the bits of r * 2^r
+
+
+# a full budget of layer rows fits in 2 GiB: per row an 8 B table row and at
+# most 7 limbs of value at MAX_HORIZON, about 1.28 GB
+assert MAX_MEMO_NODES * 8 * (1 + _limb_count(MAX_HORIZON)) <= 2 << 30
 
 
 def _lex_max(c):
@@ -113,8 +118,9 @@ class AdaptiveSolver:
     """Layered evaluator for one (k, family) pair.
 
     A single solver can value several horizons: the layers are shared, so
-    asking for T after T_max adds no rows, only one backward pass.  States
-    are table rows inside; gap tuples appear only at the public methods.
+    asking for T after T_max adds no rows, only one backward pass.  Only the
+    last horizon solved keeps its values.  States are table rows inside; gap
+    tuples appear only at the public methods.
     """
 
     def __init__(self, k: int, family: Iterable[RankSubset]):
@@ -124,7 +130,7 @@ class AdaptiveSolver:
         self.k = k
         self.table = _TransitionTable(self.family)
         self._layers = [np.zeros(1, dtype=np.int64)]  # L_0: row 0, the day-0 state
-        self._values: dict = {}  # horizon t -> [N over L_0, ..., N over L_t]
+        self._t, self._values = -1, []  # the horizon held (-1: none), N over L_0..L_t
 
     def _expand(self, t: int) -> None:
         """Enumerate the layers up to L_t."""
@@ -139,15 +145,16 @@ class AdaptiveSolver:
             self._layers.append(self.table.reach(np.take(children[b], rows, axis=1) for b in blocks))
 
     def _solve(self, t: int) -> None:
-        """The backward pass: N over every layer for horizon t."""
+        """The backward pass: N over every layer for horizon t, in place of the one held."""
         self._expand(t)
         n = np.zeros((1, self._layers[t].shape[0]), dtype=np.int64)
-        values = [n]
+        # release the held values first; no horizon is held until the pass ends
+        self._t, self._values = -1, [n]
         for d in reversed(range(t)):
             n = reduce(_lex_maximum, map(_lex_max, self._candidates(d, t - d, n)))
-            values.append(n)
-        values.reverse()
-        self._values[t] = values
+            self._values.append(n)
+        self._values.reverse()
+        self._t = t
 
     def _candidates(self, d: int, r: int, below, rows=slice(None)):
         """N(s, r) of layer d's ``rows`` under each block of members in turn,
@@ -171,12 +178,12 @@ class AdaptiveSolver:
             _carry(n, LIMB_BITS)
             yield n
 
-    def _best(self, t: int, d: int, rows):
+    def _best(self, d: int, rows):
         """Mask (members, rows) of the members achieving N at layer d's rows."""
-        values = self._values[t]
+        values = self._values
         target = values[d][:, None, rows]
         return np.concatenate(
-            [(c == target).all(axis=0) for c in self._candidates(d, t - d, values[d + 1], rows)]
+            [(c == target).all(axis=0) for c in self._candidates(d, self._t - d, values[d + 1], rows)]
         )
 
     def expected_max(self, t: int) -> Dyadic:
@@ -185,9 +192,9 @@ class AdaptiveSolver:
             raise ValueError(f"horizon must be nonnegative, got {t}")
         if t > MAX_HORIZON:
             raise BudgetError(f"horizon {t} exceeds the adaptive engine cap {MAX_HORIZON}")
-        if t not in self._values:
+        if t != self._t:
             self._solve(t)
-        return Dyadic(_join(self._values[t][0][:, 0], LIMB_BITS), t)
+        return Dyadic(_join(self._values[0][:, 0], LIMB_BITS), t)
 
     def value(self, t: int) -> "AdaptivePolicyValue":
         emax = self.expected_max(t)
@@ -203,19 +210,16 @@ class AdaptiveSolver:
         )
 
     def maximizers(self, state: GapState, remaining: int) -> tuple[RankSubset, ...]:
-        """All family members achieving the max at a computed node."""
+        """All family members achieving the max at a node of the last horizon solved."""
         row = self.table.row_of(state)
-        # -1, a state with no table row, is in no layer
-        if remaining >= 1 and row >= 0:
-            for t in self._values:
-                d = t - remaining
-                if d < 0:
-                    continue
-                layer = self._layers[d]
-                at = int(np.searchsorted(layer, row))
-                if at < layer.shape[0] and layer[at] == row:
-                    best = self._best(t, d, np.array([at]))[:, 0]
-                    return tuple(s for s, b in zip(self.family, best) if b)
+        d = self._t - remaining
+        # -1, a state with no table row, matches no row of a layer
+        if remaining >= 1 and d >= 0:
+            layer = self._layers[d]
+            at = int(np.searchsorted(layer, row))
+            if at < layer.shape[0] and layer[at] == row:
+                best = self._best(d, np.array([at]))[:, 0]
+                return tuple(s for s, b in zip(self.family, best) if b)
         raise ValueError(f"node not computed: state={state}, remaining={remaining}")
 
     def trace(self, t: int) -> Iterator[tuple[GapState, int, tuple[RankSubset, ...]]]:
@@ -224,11 +228,12 @@ class AdaptiveSolver:
         Yields (state, remaining, maximizers); children follow every
         maximizing subset in family order, a-branch before b-branch, so the
         dump covers the whole set of positions an optimal adversary can face.
+        Finish it before solving another horizon.
         """
         self.expected_max(t)
         level = np.zeros(1, dtype=np.int64)  # positions in layer d, in breadth-first order
         for d in range(t):
-            best = self._best(t, d, level).T.tolist()
+            best = self._best(d, level).T.tolist()
             # child table rows to positions in layer d + 1
             at = self._layers[d][level]
             children = np.searchsorted(self._layers[d + 1], self.table.children[:, at])

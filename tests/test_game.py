@@ -71,6 +71,8 @@ def test_parse():
 def test_labels():
     assert RankSubset.of(5, (1, 3)).label() == "1,3"
     assert RankSubset.of(6, (1, 3, 6)).label() == "1,3,6"
+    s = RankSubset.of(6, (1, 3, 6))
+    assert str(s) == s.label()
 
 
 def _step(gaps, subset):

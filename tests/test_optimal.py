@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from combregret import forward, optimal
@@ -150,7 +152,8 @@ def test_full_set_never_unique_at_start():
 
 
 def test_maximizers_skip_shorter_horizons():
-    # T = 3 was solved first, and has no layer with 5 or 6 days left
+    # T = 6, the horizon last solved, answers; T = 3, solved first, is
+    # released and had no layer with 5 or 6 days left
     family = [RankSubset.of(4, (1, 3)), RankSubset.of(4, (1, 4))]
     solver = AdaptiveSolver(4, family)
     solver.expected_max(3)
@@ -248,6 +251,40 @@ def test_reproducible_and_shared_memo():
     assert list(c.trace(5)) == list(fresh.solver.trace(5))
     for state, r, maxers in fresh.solver.trace(5):
         assert c.maximizers(state, r) == fresh.solver.maximizers(state, r) == maxers
+
+
+def test_solver_holds_one_horizon():
+    # a map over horizons holds the values of its last horizon only
+    family = list(all_strategies(3))
+    solver = AdaptiveSolver(3, family)
+    for t in range(1, 61):
+        assert solver.value(t).regret == AdaptiveSolver(3, family).value(t).regret
+    fresh = AdaptiveSolver(3, family)
+    fresh.expected_max(60)
+    assert sum(a.nbytes for a in solver._values) == sum(a.nbytes for a in fresh._values)
+    # a re-solve releases the values held before it builds the next ones
+    tracemalloc.start()
+    try:
+        solver = AdaptiveSolver(3, family)
+        solver.expected_max(200)
+        values = sum(a.nbytes for a in solver._values)
+        held, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        solver.expected_max(199)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - held < values / 2
+    # maximizers answers for the nodes of the last horizon solved only
+    solver = AdaptiveSolver(3, family)
+    solver.value(6)
+    nodes = [(state, maxers) for state, r, maxers in solver.trace(6) if r == 5]
+    solver.value(3)
+    for state, _ in nodes:
+        with pytest.raises(ValueError, match="node not computed"):
+            solver.maximizers(state, 5)
+    solver.value(6)
+    assert [(state, solver.maximizers(state, 5)) for state, _ in nodes] == nodes
 
 
 def test_each_state_stepped_once(monkeypatch):
