@@ -13,8 +13,9 @@ appears and never moved, with the rows of its children and their leader
 deltas filled in the first day the state is on the frontier.  The table
 holds a family of subsets; a sweep passes its one subset, and the adaptive
 solver in ``optimal`` its whole family.  Each state is therefore decoded,
-stepped and re-encoded once, by ``_successors`` (whose scalar reference is
-``game.step``: both use the codes of ``game.encode_state``).  Every engine
+stepped and re-encoded once, by ``_successors``, which reads and writes
+codes through ``game.unpack`` and ``game.pack`` (its scalar reference is
+``game.step``, on the same codes).  Every engine
 expands a day's states and hands their child rows to the table's ``reach``,
 which returns the next frontier or layer; a sweep also adds one
 ``np.bincount`` per weight row.  The table never forgets a state, so it is
@@ -52,7 +53,7 @@ import numpy as np
 from .backend import EXACT, FLOAT, ValueBackend
 from .dyadic import ZERO, Dyadic
 from .errors import BudgetError
-from .game import GapState, RankSubset, encode_state, packed_width, validate_state
+from .game import GapState, RankSubset, pack, packed_width, unpack, validate_state
 
 # default prune threshold for float sweeps; exact runs default to no pruning
 DEFAULT_FLOAT_EPS = 2.0**-50
@@ -101,17 +102,9 @@ def _sorted_unique(codes):
     return out[np.concatenate(([True], out[1:] != out[:-1]))]
 
 
-def _gap_columns(codes, k: int) -> list:
-    """The gaps of the packed states ``codes`` rank by rank: k arrays of
-    shape (n,), the leader's zeros first."""
-    width = packed_width(k)
-    mask = np.int64((1 << width) - 1)
-    return [np.zeros_like(codes)] + [(codes >> np.int64(width * (i - 1))) & mask for i in range(1, k)]
-
-
 def _unpack(codes, k: int):
     """Gap vectors, shape (n, k), of the packed states ``codes``."""
-    return np.stack(_gap_columns(codes, k), axis=1)
+    return np.stack(unpack(codes, k), axis=1)
 
 
 def _branch_gains(subset: RankSubset):
@@ -135,13 +128,13 @@ def _successors(codes, k: int, gains):
     and the leader deltas of every branch, shape (len(gains), n) each.
     Branches are stepped in blocks of ``_branch_blocks``, rank by rank: each
     rank's gaps are one (branches, n) array, so no numpy call runs along the
-    short rank axis.
+    short rank axis.  ``game.unpack`` reads the gaps and ``game.pack`` writes
+    each block's child codes.
     """
     n = codes.shape[0]
-    width = packed_width(k)
-    gaps = _gap_columns(codes, k)
+    gaps = unpack(codes, k)
     gains = np.asarray(gains, dtype=np.int64)
-    child_codes = np.zeros((gains.shape[0], n), dtype=np.int64)
+    child_codes = np.empty((gains.shape[0], n), dtype=np.int64)
     deltas = np.empty((gains.shape[0], n), dtype=np.int8)  # a leader delta is 0 or 1
     for block in _branch_blocks(gains.shape[0], n):
         rel = [gains[block, i, None] - gaps[i] for i in range(k)]
@@ -153,9 +146,7 @@ def _successors(codes, k: int, gains):
                 low = np.minimum(nxt[j - 1], nxt[j])
                 nxt[j] = np.maximum(nxt[j - 1], nxt[j])
                 nxt[j - 1] = low
-        out = child_codes[block]
-        for i in range(1, k):
-            out |= nxt[i] << np.int64(width * (i - 1))
+        child_codes[block] = pack(nxt, k)
         deltas[block] = delta
     return child_codes, deltas
 
@@ -201,7 +192,7 @@ class _TransitionTable:
         # a gap of 2^width or more has no code, so no row holds it
         if state[-1] >> packed_width(self.k):
             return -1
-        return int(self.find(np.array([encode_state(state)]))[0])
+        return int(self.find(np.array([pack(state, self.k)]))[0])
 
     def gaps(self, rows) -> list[GapState]:
         """The gap vectors of the states in ``rows``."""

@@ -12,9 +12,11 @@ to the expected maximum total gain minus that constant.  The day index and
 absolute totals therefore never need to be part of the state.
 
 The packed state code stores each gap after the leader's in
-``packed_width(k)`` bits.  Two modules know its layout: this one
-(``encode_state``, ``decode_state``) and ``forward``, whose ``_unpack`` and
-``_successors`` unpack and pack whole arrays of codes.  Every engine, the
+``packed_width(k)`` bits.  One module knows its layout, this one: ``pack``
+and ``unpack`` place and read every gap's bits, for a Python int or a whole
+int64 array of codes alike, and ``encode_state`` and ``decode_state`` add
+the checks of a single state.  ``forward._successors`` steps arrays of codes
+through them.  Every engine, the
 forward sweeps and the adaptive solver alike, steps each state once in a
 ``forward._TransitionTable`` through ``_successors``, and the adaptive
 solver maps gap tuples to rows and back through the table's ``row_of`` and
@@ -106,6 +108,7 @@ class RankSubset:
     @classmethod
     def parse(cls, k: int, text: str) -> "RankSubset":
         """Parse a comma-separated rank list such as ``1,3``, or ``comb``."""
+        check_expert_count(k)
         s = text.strip()
         if s == "comb":
             return cls.comb(k)
@@ -186,6 +189,28 @@ def packed_width(k: int) -> int:
     return min(12, 63 // (k - 1))
 
 
+def pack(gaps, k: int):
+    """The packed code of the k gaps ``gaps``, leader first: an int for
+    ints, an int64 array for arrays of gaps.  Gap i lands in bits
+    ``packed_width(k) * (i - 1)`` onwards; the leader's zero is dropped.
+    Nothing is checked."""
+    width = packed_width(k)
+    code = 0
+    for i in range(1, k):
+        code = code | gaps[i] << (width * (i - 1))
+    return code
+
+
+def unpack(codes, k: int) -> tuple:
+    """The k gaps, leader first, of the packed code ``codes``: ints for an
+    int, one array per rank for an int64 array of codes.  Nothing is
+    checked."""
+    width = packed_width(k)
+    mask = (1 << width) - 1
+    # codes & 0 is the leader's zero, as an int or as an array
+    return (codes & 0,) + tuple((codes >> (width * i)) & mask for i in range(k - 1))
+
+
 def encode_state(gaps: GapState) -> int:
     """Pack a gap vector into an int, ``packed_width(k)`` bits per gap.
 
@@ -197,20 +222,16 @@ def encode_state(gaps: GapState) -> int:
     """
     validate_state(gaps)
     width = packed_width(len(gaps))
-    code = 0
-    for i, g in enumerate(gaps[1:]):
-        if g >= 1 << width:
-            raise ValueError(f"gap {g} out of encodable range 0..{(1 << width) - 1}")
-        code |= g << (width * i)
-    return code
+    # the gaps are sorted, so the last is the largest
+    if gaps[-1] >= 1 << width:
+        raise ValueError(f"gap {gaps[-1]} out of encodable range 0..{(1 << width) - 1}")
+    return pack(gaps, len(gaps))
 
 
 def decode_state(code: int, k: int) -> GapState:
     """Inverse of encode_state."""
     if code < 0:
         raise ValueError("state code must be nonnegative")
-    width = packed_width(k)
-    if code >> (width * (k - 1)):
+    if code >> (packed_width(k) * (k - 1)):
         raise ValueError(f"code {code} has bits beyond k={k} gaps")
-    mask = (1 << width) - 1
-    return (0,) + tuple((code >> (width * i)) & mask for i in range(k - 1))
+    return unpack(code, k)

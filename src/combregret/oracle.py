@@ -4,7 +4,8 @@ These oracles deliberately share no state representation with the engines:
 they track unsorted per-expert totals, re-rank from scratch every day, and
 enumerate every branch sequence.  Agreement with the gap-state engines is
 therefore real evidence that sorting totals into gap vectors loses nothing,
-not a tautology.
+not a tautology.  One recursion serves both: the fixed oracle is the
+adaptive oracle over a one-member family.
 
 All values stay in scaled integers during recursion: with r days left, the
 quantity propagated is 2^r times the expected final maximum, which max() and
@@ -50,8 +51,9 @@ def brute_regret_fixed(
 ) -> Dyadic:
     """Expected regret of a fixed subset strategy by full enumeration.
 
-    Walks all 2^t branch sequences on raw totals and averages the final
-    maximum; the subset is applied exactly as given (no canonicalization).
+    The adaptive oracle over the one-member family ``(subset,)``: it walks
+    all 2^t branch sequences on raw totals and averages the final maximum.
+    The subset is applied exactly as given (no canonicalization).
     """
     if subset.k != k:
         raise ValueError(f"subset is for k={subset.k}, not k={k}")
@@ -59,20 +61,7 @@ def brute_regret_fixed(
         raise ValueError(f"horizon must be at least 1, got {t}")
     if t > MAX_FIXED_HORIZON:
         raise BudgetError(f"fixed oracle enumerates 2^t sequences; t={t} exceeds {MAX_FIXED_HORIZON}")
-    ranks_a = frozenset(subset.ranks)
-    ranks_b = frozenset(subset.complement_ranks())
-
-    def total_max(gains: tuple[int, ...], r: int) -> int:
-        # 2^r times the expected final maximum from this position
-        if r == 0:
-            return max(gains)
-        order = _rank_order(gains, tie_order)
-        ga = _advance(gains, order, ranks_a)
-        gb = _advance(gains, order, ranks_b)
-        return total_max(ga, r - 1) + total_max(gb, r - 1)
-
-    # 2^t * (E[max] - t/2)
-    return Dyadic(total_max((0,) * k, t) - (t << (t - 1)), t)
+    return brute_value_adaptive(k, (subset,), t, tie_order)
 
 
 def brute_value_adaptive(
@@ -100,6 +89,7 @@ def brute_value_adaptive(
     ]
 
     def total_max(gains: tuple[int, ...], r: int) -> int:
+        # 2^r times the expected final maximum from this position
         if r == 0:
             return max(gains)
         order = _rank_order(gains, tie_order)

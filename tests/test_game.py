@@ -11,8 +11,10 @@ from combregret.game import (
     decode_state,
     encode_state,
     initial_state,
+    pack,
     packed_width,
     step,
+    unpack,
     validate_state,
 )
 from tests.support import raw_reference_step, tie_consistent_perms, tied_states
@@ -66,6 +68,8 @@ def test_parse():
         RankSubset.parse(5, "2,2")
     with pytest.raises(ValueError):
         RankSubset.parse(5, "")
+    with pytest.raises(ValueError, match=r"^expert count"):
+        RankSubset.parse(9, "1")
 
 
 def test_labels():
@@ -176,13 +180,16 @@ def test_encode_decode_roundtrip():
             key = encode_state(gaps)
             assert decode_state(key, k) == gaps
     assert encode_state((0,) * 5) == 0
-    # the widest gap of every k round-trips in every field; all k - 1 fields
-    # fit an int64
+    # the widest gap of every k round-trips in every field, as an int and
+    # through the array path as one int64 array; all k - 1 fields fit an int64
     for k in range(2, 9):
         top = (1 << packed_width(k)) - 1
-        for i in range(1, k):
-            gaps = (0,) * i + (top,) * (k - i)
-            assert decode_state(encode_state(gaps), k) == gaps
+        states = [(0,) * i + (top,) * (k - i) for i in range(1, k)]
+        codes = [encode_state(gaps) for gaps in states]
+        assert [decode_state(code, k) for code in codes] == states
+        assert pack(np.array(states, dtype=np.int64).T, k).tolist() == codes
+        columns = unpack(np.array(codes, dtype=np.int64), k)
+        assert list(zip(*(g.tolist() for g in columns))) == states
         assert encode_state((0,) + (top,) * (k - 1)) < 1 << 63
 
 
