@@ -304,6 +304,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        # output paths are checked before any engine runs; append mode
+        # leaves an existing file as it is
+        for name in ("out", "trace", "out_csv", "out_svg"):
+            path = getattr(args, name, None)
+            if path not in (None, "-"):
+                open(path, "a", encoding="utf-8").close()
         return args.func(args)
     except (ValueError, BudgetError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -239,6 +239,7 @@ class _TransitionTable:
 # Every limb row in the package follows one convention: limb j, least
 # significant first, is an int64 (or a row of them) below 2^bits, worth
 # 2^(bits * j).  Sweeps use LIMB_BITS; the adaptive solver its own, wider one.
+# Rows are compared by the sign of the normalized difference, ``_at_least``.
 
 def _carry(limbs, bits: int) -> None:
     """Normalize the limb rows ``limbs`` in place: carry every limb's bits at
@@ -254,18 +255,16 @@ def _join(limbs, bits: int) -> int:
     return sum(int(x) << (bits * j) for j, x in enumerate(limbs))
 
 
-def _at_least(counts: list, value: int):
-    """Mask of the states whose limb rows ``counts`` hold at least ``value``."""
-    n = counts[0].shape[0]
-    if value >> (LIMB_BITS * len(counts)):
-        return np.zeros(n, dtype=bool)
-    more = np.zeros(n, dtype=bool)
-    equal = np.ones(n, dtype=bool)
-    for j in reversed(range(len(counts))):
-        c = (value >> (LIMB_BITS * j)) & _LIMB_MASK
-        more |= equal & (counts[j] > c)
-        equal &= counts[j] == c
-    return more | equal
+def _at_least(a, b, bits: int):
+    """Mask of where the limb rows ``a`` hold at least ``b``, both normalized
+    (the top limb of ``b`` may be 2^bits, above every ``a``).
+
+    Where a limb of the difference is negative, ``_carry`` borrows from the
+    next one (numpy's right shift is arithmetic), so the top limb of the
+    normalized difference has the sign of ``a - b``."""
+    diff = [x - y for x, y in zip(a, b)]
+    _carry(diff, bits)
+    return diff[-1] >= 0
 
 
 # ----------------------------------------------------------------------
@@ -364,8 +363,13 @@ def _series_exact(subset: RankSubset, t_max: int, eps) -> RegretSeries:
         regret = 2 * regret + delta - (1 << (day - 1))
         pruned = 0
         if eps_num:
-            # w/2^day < eps exactly when the integer w < ceil(eps * 2^day)
-            keep = _at_least(counts, -(-(eps_num << day) // eps_den))
+            # w/2^day < eps exactly when the integer w < ceil(eps * 2^day), in
+            # limbs; a top limb of 2^LIMB_BITS already exceeds every count
+            cut, top = -(-(eps_num << day) // eps_den), len(counts) - 1
+            cut = [cut >> (LIMB_BITS * j) & _LIMB_MASK for j in range(top)] + [
+                min(cut >> (LIMB_BITS * top), 1 << LIMB_BITS)
+            ]
+            keep = _at_least(counts, cut, LIMB_BITS)
             pruned = _join((limb[~keep].sum() for limb in counts), LIMB_BITS)
             frontier, counts = frontier[keep], [limb[keep] for limb in counts]
         s0 = 2 * s0 + pruned

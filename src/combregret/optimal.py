@@ -29,12 +29,13 @@ which obey
 so every comparison is exact, and ties are exact equalities.  N(s, r) is at
 most r * 2^r, which ``_limb_count(r)`` int64 limbs of ``LIMB_BITS`` bits hold
 in ``forward``'s limb convention (one limb while r <= 55, two through
-r = 115); limb rows are compared from the top.  Members are valued in blocks
-of ``forward.BLOCK_CELLS`` branch-rows.  Values leave the solver as
-``Dyadic(N, r)``, and regrets as ``Dyadic(x)`` of their ``Fraction``
-difference.  Neither this solver nor ``best_fixed_subset`` (exact forward
-sweeps) has a float engine: the CLI prints the correctly rounded float of the
-exact value when asked.
+r = 115).  Members are valued in blocks of ``forward.BLOCK_CELLS``
+branch-rows and folded into the max one at a time; two limb rows are
+compared by the sign of their normalized difference, ``forward._at_least``.
+Values leave the solver as ``Dyadic(N, r)``, and regrets as ``Dyadic(x)`` of
+their ``Fraction`` difference.  Neither this solver nor ``best_fixed_subset``
+(exact forward sweeps) has a float engine: the CLI prints the correctly
+rounded float of the exact value when asked.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import numpy as np
 
 from .dyadic import Dyadic
 from .errors import BudgetError
-from .forward import _branch_blocks, _carry, _join, _TransitionTable, regret_series_fixed
+from .forward import _at_least, _branch_blocks, _carry, _join, _TransitionTable, regret_series_fixed
 from .game import MAX_K, GapState, RankSubset, all_strategies, packed_width
 
 # hard ceilings; exceeding them is an error, never a silent approximation.
@@ -80,27 +81,11 @@ def _limb_count(r: int) -> int:
 assert MAX_MEMO_NODES * 8 * (1 + _limb_count(MAX_HORIZON)) <= 2 << 30
 
 
-def _lex_max(c):
-    """Per row, the largest over members of the limb rows ``c``, shape
-    (limbs, members, rows): the top limb decides, and each lower limb only
-    among the members tied on every limb above it."""
-    if c.shape[1] == 1:
-        return c[:, 0]
-    out = np.empty((c.shape[0], c.shape[2]), dtype=np.int64)
-    lane = c[-1]
-    out[-1] = lane.max(axis=0)
-    for j in reversed(range(c.shape[0] - 1)):
-        # limbs are nonnegative, so -1 never wins or ties
-        lane = np.where(lane == out[j + 1], c[j], -1)
-        out[j] = lane.max(axis=0)
-    return out
-
-
 def _lex_maximum(a, b):
-    """Per row, the larger of the limb rows ``a`` and ``b``."""
+    """Per row, the larger of the limb rows ``a`` and ``b``, shape (limbs, rows)."""
     if a.shape[0] == 1:
         return np.maximum(a, b)
-    return _lex_max(np.stack((a, b), axis=1))
+    return np.where(_at_least(a, b, LIMB_BITS), a, b)
 
 
 def _canonical_family(family: Iterable[RankSubset]) -> tuple[RankSubset, ...]:
@@ -151,7 +136,9 @@ class AdaptiveSolver:
         # release the held values first; no horizon is held until the pass ends
         self._t, self._values = -1, [n]
         for d in reversed(range(t)):
-            n = reduce(_lex_maximum, map(_lex_max, self._candidates(d, t - d, n)))
+            # each block's members, one at a time
+            blocks = self._candidates(d, t - d, n)
+            n = reduce(_lex_maximum, (m for c in blocks for m in c.swapaxes(0, 1)))
             self._values.append(n)
         self._values.reverse()
         self._t = t
@@ -228,11 +215,14 @@ class AdaptiveSolver:
         Yields (state, remaining, maximizers); children follow every
         maximizing subset in family order, a-branch before b-branch, so the
         dump covers the whole set of positions an optimal adversary can face.
-        Finish it before solving another horizon.
+        Solving another horizon before the dump ends makes it raise
+        ``RuntimeError``.
         """
         self.expected_max(t)
         level = np.zeros(1, dtype=np.int64)  # positions in layer d, in breadth-first order
         for d in range(t):
+            if self._t != t:
+                raise RuntimeError(f"trace of horizon {t} interrupted: another horizon was solved")
             best = self._best(d, level).T.tolist()
             # child table rows to positions in layer d + 1
             at = self._layers[d][level]

@@ -109,6 +109,38 @@ def test_compare_window_checked_before_sweeps(monkeypatch, capsys, window, messa
     assert f"error: {message}" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--k", "5", "--subset", "comb", "--t-max", "200", "--out", "MISSING"],
+    ["compare", "--k", "5", "--a", "1,3", "--b", "1,3,5", "--t-max", "200", "--out", "MISSING"],
+    ["optimal", "--k", "3", "--family", "all", "--t", "20", "--trace", "MISSING"],
+    ["figure1", "--t-max", "600", "--out-csv", "MISSING", "--out-svg", "OK"],
+    ["figure1", "--t-max", "600", "--out-csv", "OK", "--out-svg", "MISSING"],
+], ids=["eval", "compare", "optimal", "figure1-csv", "figure1-svg"])
+def test_output_paths_checked_before_engines(monkeypatch, capsys, tmp_path, argv):
+    def no_engine(*args, **kwargs):
+        raise AssertionError("an engine ran before the output paths were checked")
+
+    monkeypatch.setattr(cli, "regret_series_fixed", no_engine)
+    monkeypatch.setattr(cli, "value_adaptive", no_engine)
+    paths = {"MISSING": str(tmp_path / "missing" / "out"), "OK": str(tmp_path / "ok")}
+    code, out, err = run(capsys, *(paths.get(a, a) for a in argv))
+    assert code == 2 and out == ""
+    assert "error:" in err
+
+
+def test_output_path_check_keeps_existing_file(monkeypatch, capsys, tmp_path):
+    def failing(*args, **kwargs):
+        raise ValueError("engine failed")
+
+    monkeypatch.setattr(cli, "value_adaptive", failing)
+    trace = tmp_path / "trace.txt"
+    trace.write_text("kept\n")
+    code, _, err = run(capsys, "optimal", "--k", "3", "--family", "all", "--t", "5",
+                       "--trace", str(trace))
+    assert code == 2 and "error: engine failed" in err
+    assert trace.read_text() == "kept\n"
+
+
 def test_optimal_k6_reference(capsys):
     code, out, _ = run(capsys, "optimal", "--k", "6", "--family", "1,3,6:1,4,6",
                        "--t", "13")

@@ -8,6 +8,7 @@ from combregret.dyadic import HALF, ONE, ZERO, Dyadic
 from combregret.errors import BudgetError
 from combregret.forward import (
     SERIES_HEADER,
+    _at_least,
     _TransitionTable,
     regret_series_fixed,
     write_series_csv,
@@ -188,6 +189,45 @@ def test_exact_matches_dict_reference_property(case):
     assert (series.values, series.error_bounds, series.frontier_peak) == reference_series(
         subset, t_max, eps
     )
+
+
+@st.composite
+def _limb_comparisons(draw):
+    # each pair is free, exactly equal, tied on the limbs above a lower one
+    # that decides, or against the pruning cut's capped top limb of 2^bits
+    bits = draw(st.sampled_from((28, 61)))
+    limbs = draw(st.integers(1, 4))
+    pairs = []
+    for _ in range(draw(st.integers(1, 6))):
+        a = draw(st.integers(0, (1 << bits * limbs) - 1))
+        kind = draw(st.sampled_from(("free", "equal", "tie", "cap")))
+        if kind == "free":
+            b = draw(st.integers(0, (1 << bits * limbs) - 1))
+        elif kind == "equal":
+            b = a
+        elif kind == "tie" and limbs > 1:
+            low = bits * draw(st.integers(1, limbs - 1))
+            b = a >> low << low | draw(st.integers(0, (1 << low) - 1))
+        else:  # a one-limb "tie" has no lower limb to decide: a cap instead
+            b = (1 << bits * limbs) + draw(st.integers(0, (1 << bits * (limbs - 1)) - 1))
+        pairs.append((a, b))
+    return bits, limbs, pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(_limb_comparisons())
+def test_at_least_matches_python_integers(case):
+    bits, limbs, pairs = case
+
+    def rows(values):
+        # normalized limbs, the top one unmasked
+        return np.array([[v >> bits * j & ((1 << bits) - 1) if j < limbs - 1 else v >> bits * j
+                          for v in values] for j in range(limbs)], dtype=np.int64)
+
+    a, b = rows([a for a, _ in pairs]), rows([b for _, b in pairs])
+    before = a.copy(), b.copy()
+    assert _at_least(a, b, bits).tolist() == [x >= y for x, y in pairs]
+    assert (a == before[0]).all() and (b == before[1]).all()
 
 
 def test_pruning_interval_contains_exact():

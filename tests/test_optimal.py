@@ -48,9 +48,9 @@ def test_k3_all_family_equals_comb_at_t100():
 
 
 def test_k3_all_family_in_small_blocks(monkeypatch):
-    # blocks of 16 branch-rows split every layer's members, so blocks of
-    # two-limb values meet in _lex_maximum; default blocks split only large
-    # late layers, whose values are one limb
+    # blocks of 16 branch-rows split every layer's members, and each member's
+    # values, two limbs with more than 55 days left, meet the max of the
+    # members before it in _lex_maximum
     limbs = []
 
     def counting(a, b):
@@ -143,6 +143,21 @@ def test_adaptive_trace_k6(k6_family):
         assert r >= 1
         assert maxers
         assert state[0] == 0
+
+
+@pytest.mark.parametrize("other", [13, 3])
+def test_trace_raises_after_another_horizon_is_solved(k6_family, other):
+    # a trace reads the values of the horizon the solver holds: solving
+    # another one mid-trace must stop it, not let it go on with the wrong
+    # maximizer sets (or fail on a missing layer)
+    assert len(list(AdaptiveSolver(6, k6_family).trace(8))) == 52
+    solver = AdaptiveSolver(6, k6_family)
+    nodes = solver.trace(8)
+    for _ in range(3):
+        next(nodes)
+    solver.value(other)
+    with pytest.raises(RuntimeError, match="horizon 8"):
+        list(nodes)
 
 
 def test_full_set_never_unique_at_start():
