@@ -22,11 +22,6 @@ from .game import (
     GapState,
     RankSubset,
     all_strategies,
-    apply_gains,
-    decode_state,
-    encode_state,
-    initial_state,
-    step,
     validate_state,
 )
 from .optimal import (

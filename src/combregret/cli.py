@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import os
 import sys
 from decimal import Decimal
 
@@ -303,16 +304,24 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    created = []
     try:
         # output paths are checked before any engine runs; append mode
         # leaves an existing file as it is
         for name in ("out", "trace", "out_csv", "out_svg"):
             path = getattr(args, name, None)
             if path not in (None, "-"):
+                new = not os.path.exists(path)
                 open(path, "a", encoding="utf-8").close()
+                if new:
+                    created.append(path)
         return args.func(args)
     except (ValueError, BudgetError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        # a failed command leaves no file behind that it created
+        for path in created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
         return 2
 
 

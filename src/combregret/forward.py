@@ -14,8 +14,8 @@ deltas filled in the first day the state is on the frontier.  The table
 holds a family of subsets; a sweep passes its one subset, and the adaptive
 solver in ``optimal`` its whole family.  Each state is therefore decoded,
 stepped and re-encoded once, by ``_successors``, which reads and writes
-codes through ``game.unpack`` and ``game.pack`` (its scalar reference is
-``game.step``, on the same codes).  Every engine
+codes through ``game.unpack`` and ``game.pack``; the tests check it against
+the brute-force oracle's step on raw totals.  Every engine
 expands a day's states and hands their child rows to the table's ``reach``,
 which returns the next frontier or layer; a sweep also adds one
 ``np.bincount`` per weight row.  The table never forgets a state, so it is
@@ -121,7 +121,7 @@ def _branch_blocks(branches: int, rows: int, pair: int = 1) -> list[slice]:
 
 
 def _successors(codes, k: int, gains):
-    """One day from every packed state in ``codes``: the vectorized ``game.step``.
+    """One day from every packed state in ``codes``, vectorized over the codes.
 
     ``gains`` holds the int64 per-rank gains of each branch (a subset and its
     complement, for one or more subsets in turn).  Returns the child codes

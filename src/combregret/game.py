@@ -14,14 +14,13 @@ absolute totals therefore never need to be part of the state.
 The packed state code stores each gap after the leader's in
 ``packed_width(k)`` bits.  One module knows its layout, this one: ``pack``
 and ``unpack`` place and read every gap's bits, for a Python int or a whole
-int64 array of codes alike, and ``encode_state`` and ``decode_state`` add
-the checks of a single state.  ``forward._successors`` steps arrays of codes
-through them.  Every engine, the
+int64 array of codes alike.  ``forward._successors``, the one transition on
+packed codes, steps arrays of codes through them.  Every engine, the
 forward sweeps and the adaptive solver alike, steps each state once in a
 ``forward._TransitionTable`` through ``_successors``, and the adaptive
 solver maps gap tuples to rows and back through the table's ``row_of`` and
-``gaps``.  ``step`` is the scalar transition on the same codes: the
-reference the tests check the engines against.
+``gaps``.  The tests check ``_successors`` against the brute-force oracle's
+step on raw totals, which shares no state representation with it.
 """
 
 from __future__ import annotations
@@ -43,12 +42,6 @@ def check_expert_count(k: int) -> None:
         raise ValueError(f"expert count must be in {MIN_K}..{MAX_K}, got k={k}")
 
 
-def initial_state(k: int) -> GapState:
-    """Day-zero state: everyone tied with the leader."""
-    check_expert_count(k)
-    return (0,) * k
-
-
 def validate_state(gaps: GapState) -> None:
     """Raise ValueError unless ``gaps`` is a valid sorted gap vector: a
     leader gap of zero, then nondecreasing (hence nonnegative) gaps."""
@@ -58,20 +51,6 @@ def validate_state(gaps: GapState) -> None:
     for a, b in zip(gaps, gaps[1:]):
         if b < a:
             raise ValueError(f"gaps must be nondecreasing: {gaps!r}")
-
-
-def apply_gains(gaps: GapState, gains: tuple[int, ...]) -> tuple[GapState, int]:
-    """Apply one day of 0/1 gains (indexed by rank) to a gap state.
-
-    Returns the re-sorted next state and the leader delta, i.e. how much the
-    maximum total gain rose that day.  The delta is always 0 or 1: nobody can
-    overtake the leader by more than a single unit in one day.
-    """
-    # relative scores: the expert at rank i moves to gains[i] - gaps[i]
-    rel = [a - g for a, g in zip(gains, gaps)]
-    delta = max(rel)
-    nxt = tuple(sorted(delta - r for r in rel))
-    return nxt, delta
 
 
 @dataclass(frozen=True)
@@ -146,24 +125,6 @@ class RankSubset:
         return self.label()
 
 
-def step(
-    code: int, k: int, gains_a: tuple[int, ...], gains_b: tuple[int, ...]
-) -> tuple[int, int, int]:
-    """One day from the packed state ``code``: the scalar reference
-    transition.
-
-    ``gains_a`` and ``gains_b`` are the per-rank gains of the two equally
-    likely branches (a subset and its complement).  Returns the packed
-    successor of each branch and the sum of their leader deltas.
-    """
-    if len(gains_a) != k or len(gains_b) != k:
-        raise ValueError(f"gain vectors must have k={k} entries")
-    gaps = decode_state(code, k)
-    child_a, delta_a = apply_gains(gaps, gains_a)
-    child_b, delta_b = apply_gains(gaps, gains_b)
-    return encode_state(child_a), encode_state(child_b), delta_a + delta_b
-
-
 def all_strategies(k: int) -> Iterator[RankSubset]:
     """Every distinct balanced strategy, one per {S, complement} pair.
 
@@ -192,8 +153,9 @@ def packed_width(k: int) -> int:
 def pack(gaps, k: int):
     """The packed code of the k gaps ``gaps``, leader first: an int for
     ints, an int64 array for arrays of gaps.  Gap i lands in bits
-    ``packed_width(k) * (i - 1)`` onwards; the leader's zero is dropped.
-    Nothing is checked."""
+    ``packed_width(k) * (i - 1)`` onwards; the leader's zero is dropped,
+    so the trailer's gap is the most significant field.  Nothing is
+    checked."""
     width = packed_width(k)
     code = 0
     for i in range(1, k):
@@ -209,29 +171,3 @@ def unpack(codes, k: int) -> tuple:
     mask = (1 << width) - 1
     # codes & 0 is the leader's zero, as an int or as an array
     return (codes & 0,) + tuple((codes >> (width * i)) & mask for i in range(k - 1))
-
-
-def encode_state(gaps: GapState) -> int:
-    """Pack a gap vector into an int, ``packed_width(k)`` bits per gap.
-
-    The leading gap is always zero and is omitted, so every code fits an
-    int64.  Gaps up to 4095 are encodable through k = 6, 1023 at k = 7 and
-    511 at k = 8; no gap exceeds the number of days played.  Keys compare in
-    reverse-lexicographic order of the gap tuples (trailer gap is the most
-    significant field).
-    """
-    validate_state(gaps)
-    width = packed_width(len(gaps))
-    # the gaps are sorted, so the last is the largest
-    if gaps[-1] >= 1 << width:
-        raise ValueError(f"gap {gaps[-1]} out of encodable range 0..{(1 << width) - 1}")
-    return pack(gaps, len(gaps))
-
-
-def decode_state(code: int, k: int) -> GapState:
-    """Inverse of encode_state."""
-    if code < 0:
-        raise ValueError("state code must be nonnegative")
-    if code >> (packed_width(k) * (k - 1)):
-        raise ValueError(f"code {code} has bits beyond k={k} gaps")
-    return unpack(code, k)

@@ -1,6 +1,6 @@
-"""Shared helpers for the test suite: state enumeration, an independent
-raw-totals reference for the one-day transition, and a dict-based reference
-for exact and float forward series."""
+"""Shared helpers for the test suite: state enumeration, the brute-force
+oracle's raw-totals step as the reference for the one-day transition, and a
+dict-based reference for exact and float forward series."""
 
 from __future__ import annotations
 
@@ -10,7 +10,8 @@ import numpy as np
 
 from combregret.backend import EXACT
 from combregret.dyadic import ZERO, Dyadic
-from combregret.game import apply_gains, decode_state, encode_state, initial_state
+from combregret.game import pack, unpack
+from combregret.oracle import _advance, _rank_order
 
 
 def enumerate_states(k: int, gap_max: int) -> list[tuple[int, ...]]:
@@ -56,28 +57,29 @@ def tie_consistent_perms(gaps: tuple[int, ...]) -> list[list[int]]:
 
 
 def raw_reference_step(
-    gaps: tuple[int, ...], gains: tuple[int, ...], perm: list[int]
+    gaps: tuple[int, ...], ranks, order: list[int] | None = None
 ) -> tuple[tuple[int, ...], int]:
-    """One day computed on raw totals with an explicit rank-to-expert map.
+    """One day on raw totals, by the brute-force oracle's own step.
 
-    Expert i starts at total -gaps[i]; the ranking assigns rank j (and hence
-    gains[j]) to expert perm[j], which is legitimate whenever perm only
-    permutes tied positions.  Returns the sorted successor gaps and the rise
-    of the maximum total.
+    Expert i starts at total -gaps[i], so the maximum total is 0; the
+    experts at the 1-based ``ranks`` gain 1 through ``oracle._advance``.
+    ``order`` lists the expert at each rank, by default the oracle's
+    ``_rank_order``; any order that only permutes tied experts is as
+    legitimate.  Returns the sorted successor gaps and the rise of the
+    maximum total.
     """
-    k = len(gaps)
-    totals = [-g for g in gaps]
-    for j in range(k):
-        totals[perm[j]] += gains[j]
-    new_max = max(totals)
-    next_gaps = tuple(sorted(new_max - t for t in totals))
-    return next_gaps, new_max  # old max total is 0 by construction
+    totals = tuple(-g for g in gaps)
+    if order is None:
+        order = _rank_order(totals, "first")
+    new = _advance(totals, order, frozenset(ranks))
+    new_max = max(new)
+    return tuple(sorted(new_max - t for t in new)), new_max
 
 
 def reference_series(subset, t_max: int, eps: float, backend=EXACT):
     """(values, error_bounds, frontier_peak) by a plain dict recurrence.
 
-    Weights are keyed by packed code and stepped with ``game.apply_gains``:
+    Weights are keyed by packed code and stepped with ``raw_reference_step``:
     the reference for the table engines in ``forward``.  Exact weights are
     path counts over 2^day.  Float states are listed by the day they were
     first reached, then by code, the order of the float engine's table rows:
@@ -89,17 +91,17 @@ def reference_series(subset, t_max: int, eps: float, backend=EXACT):
     """
     subset = subset.canonical()
     k = subset.k
-    gains = subset.gains(), subset.complement_gains()
+    ranks = subset.ranks, subset.complement_ranks()
     moves: dict = {}  # code -> (child a, child b, delta a, delta b)
 
     def move(code):
         if code not in moves:
-            gaps = decode_state(code, k)
-            (child_a, delta_a), (child_b, delta_b) = (apply_gains(gaps, g) for g in gains)
-            moves[code] = encode_state(child_a), encode_state(child_b), delta_a, delta_b
+            gaps = unpack(code, k)
+            (child_a, delta_a), (child_b, delta_b) = (raw_reference_step(gaps, r) for r in ranks)
+            moves[code] = pack(child_a, k), pack(child_b, k), delta_a, delta_b
         return moves[code]
 
-    start = encode_state(initial_state(k))
+    start = pack((0,) * k, k)
     if backend.is_exact:
         return _reference_exact(move, start, t_max, eps)
     return _reference_float(move, start, t_max, eps)

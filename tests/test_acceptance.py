@@ -9,14 +9,15 @@ import re
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from combregret import cli
 from combregret.analysis import certified_lower_bounds, constancy_report, diff_stat
 from combregret.backend import FLOAT
 from combregret.dyadic import ZERO, Dyadic
-from combregret.forward import regret_series_fixed
-from combregret.game import RankSubset, all_strategies, apply_gains
+from combregret.forward import _branch_gains, _successors, regret_series_fixed
+from combregret.game import RankSubset, all_strategies, pack
 from combregret.optimal import AdaptiveSolver, best_fixed_subset, value_adaptive
 from combregret.oracle import brute_regret_fixed, brute_value_adaptive, k2_closed_form
 from tests.support import raw_reference_step, tie_consistent_perms, tied_states
@@ -286,18 +287,20 @@ def test_criterion_8_complement_invariance():
 
 
 def test_criterion_8_tie_permutation_invariance():
-    states = tied_states(5, 20) + tied_states(6, 12)
+    # ranks within a tie block are interchangeable: the oracle's raw-total
+    # step, with any assignment of tied ranks to experts, must land on the
+    # child that _successors computes for the sorted state
     checked = 0
-    for gaps in states:
-        k = len(gaps)
-        perms = tie_consistent_perms(gaps)
-        if not perms:
-            continue
+    for k, gap_max in ((5, 20), (6, 12)):
+        states = tied_states(k, gap_max)
+        codes = np.array([pack(gaps, k) for gaps in states], dtype=np.int64)
         for subset in (RankSubset.comb(k), RankSubset.of(k, (1,))):
-            base = apply_gains(gaps, subset.gains())
-            for perm in perms:
-                assert raw_reference_step(gaps, subset.gains(), perm) == base
-                checked += 1
+            child_codes, deltas = _successors(codes, k, _branch_gains(subset))
+            for gaps, code, delta in zip(states, child_codes[0].tolist(), deltas[0].tolist()):
+                for perm in tie_consistent_perms(gaps):
+                    child, rise = raw_reference_step(gaps, subset.ranks, perm)
+                    assert (pack(child, k), rise) == (code, delta)
+                    checked += 1
     ok = checked >= 10_000
     _report(
         "criterion_8_tie_permutation_invariance", ok,

@@ -141,6 +141,24 @@ def test_output_path_check_keeps_existing_file(monkeypatch, capsys, tmp_path):
     assert trace.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--k", "5", "--subset", "1,3", "--t-max", "5000", "--out", "x.csv"],
+    ["figure1", "--t-max", "4096", "--out-csv", "f.csv", "--out-svg", "f.svg"],
+], ids=["eval", "figure1"])
+def test_failed_command_removes_only_files_it_created(monkeypatch, capsys, tmp_path, argv):
+    # both horizons pass the packed width, so the engines refuse them
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "error:" in err
+    assert list(tmp_path.iterdir()) == []
+    kept = tmp_path / argv[-1]
+    kept.write_bytes(b"kept\r\n\x00")
+    code, _, _ = run(capsys, *argv)
+    assert code == 2
+    assert list(tmp_path.iterdir()) == [kept]
+    assert kept.read_bytes() == b"kept\r\n\x00"
+
+
 def test_optimal_k6_reference(capsys):
     code, out, _ = run(capsys, "optimal", "--k", "6", "--family", "1,3,6:1,4,6",
                        "--t", "13")

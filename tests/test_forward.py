@@ -84,6 +84,13 @@ def test_complement_invariance():
     assert other.subset.ranks == (1, 3)
 
 
+def test_k4_subsets_1_3_and_1_4_tie_exactly():
+    # not complements of each other, yet equal at every horizon checked
+    a = regret_series_fixed(4, RankSubset.of(4, (1, 3)), 200)
+    b = regret_series_fixed(4, RankSubset.of(4, (1, 4)), 200)
+    assert a.values == b.values
+
+
 def test_monotone_nondecreasing_exact():
     for subset in all_strategies(4):
         series = regret_series_fixed(4, subset, 10)

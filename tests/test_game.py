@@ -7,26 +7,12 @@ from combregret.forward import _branch_gains, _successors, _unpack
 from combregret.game import (
     RankSubset,
     all_strategies,
-    apply_gains,
-    decode_state,
-    encode_state,
-    initial_state,
     pack,
     packed_width,
-    step,
     unpack,
     validate_state,
 )
-from tests.support import raw_reference_step, tie_consistent_perms, tied_states
-
-
-def test_initial_state():
-    assert initial_state(2) == (0, 0)
-    assert initial_state(6) == (0,) * 6
-    with pytest.raises(ValueError):
-        initial_state(1)
-    with pytest.raises(ValueError):
-        initial_state(9)
+from tests.support import raw_reference_step
 
 
 def test_validate_state():
@@ -79,23 +65,25 @@ def test_labels():
     assert str(s) == s.label()
 
 
-def _step(gaps, subset):
-    """step on gap tuples: (child_a, child_b, delta_a + delta_b)."""
-    k = len(gaps)
-    ca, cb, d = step(encode_state(gaps), k, subset.gains(), subset.complement_gains())
-    return decode_state(ca, k), decode_state(cb, k), d
+def _children(states, subset):
+    """(child_a, child_b, delta_a + delta_b) of each gap tuple in ``states``,
+    by one ``_successors`` call."""
+    k = subset.k
+    codes = np.array([pack(gaps, k) for gaps in states], dtype=np.int64)
+    child_codes, deltas = _successors(codes, k, _branch_gains(subset))
+    children = [[unpack(c, k) for c in row] for row in child_codes.tolist()]
+    return list(zip(*children, (deltas[0] + deltas[1]).tolist()))
 
 
 def test_worked_step_examples():
-    assert _step((0, 0, 0, 0, 0), RankSubset.of(5, (1, 3))) == (
-        (0, 0, 1, 1, 1), (0, 0, 0, 1, 1), 2)
-    assert _step((0, 2, 2, 3, 7), RankSubset.of(5, (1, 3, 5))) == (
-        (0, 2, 3, 4, 7), (0, 1, 2, 2, 7), 1)
-    assert _step((0, 0, 3), RankSubset.of(3, (1, 3))) == ((0, 1, 3), (0, 1, 4), 2)
-    # codes in, codes out
-    assert step(0, 3, (1, 0, 1), (0, 1, 0)) == (encode_state((0, 0, 1)), encode_state((0, 1, 1)), 2)
-    with pytest.raises(ValueError, match="k=3 entries"):
-        step(0, 3, (1, 0), (0, 1, 1))
+    assert _children([(0, 0, 0, 0, 0)], RankSubset.of(5, (1, 3))) == [
+        ((0, 0, 1, 1, 1), (0, 0, 0, 1, 1), 2)]
+    assert _children([(0, 2, 2, 3, 7)], RankSubset.of(5, (1, 3, 5))) == [
+        ((0, 2, 3, 4, 7), (0, 1, 2, 2, 7), 1)]
+    assert _children([(0, 0, 3)], RankSubset.of(3, (1, 3))) == [((0, 1, 3), (0, 1, 4), 2)]
+    # the oracle's raw-total step agrees, gap tuple for gap tuple
+    assert raw_reference_step((0, 0, 3), (1, 3)) == ((0, 1, 3), 1)
+    assert raw_reference_step((0, 0, 3), (2,)) == ((0, 1, 4), 1)
 
 
 def _small_states(k, gap_max):
@@ -105,120 +93,77 @@ def _small_states(k, gap_max):
 
 def test_step_enumeration_properties():
     for k in range(2, 6):
-        subsets = list(all_strategies(k))
-        for gaps in _small_states(k, 6):
-            total = sum(gaps)
-            for subset in subsets:
-                a, b, d = _step(gaps, subset)
+        states = list(_small_states(k, 6))
+        for subset in all_strategies(k):
+            for gaps, (a, b, d) in zip(states, _children(states, subset)):
                 # branch A plays the subset itself, whose ranks include 1, so
                 # its leader delta is 1 and branch B's is d - 1
                 assert d in (1, 2)
                 n_gains = len(subset.ranks)
                 for out, delta, n in ((a, 1, n_gains), (b, d - 1, k - n_gains)):
                     validate_state(out)
-                    assert sum(out) == total + k * delta - n
+                    assert sum(out) == sum(gaps) + k * delta - n
 
 
 def test_complement_swap():
     # playing the complement subset swaps the two branches
     for k in (3, 5):
-        for gaps in _small_states(k, 4):
-            code = encode_state(gaps)
-            for subset in all_strategies(k):
-                if len(subset.ranks) == k:
-                    continue
-                comp = RankSubset(k, subset.complement_ranks())
-                ca, cb, d = step(code, k, subset.gains(), subset.complement_gains())
-                assert step(code, k, comp.gains(), comp.complement_gains()) == (cb, ca, d)
-
-
-def test_apply_gains_matches_step():
-    for gaps in _small_states(4, 5):
-        for subset in all_strategies(4):
-            sa, da = apply_gains(gaps, subset.gains())
-            sb, db = apply_gains(gaps, subset.complement_gains())
-            assert _step(gaps, subset) == (sa, sb, da + db)
+        states = list(_small_states(k, 4))
+        for subset in all_strategies(k):
+            if len(subset.ranks) == k:
+                continue
+            comp = RankSubset(k, subset.complement_ranks())
+            swapped = [(b, a, d) for a, b, d in _children(states, comp)]
+            assert _children(states, subset) == swapped
 
 
 def test_vectorized_successors_match_step():
     # forward._successors, the transition every engine runs, against the
-    # scalar reference, code for code
+    # brute-force oracle's step on raw totals, code for code, for every
+    # canonical subset
     for k in range(2, 9):
         states = list(_small_states(k, 5 if k <= 6 else 3))
-        codes = [encode_state(gaps) for gaps in states]
+        codes = [pack(gaps, k) for gaps in states]
         assert [tuple(row) for row in _unpack(np.array(codes), k).tolist()] == states
         for subset in all_strategies(k):
             child_codes, deltas = _successors(np.array(codes), k, _branch_gains(subset))
             children = child_codes.T.tolist()
             sums = (deltas[0] + deltas[1]).tolist()
-            for code, kids, d in zip(codes, children, sums):
-                assert step(code, k, subset.gains(), subset.complement_gains()) == (*kids, d)
-
-
-def test_tie_permutation_invariance():
-    # ranks within a tie block are interchangeable: permuting which tied
-    # expert receives a gain must not change the successor state
-    states = tied_states(5, 20) + tied_states(6, 12)
-    assert len(states) >= 10_000
-    checked = 0
-    for gaps in states:
-        k = len(gaps)
-        perms = tie_consistent_perms(gaps)
-        if not perms:
-            continue
-        for subset in (RankSubset.comb(k), RankSubset.of(k, (1,))):
-            base = apply_gains(gaps, subset.gains())
-            for perm in perms:
-                assert raw_reference_step(gaps, subset.gains(), perm) == base
-                checked += 1
-    assert checked >= 10_000
+            for gaps, kids, d in zip(states, children, sums):
+                (a, da), (b, db) = (raw_reference_step(gaps, r)
+                                    for r in (subset.ranks, subset.complement_ranks()))
+                assert (pack(a, k), pack(b, k), da + db) == (*kids, d)
 
 
 def test_encode_decode_roundtrip():
     for k in range(2, 7):
         for gaps in _small_states(k, 9):
-            key = encode_state(gaps)
-            assert decode_state(key, k) == gaps
-    assert encode_state((0,) * 5) == 0
+            assert unpack(pack(gaps, k), k) == gaps
+    assert pack((0,) * 5, 5) == 0
     # the widest gap of every k round-trips in every field, as an int and
     # through the array path as one int64 array; all k - 1 fields fit an int64
-    for k in range(2, 9):
-        top = (1 << packed_width(k)) - 1
+    widths = {2: 12, 3: 12, 4: 12, 5: 12, 6: 12, 7: 10, 8: 9}
+    for k, width in widths.items():
+        assert packed_width(k) == width
+        top = (1 << width) - 1
         states = [(0,) * i + (top,) * (k - i) for i in range(1, k)]
-        codes = [encode_state(gaps) for gaps in states]
-        assert [decode_state(code, k) for code in codes] == states
+        codes = [pack(gaps, k) for gaps in states]
+        assert [unpack(code, k) for code in codes] == states
         assert pack(np.array(states, dtype=np.int64).T, k).tolist() == codes
         columns = unpack(np.array(codes, dtype=np.int64), k)
         assert list(zip(*(g.tolist() for g in columns))) == states
-        assert encode_state((0,) + (top,) * (k - 1)) < 1 << 63
+        assert pack((0,) + (top,) * (k - 1), k) < 1 << 63
 
 
 def test_encode_injective():
     seen = {}
     count = 0
     for gaps in _small_states(5, 20):
-        key = encode_state(gaps)
+        key = pack(gaps, 5)
         assert key not in seen
         seen[key] = gaps
         count += 1
     assert count == 10626
-
-
-def test_encode_errors():
-    # one past the widest gap of every k, as a gap and as a code
-    widths = {2: 12, 3: 12, 4: 12, 5: 12, 6: 12, 7: 10, 8: 9}
-    for k, width in widths.items():
-        assert packed_width(k) == width
-        with pytest.raises(ValueError, match="encodable range"):
-            encode_state((0,) * (k - 1) + (1 << width,))
-        with pytest.raises(ValueError, match="beyond"):
-            decode_state(1 << (width * (k - 1)), k)
-    with pytest.raises(ValueError):
-        decode_state(-1, 3)
-    # codes exist only for sorted states: an unsorted or negative gap has none
-    for gaps in ((0, 3, 1), (0, -1), (0, -1, 2)):
-        with pytest.raises(ValueError, match="nondecreasing"):
-            encode_state(gaps)
 
 
 def test_all_strategies():

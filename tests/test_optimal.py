@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import pytest
@@ -6,7 +7,7 @@ from combregret import forward, optimal
 from combregret.dyadic import ZERO, Dyadic
 from combregret.errors import BudgetError
 from combregret.forward import _successors, regret_series_fixed
-from combregret.game import RankSubset, all_strategies, encode_state, initial_state, step
+from combregret.game import RankSubset, all_strategies
 from combregret.optimal import (
     MAX_HORIZON,
     AdaptiveSolver,
@@ -14,7 +15,7 @@ from combregret.optimal import (
     best_fixed_subset,
     value_adaptive,
 )
-from tests.support import enumerate_states
+from tests.support import enumerate_states, raw_reference_step
 
 
 def test_singleton_family_equals_fixed_series():
@@ -78,6 +79,14 @@ def test_all_subset_values_and_node_counts():
     assert k3.regret == Dyadic(5745867330449876380037831, 80)
     assert k3.node_count == 88_560
     assert value_adaptive(6, all_strategies(6), 13).node_count == 18_564
+    # the closed form of an `all` family: layer d is every sorted gap vector
+    # whose largest gap is at most d, C(d+k-1, k-1) states, so T layers hold
+    # C(T+k-1, k) and the table C(T+k-1, k-1) rows
+    for k, horizons in ((2, (1, 9, 40)), (3, (5, 20)), (4, (4, 15)), (5, (3, 10)), (6, (2, 7))):
+        solver = AdaptiveSolver(k, all_strategies(k))
+        for t in horizons:
+            assert solver.value(t).node_count == math.comb(t + k - 1, k)
+            assert len(solver.table) == math.comb(t + k - 1, k - 1)
 
 
 def test_family_monotonicity():
@@ -130,7 +139,7 @@ def test_adaptive_trace_k6(k6_family):
     solver.expected_max(13)
     nodes = list(solver.trace(13))
     state0, r0, maxers0 = nodes[0]
-    assert state0 == initial_state(6)
+    assert state0 == (0,) * 6
     assert r0 == 13
     assert maxers0
     # the family is genuinely adaptive: somewhere along optimal play each
@@ -163,7 +172,7 @@ def test_trace_raises_after_another_horizon_is_solved(k6_family, other):
 def test_full_set_never_unique_at_start():
     full = RankSubset.of(3, (1, 2, 3))
     res = value_adaptive(3, [full, RankSubset.of(3, (1,))], 4)
-    assert res.solver.maximizers(initial_state(3), 4) == (RankSubset.of(3, (1,)),)
+    assert res.solver.maximizers((0, 0, 0), 4) == (RankSubset.of(3, (1,)),)
 
 
 def test_maximizers_skip_shorter_horizons():
@@ -188,22 +197,23 @@ def test_maximizers_on_missing_node():
 
 
 def test_maximizers_answer_exactly_the_layer_states():
-    # L_d by a plain set walk with game.step; every other valid state,
-    # reachable at another day or never, must read "node not computed"
+    # L_d by a plain set walk with the oracle's raw-total step; every other
+    # valid state, reachable at another day or never, must read "node not
+    # computed"
     family = [RankSubset.of(4, (1, 3)), RankSubset.of(4, (1, 4))]
-    layers = [{encode_state(initial_state(4))}]
+    layers = [{(0, 0, 0, 0)}]
     for _ in range(5):
         layers.append({
-            child
-            for code in layers[-1]
+            raw_reference_step(gaps, ranks)[0]
+            for gaps in layers[-1]
             for s in family
-            for child in step(code, 4, s.gains(), s.complement_gains())[:2]
+            for ranks in (s.ranks, s.complement_ranks())
         })
     res = value_adaptive(4, family, 6)
     answered = set()
     for state in enumerate_states(4, 9):
         for remaining in range(1, 7):
-            if encode_state(state) in layers[6 - remaining]:
+            if state in layers[6 - remaining]:
                 assert res.solver.maximizers(state, remaining)
                 answered.add((state, remaining))
             else:
@@ -218,7 +228,7 @@ def test_maximizers_never_alias_wide_gaps():
     for k, gap in ((7, 1 << 10), (3, 1 << 12), (3, 1 << 64)):
         solver = AdaptiveSolver(k, [RankSubset.comb(k)])
         solver.expected_max(3)
-        assert solver.maximizers(initial_state(k), 3) == (RankSubset.comb(k),)
+        assert solver.maximizers((0,) * k, 3) == (RankSubset.comb(k),)
         with pytest.raises(ValueError, match="node not computed"):
             solver.maximizers((0,) * (k - 1) + (gap,), 3)
 

@@ -1,5 +1,6 @@
 """Every `$ combregret ...` example in README.md, run and compared with what
-the README shows it printing."""
+the README shows it printing, and the library example, run and compared
+with the values its comments state."""
 
 import math
 import re
@@ -51,3 +52,15 @@ def test_readme_example(command, shown, tmp_path, monkeypatch, capsys):
             assert math.isclose(float(got_value), float(value), rel_tol=1e-12, abs_tol=0.0)
         else:
             assert got == want
+
+
+def test_library_example():
+    text = README.read_text(encoding="utf-8")
+    (block,) = re.findall(r"^```python\n(.*?)^```$", text, re.M | re.S)
+    namespace: dict = {}
+    exec(block, namespace)
+    # every one-line expression whose comment states a Dyadic evaluates to it
+    stated = re.findall(r"^(\S.*?)\s+# (Dyadic\(\d+, \d+\))", block, re.M)
+    for expression, value in stated:
+        assert eval(expression, namespace) == eval(value, namespace), expression
+    assert {"Dyadic(25, 4)", "Dyadic(2341, 8)", "Dyadic(677, 8)"} <= {v for _, v in stated}
