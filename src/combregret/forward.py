@@ -10,7 +10,9 @@ deltas minus T/2.
 Both backends run this recurrence over one per-series ``_TransitionTable``:
 every state reached so far, one row each, appended as the state first
 appears and never moved, with the rows of its children and their leader
-deltas filled in the first day the state is on the frontier.  The table
+deltas filled in the first day the state is on the frontier.  Rows live in
+buffers with spare capacity, grown by a quarter when a batch of new states
+does not fit, and ``len`` of the table counts the live rows.  The table
 holds a family of subsets; a sweep passes its one subset, and the adaptive
 solver in ``optimal`` its whole family.  Each state is therefore decoded,
 stepped and re-encoded once, by ``_successors``, which reads and writes
@@ -59,9 +61,10 @@ from .game import GapState, RankSubset, pack, packed_width, unpack, validate_sta
 DEFAULT_FLOAT_EPS = 2.0**-50
 
 # hard ceiling on the rows of a one-member transition table, which keeps
-# every state a sweep ever reaches.  A float sweep peaks at about 124 B of
-# RSS per row (k = 5 comb, eps = 0, T = 350: 603,903 rows, 71 MiB above a
-# 325-row sweep); ROW_BYTES rounds that up to 128 B, so a 2 GiB budget allows
+# every state a sweep ever reaches.  A float sweep peaks at about 119-133 B
+# of RSS per row (k = 5 comb, eps = 0, T = 340-355: 555,089-629,404 rows,
+# over a 113-row sweep; 128 B at T = 350), up to 7 B of it in the table's
+# spare rows; ROW_BYTES is 128 B, so a 2 GiB budget allows
 # 2^24 rows, the most for which merged limbs stay exact (the assert below).
 # An exact sweep also holds an int64 limb per frontier state for every 28
 # days of horizon: the same T = 350 sweep (13 limbs) peaks at 177-181 MiB,
@@ -163,12 +166,19 @@ class _TransitionTable:
     order, and never move; ``order`` lists them in code order, for lookups.
     States are stepped, and their child rows looked up, in blocks of
     branches of at most ``BLOCK_CELLS`` branch-rows.
+
+    ``len`` counts the live rows.  ``children``, ``deltas`` and ``expanded``
+    are whole buffers with spare rows past the live ones, which no reader
+    indexes; ``codes`` is a view of the live rows of its buffer, so lookups
+    never see a spare code.  A batch that does not fit grows every buffer by
+    a quarter, or to the batch, and never past the row budget.
     """
 
     def __init__(self, family: tuple[RankSubset, ...]):
         self.k = family[0].k
         self.gains = np.array([g for s in family for g in _branch_gains(s)])  # (branches, k)
-        self.codes = np.zeros(1, dtype=np.int64)  # the day-0 state
+        self._codes = np.zeros(1, dtype=np.int64)  # the day-0 state
+        self.codes = self._codes[:1]  # the live rows' codes
         self.order = np.zeros(1, dtype=np.int64)
         self.children = np.zeros((len(self.gains), 1), dtype=np.int64)
         self.deltas = np.zeros((len(self.gains), 1), dtype=np.int8)  # a leader delta is 0 or 1
@@ -224,9 +234,16 @@ class _TransitionTable:
             self.order = np.insert(
                 self.order, np.searchsorted(self.codes, fresh, sorter=self.order), np.arange(n, size)
             )
-            self.codes = np.concatenate([self.codes, fresh])
-            self.children, self.deltas = _grow(self.children, size), _grow(self.deltas, size)
-            self.expanded = _grow(self.expanded, size)
+            if size > self._codes.shape[0]:
+                # 1.25x, not 2x: spare rows cost peak memory at the solver's reach.
+                # One buffer at a time, so that one old copy at most is held
+                cap = min(max(size, self._codes.shape[0] * 5 // 4), limit)
+                self._codes = _grow(self._codes, cap)
+                self.children = _grow(self.children, cap)
+                self.deltas = _grow(self.deltas, cap)
+                self.expanded = _grow(self.expanded, cap)
+            self._codes[n:size] = fresh
+            self.codes = self._codes[:size]
         # in blocks of branches, to keep the transient row indices small
         for block in _branch_blocks(len(self.gains), new.shape[0]):
             self.children[block, new] = self.find(child_codes[block])

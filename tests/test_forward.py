@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from combregret.backend import EXACT, FLOAT
 from combregret.dyadic import HALF, ONE, ZERO, Dyadic
+from combregret import forward
 from combregret.errors import BudgetError
 from combregret.forward import (
     SERIES_HEADER,
@@ -14,6 +15,7 @@ from combregret.forward import (
     write_series_csv,
 )
 from combregret.game import RankSubset, all_strategies
+from combregret.optimal import AdaptiveSolver
 from combregret.oracle import k2_closed_form
 from tests.support import reference_series
 
@@ -147,6 +149,81 @@ def test_table_budget(monkeypatch, backend):
     assert [float(v) for v in small.values] == [float(v) for v in reference_series(s, 3, 0.0)[0]]
     with pytest.raises(BudgetError, match="table exceeded 100 rows"):
         regret_series_fixed(5, s, 30, backend)
+
+
+def _poison_spare_rows(monkeypatch) -> list:
+    """Fill the spare rows of every buffer the table grows with values a
+    reader would trip on: codes at the int64 maximum, child rows at 2^40 (no
+    row) and leader deltas at 100.  Returns a list that collects the number of
+    spare cells poisoned per growth."""
+    grow, poisoned = forward._grow, []
+
+    def poison(a, size):
+        out = grow(a, size)
+        spare = out[..., a.shape[-1] :]
+        if a.dtype == np.int8:
+            spare[...] = 100
+        elif a.dtype == np.int64:
+            spare[...] = np.iinfo(np.int64).max if a.ndim == 1 else 1 << 40
+        poisoned.append(spare.size)
+        return out
+
+    monkeypatch.setattr("combregret.forward._grow", poison)
+    return poisoned
+
+
+def _table_runs():
+    comb = RankSubset.comb(5)
+    solver = AdaptiveSolver(4, all_strategies(4))
+    value = solver.value(12)
+    return (
+        regret_series_fixed(5, comb, 120, FLOAT),
+        regret_series_fixed(5, comb, 60, EXACT),
+        (value.expected_max, value.node_count, list(solver.trace(12))),
+    )
+
+
+def test_spare_table_rows_are_never_read(monkeypatch):
+    # the table's buffers keep spare rows past its live ones; every engine
+    # reads live rows only, so poisoned spares change no bit of any result
+    clean = _table_runs()
+    poisoned = _poison_spare_rows(monkeypatch)
+    dirty = _table_runs()
+    assert sum(poisoned) > 0
+    for a, b in zip(clean[:2], dirty[:2]):
+        assert a.values == b.values and a.error_bounds == b.error_bounds
+        assert a.frontier_peak == b.frontier_peak
+    assert clean[2] == dirty[2]
+
+
+def test_find_sees_only_live_rows(monkeypatch):
+    _poison_spare_rows(monkeypatch)
+    table = _TransitionTable((RankSubset.comb(5),))
+    rows = np.zeros(1, dtype=np.int64)
+    for _ in range(40):
+        if len(table) < table.expanded.shape[0]:
+            break
+        table.expand(rows)
+        rows = table.reach(table.children[:, rows])
+    assert table.codes.shape[0] == len(table) < table.expanded.shape[0]
+    top = np.iinfo(np.int64).max
+    absent = int(table.codes.max()) + 1
+    assert table.find(np.array([0, absent, top])).tolist() == [0, -1, -1]
+
+
+def test_table_capacity_within_budget(monkeypatch):
+    # the buffers grow by a quarter at a time, but never past the row budget:
+    # at 400 rows the growth from 390 rows would overshoot, so it stops at 400
+    monkeypatch.setattr("combregret.forward.MAX_TABLE_ROWS", 400)
+    grow, sizes = forward._grow, []
+    monkeypatch.setattr("combregret.forward._grow", lambda a, size: sizes.append(size) or grow(a, size))
+    table = _TransitionTable((RankSubset.comb(5),))
+    rows = np.zeros(1, dtype=np.int64)
+    with pytest.raises(BudgetError, match="table exceeded 400 rows"):
+        for _ in range(200):
+            table.expand(rows)
+            rows = table.reach(table.children[:, rows])
+    assert len(table) <= 400 and max(sizes) == table.expanded.shape[0] == 400
 
 
 def test_reach_returns_the_child_rows_of_every_branch():
