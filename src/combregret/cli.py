@@ -142,7 +142,7 @@ def _cmd_optimal(args) -> int:
     print(f"nodes={result.node_count}")
     _print_values(result, args.backend)
     if args.trace is not None:
-        with open(args.trace, "w", encoding="utf-8") as f:
+        with _open_out(args.trace) as f:
             for state, remaining, maxers in result.solver.trace(args.t):
                 state_txt = ",".join(map(str, state))
                 f.write(f"({state_txt}) {remaining} -> {':'.join(label[s] for s in maxers)}\n")
@@ -199,10 +199,11 @@ def _cmd_figure1(args) -> int:
     sa = regret_series_fixed(FIGURE_K, a, args.t_max, FLOAT, args.prune)
     sb = regret_series_fixed(FIGURE_K, b, args.t_max, FLOAT, args.prune)
     d = diff_stat(sa, sb, args.scale)
-    with open(args.out_csv, "w", encoding="utf-8") as f:
+    with _open_out(args.out_csv) as f:
         write_diff_csv(d, f)
-    with open(args.out_svg, "w", encoding="utf-8") as f:
-        f.write(_svg_chart(d))
+    with _open_out(args.out_svg) as f:
+        # on stdout, the lines that follow start on a line of their own
+        f.write(_svg_chart(d) + ("\n" if args.out_svg == "-" else ""))
     if args.t_max >= 5:
         # positivity that survives the pruning error, from T=5 on
         lower = certified_lower_bounds(sa, sb, args.scale)

@@ -105,16 +105,6 @@ def _sorted_unique(codes):
     return out[np.concatenate(([True], out[1:] != out[:-1]))]
 
 
-def _unpack(codes, k: int):
-    """Gap vectors, shape (n, k), of the packed states ``codes``."""
-    return np.stack(unpack(codes, k), axis=1)
-
-
-def _branch_gains(subset: RankSubset):
-    """The int64 per-rank gains of ``subset``'s two branches, for ``_successors``."""
-    return tuple(np.array(g, dtype=np.int64) for g in (subset.gains(), subset.complement_gains()))
-
-
 def _branch_blocks(branches: int, rows: int, pair: int = 1) -> list[slice]:
     """Slices covering ``branches`` for a step of ``rows`` rows: blocks of as
     many whole groups of ``pair`` branches as fit in ``BLOCK_CELLS``
@@ -176,7 +166,9 @@ class _TransitionTable:
 
     def __init__(self, family: tuple[RankSubset, ...]):
         self.k = family[0].k
-        self.gains = np.array([g for s in family for g in _branch_gains(s)])  # (branches, k)
+        self.gains = np.array(  # (branches, k)
+            [g for s in family for g in (s.gains(), s.complement_gains())], dtype=np.int64
+        )
         self._codes = np.zeros(1, dtype=np.int64)  # the day-0 state
         self.codes = self._codes[:1]  # the live rows' codes
         self.order = np.zeros(1, dtype=np.int64)
@@ -206,7 +198,7 @@ class _TransitionTable:
 
     def gaps(self, rows) -> list[GapState]:
         """The gap vectors of the states in ``rows``."""
-        return [tuple(g) for g in _unpack(self.codes[rows], self.k).tolist()]
+        return [tuple(g) for g in np.stack(unpack(self.codes[rows], self.k), axis=1).tolist()]
 
     def reach(self, children):
         """The rows that ``children``, arrays of child rows, reach, ascending: every

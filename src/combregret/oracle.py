@@ -25,17 +25,10 @@ from .game import RankSubset
 MAX_FIXED_HORIZON = 20
 ADAPTIVE_NODE_BUDGET = 200_000_000
 
-_TIE_ORDERS = ("first", "last")
-
-
-def _rank_order(gains: tuple[int, ...], tie_order: str) -> list[int]:
-    # rank 1 = biggest total; ties go to the lower index ("first") or the
-    # higher one ("last") -- results must not depend on this choice
-    if tie_order == "first":
-        return sorted(range(len(gains)), key=lambda i: (-gains[i], i))
-    if tie_order == "last":
-        return sorted(range(len(gains)), key=lambda i: (-gains[i], -i))
-    raise ValueError(f"tie_order must be one of {_TIE_ORDERS}, got {tie_order!r}")
+def _rank_order(gains: tuple[int, ...]) -> list[int]:
+    # rank 1 = biggest total; ties go to the lower index -- results must not
+    # depend on this choice
+    return sorted(range(len(gains)), key=lambda i: (-gains[i], i))
 
 
 def _advance(gains: tuple[int, ...], order: list[int], ranks: frozenset[int]) -> tuple[int, ...]:
@@ -46,9 +39,7 @@ def _advance(gains: tuple[int, ...], order: list[int], ranks: frozenset[int]) ->
     return tuple(new)
 
 
-def brute_regret_fixed(
-    k: int, subset: RankSubset, t: int, tie_order: str = "first"
-) -> Dyadic:
+def brute_regret_fixed(k: int, subset: RankSubset, t: int) -> Dyadic:
     """Expected regret of a fixed subset strategy by full enumeration.
 
     The adaptive oracle over the one-member family ``(subset,)``: it walks
@@ -61,12 +52,10 @@ def brute_regret_fixed(
         raise ValueError(f"horizon must be at least 1, got {t}")
     if t > MAX_FIXED_HORIZON:
         raise BudgetError(f"fixed oracle enumerates 2^t sequences; t={t} exceeds {MAX_FIXED_HORIZON}")
-    return brute_value_adaptive(k, (subset,), t, tie_order)
+    return brute_value_adaptive(k, (subset,), t)
 
 
-def brute_value_adaptive(
-    k: int, family: Iterable[RankSubset], t: int, tie_order: str = "first"
-) -> Dyadic:
+def brute_value_adaptive(k: int, family: Iterable[RankSubset], t: int) -> Dyadic:
     """Expected regret of best adaptive play, by un-memoized enumeration.
 
     Maximizes over the family at every raw-gain history.  Cost is
@@ -92,7 +81,7 @@ def brute_value_adaptive(
         # 2^r times the expected final maximum from this position
         if r == 0:
             return max(gains)
-        order = _rank_order(gains, tie_order)
+        order = _rank_order(gains)
         best = None
         for ranks_a, ranks_b in rank_pairs:
             v = total_max(_advance(gains, order, ranks_a), r - 1) + total_max(

@@ -70,7 +70,7 @@ def raw_reference_step(
     """
     totals = tuple(-g for g in gaps)
     if order is None:
-        order = _rank_order(totals, "first")
+        order = _rank_order(totals)
     new = _advance(totals, order, frozenset(ranks))
     new_max = max(new)
     return tuple(sorted(new_max - t for t in new)), new_max

@@ -16,7 +16,7 @@ from combregret import cli
 from combregret.analysis import certified_lower_bounds, constancy_report, diff_stat
 from combregret.backend import FLOAT
 from combregret.dyadic import ZERO, Dyadic
-from combregret.forward import _branch_gains, _successors, regret_series_fixed
+from combregret.forward import _successors, regret_series_fixed
 from combregret.game import RankSubset, all_strategies, pack
 from combregret.optimal import AdaptiveSolver, best_fixed_subset, value_adaptive
 from combregret.oracle import brute_regret_fixed, brute_value_adaptive, k2_closed_form
@@ -295,7 +295,7 @@ def test_criterion_8_tie_permutation_invariance():
         states = tied_states(k, gap_max)
         codes = np.array([pack(gaps, k) for gaps in states], dtype=np.int64)
         for subset in (RankSubset.comb(k), RankSubset.of(k, (1,))):
-            child_codes, deltas = _successors(codes, k, _branch_gains(subset))
+            child_codes, deltas = _successors(codes, k, (subset.gains(), subset.complement_gains()))
             for gaps, code, delta in zip(states, child_codes[0].tolist(), deltas[0].tolist()):
                 for perm in tie_consistent_perms(gaps):
                     child, rise = raw_reference_step(gaps, subset.ranks, perm)

@@ -159,6 +159,32 @@ def test_failed_command_removes_only_files_it_created(monkeypatch, capsys, tmp_p
     assert kept.read_bytes() == b"kept\r\n\x00"
 
 
+@pytest.mark.parametrize("argv", [
+    ["figure1", "--t-max", "8", "--out-csv", "-", "--out-svg", "f.svg"],
+    ["figure1", "--t-max", "8", "--out-csv", "f.csv", "--out-svg", "-"],
+    ["optimal", "--k", "3", "--family", "all", "--t", "3", "--trace", "-"],
+], ids=["figure1-csv", "figure1-svg", "optimal-trace"])
+def test_dash_writes_to_stdout(monkeypatch, capsys, tmp_path, argv):
+    # '-' means stdout for every output flag: the lines the file would hold
+    # are printed, and no file named '-' is created or touched
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run(capsys, *("expected.out" if a == "-" else a for a in argv))
+    assert code == 0
+    expected = (tmp_path / "expected.out").read_text().splitlines()
+    dash = tmp_path / "-"
+    for existing in (None, b"kept\r\n\x00"):
+        if existing is not None:
+            dash.write_bytes(existing)
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        assert any(lines[i:i + len(expected)] == expected for i in range(len(lines)))
+        if existing is None:
+            assert not dash.exists()
+        else:
+            assert dash.read_bytes() == existing
+
+
 def test_optimal_k6_reference(capsys):
     code, out, _ = run(capsys, "optimal", "--k", "6", "--family", "1,3,6:1,4,6",
                        "--t", "13")

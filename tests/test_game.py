@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from combregret.forward import _branch_gains, _successors, _unpack
+from combregret.forward import _successors
 from combregret.game import (
     RankSubset,
     all_strategies,
@@ -70,7 +70,7 @@ def _children(states, subset):
     by one ``_successors`` call."""
     k = subset.k
     codes = np.array([pack(gaps, k) for gaps in states], dtype=np.int64)
-    child_codes, deltas = _successors(codes, k, _branch_gains(subset))
+    child_codes, deltas = _successors(codes, k, (subset.gains(), subset.complement_gains()))
     children = [[unpack(c, k) for c in row] for row in child_codes.tolist()]
     return list(zip(*children, (deltas[0] + deltas[1]).tolist()))
 
@@ -124,9 +124,11 @@ def test_vectorized_successors_match_step():
     for k in range(2, 9):
         states = list(_small_states(k, 5 if k <= 6 else 3))
         codes = [pack(gaps, k) for gaps in states]
-        assert [tuple(row) for row in _unpack(np.array(codes), k).tolist()] == states
+        decoded = np.stack(unpack(np.array(codes), k), axis=1)
+        assert [tuple(row) for row in decoded.tolist()] == states
         for subset in all_strategies(k):
-            child_codes, deltas = _successors(np.array(codes), k, _branch_gains(subset))
+            gains = (subset.gains(), subset.complement_gains())
+            child_codes, deltas = _successors(np.array(codes), k, gains)
             children = child_codes.T.tolist()
             sums = (deltas[0] + deltas[1]).tolist()
             for gaps, kids, d in zip(states, children, sums):

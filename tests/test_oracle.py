@@ -80,16 +80,6 @@ def test_adaptive_matches_oracle_property(case):
     assert value_adaptive(k, family, t).regret == brute_value_adaptive(k, family, t)
 
 
-def test_tie_order_independence():
-    # ranking ties broken in either direction must give the same value
-    for k, ranks in ((3, (1,)), (4, (1, 3)), (5, (1, 3, 5))):
-        s = RankSubset.of(k, ranks)
-        for t in (3, 5, 7):
-            first = brute_regret_fixed(k, s, t, tie_order="first")
-            last = brute_regret_fixed(k, s, t, tie_order="last")
-            assert first == last
-
-
 def test_adaptive_oracle_singleton_matches_fixed():
     s = RankSubset.of(3, (1, 3))
     for t in range(1, 7):
@@ -124,8 +114,6 @@ def test_budget_guards():
 
 
 @pytest.mark.parametrize("call, message", [
-    pytest.param(lambda: brute_regret_fixed(3, RankSubset.comb(3), 2, tie_order="middle"),
-                 "tie_order must be one of", id="tie-order"),
     pytest.param(lambda: brute_regret_fixed(4, RankSubset.comb(3), 2),
                  "subset is for k=3, not k=4", id="fixed-subset-k"),
     pytest.param(lambda: brute_value_adaptive(4, [RankSubset.comb(3)], 2),
