@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from .backend import EXACT
 from .dyadic import Dyadic
 from .forward import regret_series_fixed
-from .game import RankSubset, all_strategies, check_expert_count
+from .game import RankSubset, all_strategies
 from .optimal import best_fixed_subset, value_adaptive
-from .oracle import MAX_FIXED_HORIZON, brute_regret_fixed, k2_closed_form
+from .oracle import brute_regret_fixed, k2_closed_form
 
 # frozen reference values for the k=6, T=13 computations
 K6_T13_ADAPTIVE_EXPECTED_MAX = Dyadic(2341, 8)  # 9.14453125
@@ -81,16 +81,9 @@ def suite_reference_values() -> list[CheckResult]:
     return [check_k6_t13_adaptive(), check_k6_t13_best_fixed(), check_k5_t5_strict()]
 
 
-def oracle_limits(k: int, t_max: int) -> None:
-    """Raise ValueError unless the oracle suite can run at k and t_max."""
-    check_expert_count(k)
-    if t_max > MAX_FIXED_HORIZON:
-        raise ValueError(f"--t-max {t_max} exceeds the oracle's limit of {MAX_FIXED_HORIZON}")
-
-
-def suite_oracle(k: int, t_max: int) -> list[CheckResult]:
-    """Engine-vs-enumeration equality for every canonical subset."""
-    oracle_limits(k, t_max)
+def suite_oracle() -> list[CheckResult]:
+    """Engine-vs-enumeration equality for every canonical k=4 subset through T=7."""
+    k, t_max = 4, 7
     out = []
     for subset in all_strategies(k):
         series = regret_series_fixed(k, subset, t_max, EXACT, eps=0.0)
@@ -110,8 +103,9 @@ def suite_oracle(k: int, t_max: int) -> list[CheckResult]:
     return out
 
 
-def suite_k2_closed_form(t_max: int) -> list[CheckResult]:
-    """Engine series for k=2 comb against the binomial closed form."""
+def suite_k2_closed_form() -> list[CheckResult]:
+    """Engine series for k=2 comb against the binomial closed form, through T=60."""
+    t_max = 60
     series = regret_series_fixed(2, RankSubset.comb(2), t_max, EXACT, eps=0.0)
     out = []
     for t in range(1, t_max + 1):
@@ -128,35 +122,18 @@ def suite_k2_closed_form(t_max: int) -> list[CheckResult]:
     return out
 
 
-# each suite with the parameters it takes and their defaults, and the check
-# of its limits, if any; "all" runs every suite in this order
+# "all" runs every suite in this order
 SUITES = {
-    "reference-values": (suite_reference_values, {}, None),
-    "oracle": (suite_oracle, {"k": 4, "t_max": 7}, oracle_limits),
-    "k2-closed-form": (suite_k2_closed_form, {"t_max": 60}, None),
+    "reference-values": suite_reference_values,
+    "oracle": suite_oracle,
+    "k2-closed-form": suite_k2_closed_form,
 }
 SUITE_NAMES = (*SUITES, "all")
 
 
-def run_suite(name: str, k: int | None = None, t_max: int | None = None) -> list[CheckResult]:
-    """Run one suite, or all of them; a parameter left None takes its default.
-    Raises ValueError, before any suite runs, for an unknown suite, a
-    parameter no chosen suite takes, or one outside a chosen suite's limits."""
+def run_suite(name: str) -> list[CheckResult]:
+    """Run one suite, or all of them; raises ValueError for an unknown suite."""
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    chosen = list(SUITES.values()) if name == "all" else [SUITES[name]]
-    given = {p: v for p, v in (("k", k), ("t_max", t_max)) if v is not None}
-    for p in given:
-        if not any(p in params for _, params, _ in chosen):
-            raise ValueError(f"suite {name} takes no --{p.replace('_', '-')}")
-    calls = [
-        (suite, {p: given.get(p, default) for p, default in params.items()}, limits)
-        for suite, params, limits in chosen
-    ]
-    for _, args, limits in calls:
-        if limits is not None:
-            limits(**args)
-    out = []
-    for suite, args, _ in calls:
-        out += suite(**args)
-    return out
+    chosen = SUITES.values() if name == "all" else [SUITES[name]]
+    return [r for suite in chosen for r in suite()]

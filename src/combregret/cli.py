@@ -204,20 +204,21 @@ def _cmd_figure1(args) -> int:
     with _open_out(args.out_svg) as f:
         # on stdout, the lines that follow start on a line of their own
         f.write(_svg_chart(d) + ("\n" if args.out_svg == "-" else ""))
+    lines = []
     if args.t_max >= 5:
         # positivity that survives the pruning error, from T=5 on
         lower = certified_lower_bounds(sa, sb, args.scale)
-        print(f"certified_min_from_t5={min(lower[5:]):.17g}")
+        lines.append(f"certified_min_from_t5={min(lower[5:]):.17g}")
     if args.t_max > 100:
-        for line in summary_lines(constancy_report(d, 100, args.t_max)):
-            print(line)
-    print(f"csv={args.out_csv}")
-    print(f"svg={args.out_svg}")
+        lines += summary_lines(constancy_report(d, 100, args.t_max))
+    # after a CSV on stdout, the other lines are comments
+    for line in (*lines, f"csv={args.out_csv}", f"svg={args.out_svg}"):
+        print(f"# {line}" if args.out_csv == "-" else line)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    results = run_suite(args.suite, k=args.k, t_max=args.t_max)
+    results = run_suite(args.suite)
     failures = 0
     for r in results:
         print(r.line())
@@ -295,8 +296,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named check suite")
     p.add_argument("--suite", choices=SUITE_NAMES, required=True)
-    p.add_argument("--k", type=_positive_int, default=None)
-    p.add_argument("--t-max", type=_positive_int, default=None)
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -112,7 +112,6 @@ class AdaptiveSolver:
         self.family = _canonical_family(family)
         if self.family[0].k != k:
             raise ValueError(f"family is for k={self.family[0].k}, not k={k}")
-        self.k = k
         self.table = _TransitionTable(self.family)
         self._layers = [np.zeros(1, dtype=np.int64)]  # L_0: row 0, the day-0 state
         self._t, self._values = -1, []  # the horizon held (-1: none), N over L_0..L_t
@@ -173,21 +172,16 @@ class AdaptiveSolver:
             [(c == target).all(axis=0) for c in self._candidates(d, self._t - d, values[d + 1], rows)]
         )
 
-    def expected_max(self, t: int) -> Dyadic:
-        """E[max total gain] after t days of best adaptive play."""
+    def value(self, t: int) -> "AdaptivePolicyValue":
+        """The value of t days of best adaptive play, solved unless t is the horizon held."""
         if t < 0:
             raise ValueError(f"horizon must be nonnegative, got {t}")
         if t > MAX_HORIZON:
             raise BudgetError(f"horizon {t} exceeds the adaptive engine cap {MAX_HORIZON}")
         if t != self._t:
             self._solve(t)
-        return Dyadic(_join(self._values[0][:, 0], LIMB_BITS), t)
-
-    def value(self, t: int) -> "AdaptivePolicyValue":
-        emax = self.expected_max(t)
+        emax = Dyadic(_join(self._values[0][:, 0], LIMB_BITS), t)
         return AdaptivePolicyValue(
-            k=self.k,
-            t=t,
             family=self.family,
             expected_max=emax,
             regret=Dyadic(emax - Dyadic(t, 1)),
@@ -218,7 +212,7 @@ class AdaptiveSolver:
         Solving another horizon before the dump ends makes it raise
         ``RuntimeError``.
         """
-        self.expected_max(t)
+        self.value(t)
         level = np.zeros(1, dtype=np.int64)  # positions in layer d, in breadth-first order
         for d in range(t):
             if self._t != t:
@@ -242,8 +236,6 @@ class AdaptivePolicyValue:
     """Result of valuing one horizon: both the raw expected maximum and the
     centered regret (their difference is exactly t/2)."""
 
-    k: int
-    t: int
     family: tuple[RankSubset, ...]
     expected_max: Dyadic
     regret: Dyadic
@@ -260,8 +252,6 @@ def value_adaptive(k: int, family: Iterable[RankSubset], t: int) -> AdaptivePoli
 class BestFixedResult:
     """Outcome of scanning every canonical subset at one horizon."""
 
-    k: int
-    t: int
     maximizers: tuple[RankSubset, ...]
     regret: Dyadic
     expected_max: Dyadic
@@ -281,8 +271,6 @@ def best_fixed_subset(k: int, t: int) -> BestFixedResult:
     regrets = [regret_series_fixed(k, s, t).values[t] for s in subsets]
     best = max(regrets)
     return BestFixedResult(
-        k=k,
-        t=t,
         maximizers=tuple(s for s, v in zip(subsets, regrets) if v == best),
         regret=best,
         expected_max=Dyadic(best + Dyadic(t, 1)),

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import os
 import subprocess
@@ -185,6 +186,19 @@ def test_dash_writes_to_stdout(monkeypatch, capsys, tmp_path, argv):
             assert dash.read_bytes() == existing
 
 
+def test_figure1_csv_on_stdout_parses(monkeypatch, capsys, tmp_path):
+    # every line that is not a CSV row is a '# ' comment
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "figure1", "--t-max", "120", "--out-csv", "-", "--out-svg", "f.svg")
+    assert code == 0
+    lines = out.splitlines()
+    comments = [line for line in lines if line.startswith("# ")]
+    assert comments[-2:] == ["# csv=-", "# svg=f.svg"]
+    rows = list(csv.reader(line for line in lines if not line.startswith("# ")))
+    assert len(rows) == 121 and rows[0] == ["T", "D"]
+    assert all(len(row) == 2 for row in rows)
+
+
 def test_optimal_k6_reference(capsys):
     code, out, _ = run(capsys, "optimal", "--k", "6", "--family", "1,3,6:1,4,6",
                        "--t", "13")
@@ -297,55 +311,31 @@ def test_figure1_rejects_bad_t_max(tmp_path, capsys):
 
 
 def test_verify_closed_form(capsys):
-    code, out, _ = run(capsys, "verify", "--suite", "k2-closed-form", "--t-max", "10")
+    code, out, _ = run(capsys, "verify", "--suite", "k2-closed-form")
     assert code == 0
     lines = out.splitlines()
-    assert lines[-2] == "k2_closed_form_t10: PASS expected=315/2^8, got=315/2^8"
-    assert lines[-1] == "10/10 checks passed"
+    assert lines[9] == "k2_closed_form_t10: PASS expected=315/2^8, got=315/2^8"
+    assert lines[-1] == "60/60 checks passed"
 
 
 @pytest.mark.parametrize("argv, last", [
-    (["--suite", "oracle", "--k", "3", "--t-max", "4"], "4/4 checks passed"),
-    (["--suite", "all", "--k", "3", "--t-max", "4"], "11/11 checks passed"),
+    (["--suite", "oracle"], "8/8 checks passed"),
+    (["--suite", "all"], "71/71 checks passed"),
 ])
 def test_verify_suite_flags(capsys, argv, last):
-    # all = 3 reference values + one oracle check per k = 3 subset + T = 1..4 closed form
+    # all = 3 reference values + one oracle check per k = 4 subset + T = 1..60 closed form
     code, out, _ = run(capsys, "verify", *argv)
     assert code == 0
     assert out.splitlines()[-1] == last
 
 
-@pytest.mark.parametrize("argv, flag", [
-    (["--suite", "k2-closed-form", "--k", "5"], "--k"),
-    (["--suite", "reference-values", "--t-max", "3"], "--t-max"),
-])
-def test_verify_rejects_flag_no_suite_takes(capsys, argv, flag):
-    code, out, err = run(capsys, "verify", *argv)
-    assert code == 2 and out == ""
-    assert f"takes no {flag}" in err
-
-
-def test_verify_oracle_checks_t_max_first(monkeypatch, capsys):
-    def no_work(*args, **kwargs):
-        raise AssertionError("ran before --t-max was checked")
-
-    monkeypatch.setattr("combregret.checks.brute_regret_fixed", no_work)
-    monkeypatch.setattr("combregret.checks.regret_series_fixed", no_work)
-    code, out, err = run(capsys, "verify", "--suite", "oracle", "--k", "2", "--t-max", "21")
-    assert code == 2 and out == ""
-    assert "--t-max 21 exceeds the oracle's limit of 20" in err
-
-
-def test_verify_all_checks_oracle_limits_before_any_suite(monkeypatch, capsys):
-    # the reference-values suite comes first in "all"; none of it may run
-    def no_work(*args, **kwargs):
-        raise AssertionError("a suite ran before the oracle's --t-max was checked")
-
-    for name in ("value_adaptive", "best_fixed_subset", "regret_series_fixed", "brute_regret_fixed"):
-        monkeypatch.setattr(f"combregret.checks.{name}", no_work)
-    code, out, err = run(capsys, "verify", "--suite", "all", "--t-max", "21")
-    assert code == 2 and out == ""
-    assert "--t-max 21 exceeds the oracle's limit of 20" in err
+@pytest.mark.parametrize("flag", ["--k", "--t-max"])
+def test_verify_takes_no_size_flags(capsys, flag):
+    # the suites have fixed sizes
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--suite", "oracle", flag, "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_verify_oracle_reports_disagreement(monkeypatch, capsys):
@@ -355,13 +345,13 @@ def test_verify_oracle_reports_disagreement(monkeypatch, capsys):
         return Dyadic(value + HALF) if t >= 3 else value
 
     monkeypatch.setattr("combregret.checks.brute_regret_fixed", off_by_half)
-    code, out, _ = run(capsys, "verify", "--suite", "oracle", "--k", "3", "--t-max", "4")
+    code, out, _ = run(capsys, "verify", "--suite", "oracle")
     assert code == 1
     lines = out.splitlines()
-    assert lines[-1] == "0/4 checks passed"
-    engine = regret_series_fixed(3, RankSubset.of(3, (1,)), 3).values[3]
+    assert lines[-1] == "0/8 checks passed"
+    engine = regret_series_fixed(4, RankSubset.of(4, (1,)), 3).values[3]
     assert lines[0] == (
-        f"oracle_k3_subset_1: FAIL expected=T=3: {Dyadic(engine + HALF).interchange()}, "
+        f"oracle_k4_subset_1: FAIL expected=T=3: {Dyadic(engine + HALF).interchange()}, "
         f"got={engine.interchange()}"
     )
 
@@ -377,7 +367,7 @@ def test_verify_reference_values(capsys):
 def test_verify_failure_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(
         cli, "run_suite",
-        lambda name, k=None, t_max=None: [CheckResult("stub", False, "x", "y")],
+        lambda name: [CheckResult("stub", False, "x", "y")],
     )
     code, out, _ = run(capsys, "verify", "--suite", "oracle")
     assert code == 1

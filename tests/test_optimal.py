@@ -136,7 +136,7 @@ def test_best_fixed_small_cases():
 
 def test_adaptive_trace_k6(k6_family):
     solver = AdaptiveSolver(6, k6_family)
-    solver.expected_max(13)
+    solver.value(13)
     nodes = list(solver.trace(13))
     state0, r0, maxers0 = nodes[0]
     assert state0 == (0,) * 6
@@ -180,10 +180,10 @@ def test_maximizers_skip_shorter_horizons():
     # released and had no layer with 5 or 6 days left
     family = [RankSubset.of(4, (1, 3)), RankSubset.of(4, (1, 4))]
     solver = AdaptiveSolver(4, family)
-    solver.expected_max(3)
-    solver.expected_max(6)
+    solver.value(3)
+    solver.value(6)
     fresh = AdaptiveSolver(4, family)
-    fresh.expected_max(6)
+    fresh.value(6)
     for state, r, maxers in fresh.trace(6):
         if r > 3:
             assert solver.maximizers(state, r) == maxers
@@ -191,7 +191,7 @@ def test_maximizers_skip_shorter_horizons():
 
 def test_maximizers_on_missing_node():
     solver = AdaptiveSolver(2, [RankSubset.of(2, (1,))])
-    solver.expected_max(3)
+    solver.value(3)
     with pytest.raises(ValueError, match="node not computed"):
         solver.maximizers((0, 9), 1)
 
@@ -227,7 +227,7 @@ def test_maximizers_never_alias_wide_gaps():
     # computed all-tied start; k = 7 packs 10 bits per gap, k = 3 packs 12
     for k, gap in ((7, 1 << 10), (3, 1 << 12), (3, 1 << 64)):
         solver = AdaptiveSolver(k, [RankSubset.comb(k)])
-        solver.expected_max(3)
+        solver.value(3)
         assert solver.maximizers((0,) * k, 3) == (RankSubset.comb(k),)
         with pytest.raises(ValueError, match="node not computed"):
             solver.maximizers((0,) * (k - 1) + (gap,), 3)
@@ -235,7 +235,7 @@ def test_maximizers_never_alias_wide_gaps():
 
 def test_maximizers_validates_state():
     solver = AdaptiveSolver(3, [RankSubset.of(3, (1,))])
-    solver.expected_max(2)
+    solver.value(2)
     # (0, 0) packs to the same code as the computed (0, 0, 0)
     with pytest.raises(ValueError, match="expected k=3"):
         solver.maximizers((0, 0), 1)
@@ -286,17 +286,17 @@ def test_solver_holds_one_horizon():
     for t in range(1, 61):
         assert solver.value(t).regret == AdaptiveSolver(3, family).value(t).regret
     fresh = AdaptiveSolver(3, family)
-    fresh.expected_max(60)
+    fresh.value(60)
     assert sum(a.nbytes for a in solver._values) == sum(a.nbytes for a in fresh._values)
     # a re-solve releases the values held before it builds the next ones
     tracemalloc.start()
     try:
         solver = AdaptiveSolver(3, family)
-        solver.expected_max(200)
+        solver.value(200)
         values = sum(a.nbytes for a in solver._values)
         held, _ = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        solver.expected_max(199)
+        solver.value(199)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -385,9 +385,9 @@ def test_horizon_limits(monkeypatch):
     solver = AdaptiveSolver(2, [RankSubset.of(2, (1,))])
     assert solver.value(0).regret == ZERO
     with pytest.raises(ValueError):
-        solver.expected_max(-1)
+        solver.value(-1)
     with pytest.raises(BudgetError):
-        solver.expected_max(MAX_HORIZON + 1)
+        solver.value(MAX_HORIZON + 1)
     with pytest.raises(ValueError):
         best_fixed_subset(2, 0)
     monkeypatch.setattr("combregret.optimal.MAX_MEMO_NODES", 10)
