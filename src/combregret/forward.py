@@ -14,10 +14,11 @@ deltas filled in the first day the state is on the frontier.  Rows live in
 buffers with spare capacity, grown by a quarter when a batch of new states
 does not fit, and ``len`` of the table counts the live rows.  The table
 holds a family of subsets; a sweep passes its one subset, and the adaptive
-solver in ``optimal`` its whole family.  Each state is therefore decoded,
-stepped and re-encoded once, by ``_successors``, which reads and writes
-codes through ``game.unpack`` and ``game.pack``; the tests check it against
-the brute-force oracle's step on raw totals.  Every engine
+solver in ``optimal`` its whole family.  Each state is therefore stepped
+once, by ``_successors``.  Re-sorting a child's gaps only reorders runs of
+tied gaps, so the step reads the state's tie pattern through
+``game.unpack`` and adds a tabulated offset to its code; the tests check it
+against the brute-force oracle's step on raw totals.  Every engine
 expands a day's states and hands their child rows to the table's ``reach``,
 which returns the next frontier or layer; a sweep also adds one
 ``np.bincount`` per weight row.  The table never forgets a state, so it is
@@ -48,7 +49,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
+from itertools import accumulate
 
 import numpy as np
 
@@ -85,9 +87,9 @@ LIMB_BITS = 28
 _LIMB_MASK = (1 << LIMB_BITS) - 1
 assert 2 * MAX_TABLE_ROWS << LIMB_BITS <= 1 << 53
 
-# the most branch-rows (branches times states) one numpy call steps, looks
-# up or values at once: a small layer goes in one call, a layer of more
-# rows one branch (or one member) at a time
+# the most branch-rows (branches times states) one numpy call looks up or
+# values at once: a small layer goes in one call, a layer of more rows one
+# branch (or one member) at a time
 BLOCK_CELLS = 1 << 13
 
 
@@ -113,35 +115,77 @@ def _branch_blocks(branches: int, rows: int, pair: int = 1) -> list[slice]:
     return [slice(lo, lo + step) for lo in range(0, branches, step)]
 
 
+def _sort_step(gaps, k: int, gains):
+    """The child gaps (one array per rank) and leader deltas of the states
+    ``gaps`` (one array per rank) under each branch of ``gains``, shape
+    (branches, n) each: x_i = g_i + delta - a_i, delta = max_i (a_i - g_i),
+    sorted rank by rank by an insertion network of compare-exchanges."""
+    rel = [gains[:, i, None] - gaps[i] for i in range(k)]
+    delta = reduce(np.maximum, rel)
+    nxt = [np.subtract(delta, r, out=r) for r in rel]
+    for i in range(1, k):
+        for j in range(i, 0, -1):
+            low = np.minimum(nxt[j - 1], nxt[j])
+            nxt[j] = np.maximum(nxt[j - 1], nxt[j])
+            nxt[j - 1] = low
+    return nxt, delta
+
+
+@cache
+def _step_table(k: int):
+    """The code offsets (int64) and leader deltas (int8) of one day, each
+    indexed by [gain vector, tie pattern]: rank i gains at bit i - 1 of the
+    gain vector, and bit p of the pattern is set when gaps p + 1 and p + 2
+    tie.  Filled by ``_sort_step`` on one state per pattern, whose gaps rise
+    by 1 wherever the pattern has no tie, under all 2^k gain vectors."""
+    patterns = np.arange(1 << (k - 1))
+    rises = (1 - ((patterns >> p) & 1) for p in range(k - 1))
+    gaps = list(accumulate(rises, initial=patterns * 0))
+    gains = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+    child, deltas = _sort_step(gaps, k, gains)
+    # read-only: every caller shares the cached arrays
+    offsets, deltas = pack(child, k) - pack(gaps, k), deltas.astype(np.int8)
+    offsets.flags.writeable = deltas.flags.writeable = False
+    return offsets, deltas
+
+
 def _successors(codes, k: int, gains):
     """One day from every packed state in ``codes``, vectorized over the codes.
 
-    ``gains`` holds the int64 per-rank gains of each branch (a subset and its
+    ``gains`` holds the 0/1 per-rank gains of each branch (a subset and its
     complement, for one or more subsets in turn).  Returns the child codes
     and the leader deltas of every branch, shape (len(gains), n) each.
-    Branches are stepped in blocks of ``_branch_blocks``, rank by rank: each
-    rank's gaps are one (branches, n) array, so no numpy call runs along the
-    short rank axis.  ``game.unpack`` reads the gaps and ``game.pack`` writes
-    each block's child codes.
+
+    A child's code is its parent's code plus an offset from ``_step_table``,
+    which depends only on the branch's gains and the parent's tie pattern.
+    Write the parent's gaps g_1 = 0 <= g_2 <= ... <= g_k and the branch's
+    gains a_i in {0, 1}.  The step forms x_i = g_i + delta - a_i, with
+    delta = max_i (a_i - g_i) in {0, 1}, and sorts.  For i < j with
+    g_i < g_j, x_i <= g_j - 1 + delta <= x_j; with g_i = g_j, x_i > x_j
+    only when a_i = 0 and a_j = 1.  So sorting only reorders runs of equal
+    gaps, and inside a run it puts the gaining ranks first: the sorted
+    child is g + delta - a', where a' is a with each tie run reordered
+    gainers first.  A rank outside the leader's run has g_i >= 1, so
+    delta = 1 exactly when a rank in the leader's run gains.  Both a' and
+    delta therefore depend only on a and on the tie pattern, whose bit p is
+    set when g_(p+1) = g_(p+2): 2^(k-1) patterns.  Every child gap is at most
+    one above the parent's largest, and the engines check t_max < 2^width,
+    so every child gap stays inside its packed field.  ``game.pack`` is
+    additive over in-range gaps, so pack(child) - pack(parent) is one fixed
+    offset for each (gain vector, tie pattern).
+
+    ``game.unpack`` reads the tie pattern; nothing of shape (branches, n)
+    is allocated beyond the two outputs.
     """
-    n = codes.shape[0]
     gaps = unpack(codes, k)
-    gains = np.asarray(gains, dtype=np.int64)
-    child_codes = np.empty((gains.shape[0], n), dtype=np.int64)
-    deltas = np.empty((gains.shape[0], n), dtype=np.int8)  # a leader delta is 0 or 1
-    for block in _branch_blocks(gains.shape[0], n):
-        rel = [gains[block, i, None] - gaps[i] for i in range(k)]
-        delta = reduce(np.maximum, rel)
-        nxt = [np.subtract(delta, r, out=r) for r in rel]
-        # an insertion network of compare-exchanges sorts each child's gaps
-        for i in range(1, k):
-            for j in range(i, 0, -1):
-                low = np.minimum(nxt[j - 1], nxt[j])
-                nxt[j] = np.maximum(nxt[j - 1], nxt[j])
-                nxt[j - 1] = low
-        child_codes[block] = pack(nxt, k)
-        deltas[block] = delta
-    return child_codes, deltas
+    pattern = np.zeros(codes.shape[0], dtype=np.int64)
+    for p in range(k - 1):
+        pattern |= (gaps[p] == gaps[p + 1]) << p
+    offsets, deltas = _step_table(k)
+    rows = np.asarray(gains, dtype=np.int64) @ (1 << np.arange(k))
+    child_codes = np.take(offsets[rows], pattern, axis=1)
+    child_codes += codes
+    return child_codes, np.take(deltas[rows], pattern, axis=1)
 
 
 class _TransitionTable:
@@ -150,12 +194,12 @@ class _TransitionTable:
     Row i holds the code of state i and, once the state has been expanded,
     the rows of its children and their leader deltas: rows 2j and 2j + 1 of
     ``children`` and ``deltas`` are the two branches of member j.  Each state
-    is therefore decoded, stepped and re-encoded once, however many days it
-    stays on a sweep's frontier or in how many of the adaptive solver's
-    layers it lies.  Rows are appended as states appear, each batch in code
-    order, and never move; ``order`` lists them in code order, for lookups.
-    States are stepped, and their child rows looked up, in blocks of
-    branches of at most ``BLOCK_CELLS`` branch-rows.
+    is therefore stepped once, however many days it stays on a sweep's
+    frontier or in how many of the adaptive solver's layers it lies.  Rows
+    are appended as states appear, each batch in code order, and never
+    move; ``order`` lists them in code order, for lookups.  A batch of
+    states is stepped in one call, and their child rows looked up in blocks
+    of branches of at most ``BLOCK_CELLS`` branch-rows.
 
     ``len`` counts the live rows.  ``children``, ``deltas`` and ``expanded``
     are whole buffers with spare rows past the live ones, which no reader

@@ -15,12 +15,15 @@ The packed state code stores each gap after the leader's in
 ``packed_width(k)`` bits.  One module knows its layout, this one: ``pack``
 and ``unpack`` place and read every gap's bits, for a Python int or a whole
 int64 array of codes alike.  ``forward._successors``, the one transition on
-packed codes, steps arrays of codes through them.  Every engine, the
-forward sweeps and the adaptive solver alike, steps each state once in a
-``forward._TransitionTable`` through ``_successors``, and the adaptive
-solver maps gap tuples to rows and back through the table's ``row_of`` and
-``gaps``.  The tests check ``_successors`` against the brute-force oracle's
-step on raw totals, which shares no state representation with it.
+packed codes, reads the tie pattern of arrays of codes through ``unpack``:
+re-sorting a child's gaps only reorders runs of tied gaps, and ``pack`` is
+additive over in-range gaps, so the step adds a tabulated offset to each
+code.  Every engine, the forward sweeps and the adaptive solver alike,
+steps each state once in a ``forward._TransitionTable`` through
+``_successors``, and the adaptive solver maps gap tuples to rows and back
+through the table's ``row_of`` and ``gaps``.  The tests check
+``_successors`` against the brute-force oracle's step on raw totals, which
+shares no state representation with it.
 """
 
 from __future__ import annotations
@@ -155,7 +158,10 @@ def pack(gaps, k: int):
     ints, an int64 array for arrays of gaps.  Gap i lands in bits
     ``packed_width(k) * (i - 1)`` onwards; the leader's zero is dropped,
     so the trailer's gap is the most significant field.  Nothing is
-    checked."""
+    checked.  While every gap lies in 0..2^width - 1 the fields do not
+    overlap, so the code is the sum of gap i times 2^(width * (i - 1)):
+    ``pack`` is additive over in-range gaps, and the difference of two
+    codes depends only on the differences of their gaps."""
     width = packed_width(k)
     code = 0
     for i in range(1, k):

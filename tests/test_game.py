@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from combregret.forward import _successors
 from combregret.game import (
@@ -12,7 +14,7 @@ from combregret.game import (
     unpack,
     validate_state,
 )
-from tests.support import raw_reference_step
+from tests.support import raw_reference_step, tie_consistent_perms
 
 
 def test_validate_state():
@@ -135,6 +137,68 @@ def test_vectorized_successors_match_step():
                 (a, da), (b, db) = (raw_reference_step(gaps, r)
                                     for r in (subset.ranks, subset.complement_ranks()))
                 assert (pack(a, k), pack(b, k), da + db) == (*kids, d)
+
+
+def _pattern_states(k):
+    """States of every tie pattern of k gaps (bit p set when gaps p + 1 and
+    p + 2 tie): one whose gaps rise by 1 at each untied step, and, where a
+    step rises, two whose largest gap is 2^width - 2, with the long rise
+    first or last, so that an offset borrowing across fields shows."""
+    top = (1 << packed_width(k)) - 2
+    for pattern in range(1 << (k - 1)):
+        rises = [1 - (pattern >> p & 1) for p in range(k - 1)]
+        at = [p for p, r in enumerate(rises) if r]
+        spreads = [rises]
+        for long in at[:1] + at[-1:]:
+            spreads.append([top - len(at) + 1 if p == long else r for p, r in enumerate(rises)])
+        for spread in spreads:
+            yield tuple(itertools.accumulate(spread, initial=0))
+
+
+def _check_against_oracle(states, k, gains):
+    """``_successors`` on ``states`` against the oracle's raw-total step,
+    under the oracle's rank order and each tie-consistent permutation."""
+    codes = np.array([pack(gaps, k) for gaps in states], dtype=np.int64)
+    child_codes, deltas = _successors(codes, k, gains)
+    for gaps, kids, kid_deltas in zip(states, child_codes.T.tolist(), deltas.T.tolist()):
+        for a, kid, delta in zip(gains, kids, kid_deltas):
+            ranks = [r for r in range(1, k + 1) if a[r - 1]]
+            for order in [None, *tie_consistent_perms(gaps)]:
+                child, rise = raw_reference_step(gaps, ranks, order)
+                assert (pack(child, k), rise) == (kid, delta), (gaps, a, order)
+
+
+def test_successors_every_tie_pattern():
+    # every tie pattern, with small gaps and with gaps near the top of their
+    # fields, under every canonical subset and its complement
+    for k in range(2, 9):
+        states = sorted(set(_pattern_states(k)))
+        assert {sum((g[p] == g[p + 1]) << p for p in range(k - 1)) for g in states} == set(
+            range(1 << (k - 1)))
+        assert max(g[-1] for g in states) == (1 << packed_width(k)) - 2
+        gains = [g for s in all_strategies(k) for g in (s.gains(), s.complement_gains())]
+        _check_against_oracle(states, k, gains)
+        child_codes, deltas = _successors(np.zeros(0, dtype=np.int64), k, gains)
+        assert child_codes.shape == deltas.shape == (len(gains), 0)
+
+
+@st.composite
+def _random_steps(draw):
+    k = draw(st.integers(2, 8))
+    top = (1 << packed_width(k)) - 2
+    tails = st.lists(st.integers(0, top), min_size=k - 1, max_size=k - 1)
+    states = [(0, *sorted(tail)) for tail in draw(st.lists(tails, min_size=1, max_size=8))]
+    family = draw(st.lists(st.sets(st.integers(2, k)), min_size=1, max_size=4))
+    subsets = [RankSubset.of(k, {1} | ranks) for ranks in family]
+    return k, states, [g for s in subsets for g in (s.gains(), s.complement_gains())]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_random_steps())
+def test_successors_match_oracle_random(case):
+    # random sorted gaps below 2^width - 1 and a random family's gains
+    k, states, gains = case
+    _check_against_oracle(states, k, gains)
 
 
 def test_encode_decode_roundtrip():

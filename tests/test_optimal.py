@@ -330,8 +330,9 @@ def test_each_state_stepped_once(monkeypatch):
 
 
 def test_blocked_steps_match_one_block(monkeypatch):
-    # the 64 branches of the k = 6 all-family table, stepped, looked up and
-    # valued in blocks of several branches, against one block per layer
+    # the 64 branches of the k = 6 all-family table, their child rows looked
+    # up and valued in blocks of several branches, against one block per
+    # layer; states are stepped by table lookup, not in blocks
     blocks = []
 
     def counting(branches, rows, pair=1):
