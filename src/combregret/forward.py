@@ -20,7 +20,8 @@ tied gaps, so the step reads the state's tie pattern through
 ``game.unpack`` and adds a tabulated offset to its code; the tests check it
 against the brute-force oracle's step on raw totals.  Every engine
 expands a day's states and hands their child rows to the table's ``reach``,
-which returns the next frontier or layer; a sweep also adds one
+which returns the next frontier, or the raw states the solver collapses
+into its next layer and appends through ``add``; a sweep also adds one
 ``np.bincount`` per weight row.  The table never forgets a state, so it is
 capped at ``MAX_TABLE_ROWS`` rows for one member and fewer for a family;
 growing past the cap raises ``BudgetError``.
@@ -57,7 +58,7 @@ import numpy as np
 from .backend import EXACT, FLOAT, ValueBackend
 from .dyadic import ZERO, Dyadic
 from .errors import BudgetError
-from .game import GapState, RankSubset, pack, packed_width, unpack, validate_state
+from .game import RankSubset, pack, packed_width, unpack
 
 # default prune threshold for float sweeps; exact runs default to no pruning
 DEFAULT_FLOAT_EPS = 2.0**-50
@@ -169,8 +170,10 @@ def _successors(codes, k: int, gains):
     delta = 1 exactly when a rank in the leader's run gains.  Both a' and
     delta therefore depend only on a and on the tie pattern, whose bit p is
     set when g_(p+1) = g_(p+2): 2^(k-1) patterns.  Every child gap is at most
-    one above the parent's largest, and the engines check t_max < 2^width,
-    so every child gap stays inside its packed field.  ``game.pack`` is
+    one above the parent's largest, and every engine steps gaps of at most
+    2^width - 2 alone: a sweep's are below t_max < 2^width, and the adaptive
+    solver's below its horizon or at ``game.sentinel``, 2^width - 2.  So
+    every child gap stays inside its packed field.  ``game.pack`` is
     additive over in-range gaps, so pack(child) - pack(parent) is one fixed
     offset for each (gain vector, tie pattern).
 
@@ -196,10 +199,10 @@ class _TransitionTable:
     ``children`` and ``deltas`` are the two branches of member j.  Each state
     is therefore stepped once, however many days it stays on a sweep's
     frontier or in how many of the adaptive solver's layers it lies.  Rows
-    are appended as states appear, each batch in code order, and never
-    move; ``order`` lists them in code order, for lookups.  A batch of
-    states is stepped in one call, and their child rows looked up in blocks
-    of branches of at most ``BLOCK_CELLS`` branch-rows.
+    are appended by ``add`` alone, as states appear, each batch in code
+    order, and never move; ``order`` lists them in code order, for lookups.
+    A batch of states is stepped in one call, and their child rows looked up
+    in blocks of branches of at most ``BLOCK_CELLS`` branch-rows.
 
     ``len`` counts the live rows.  ``children``, ``deltas`` and ``expanded``
     are whole buffers with spare rows past the live ones, which no reader
@@ -229,28 +232,40 @@ class _TransitionTable:
         rows = self.order[np.minimum(at, len(self) - 1)]
         return np.where(self.codes[rows] == codes, rows, -1)
 
-    def row_of(self, state: GapState) -> int:
-        """The row of the gap vector ``state``, or -1 if no row holds it."""
-        # packed codes drop trailing zero gaps, so check the length first
-        if len(state) != self.k:
-            raise ValueError(f"state has {len(state)} entries, expected k={self.k}: {state!r}")
-        validate_state(state)
-        # a gap of 2^width or more has no code, so no row holds it
-        if state[-1] >> packed_width(self.k):
-            return -1
-        return int(self.find(np.array([pack(state, self.k)]))[0])
-
-    def gaps(self, rows) -> list[GapState]:
-        """The gap vectors of the states in ``rows``."""
-        return [tuple(g) for g in np.stack(unpack(self.codes[rows], self.k), axis=1).tolist()]
-
     def reach(self, children):
-        """The rows that ``children``, arrays of child rows, reach, ascending: every
-        engine's next frontier or layer (the solver passes blocks of branches)."""
+        """The rows that ``children``, arrays of child rows, reach, ascending: a
+        sweep's next frontier, or the raw rows of the solver's next layer
+        (the solver passes blocks of branches)."""
         reached = np.zeros(len(self), dtype=bool)
         for rows in children:
             reached[rows] = True
         return np.flatnonzero(reached)
+
+    def add(self, codes) -> None:
+        """Append a row for each distinct state of ``codes`` that has none, in code order."""
+        fresh = _sorted_unique(codes)
+        fresh = fresh[self.find(fresh) < 0]
+        if fresh.shape[0] == 0:
+            return
+        n, size = len(self), len(self) + fresh.shape[0]
+        fixed = self.codes.itemsize + self.order.itemsize + self.expanded.itemsize
+        branch = self.children.itemsize + self.deltas.itemsize
+        limit = MAX_TABLE_ROWS * (fixed + 2 * branch) // (fixed + len(self.gains) * branch)
+        if size > limit:
+            raise BudgetError(f"transition table exceeded {limit} rows")
+        self.order = np.insert(
+            self.order, np.searchsorted(self.codes, fresh, sorter=self.order), np.arange(n, size)
+        )
+        if size > self._codes.shape[0]:
+            # 1.25x, not 2x: spare rows cost peak memory at the solver's reach.
+            # One buffer at a time, so that one old copy at most is held
+            cap = min(max(size, self._codes.shape[0] * 5 // 4), limit)
+            self._codes = _grow(self._codes, cap)
+            self.children = _grow(self.children, cap)
+            self.deltas = _grow(self.deltas, cap)
+            self.expanded = _grow(self.expanded, cap)
+        self._codes[n:size] = fresh
+        self.codes = self._codes[:size]
 
     def expand(self, rows) -> None:
         """Step the unexpanded states among ``rows``, appending their new children."""
@@ -258,28 +273,7 @@ class _TransitionTable:
         if new.shape[0] == 0:
             return
         child_codes, child_deltas = _successors(self.codes[new], self.k, self.gains)
-        fresh = _sorted_unique(child_codes)
-        fresh = fresh[self.find(fresh) < 0]
-        if fresh.shape[0]:
-            n, size = len(self), len(self) + fresh.shape[0]
-            fixed = self.codes.itemsize + self.order.itemsize + self.expanded.itemsize
-            branch = self.children.itemsize + self.deltas.itemsize
-            limit = MAX_TABLE_ROWS * (fixed + 2 * branch) // (fixed + len(self.gains) * branch)
-            if size > limit:
-                raise BudgetError(f"transition table exceeded {limit} rows")
-            self.order = np.insert(
-                self.order, np.searchsorted(self.codes, fresh, sorter=self.order), np.arange(n, size)
-            )
-            if size > self._codes.shape[0]:
-                # 1.25x, not 2x: spare rows cost peak memory at the solver's reach.
-                # One buffer at a time, so that one old copy at most is held
-                cap = min(max(size, self._codes.shape[0] * 5 // 4), limit)
-                self._codes = _grow(self._codes, cap)
-                self.children = _grow(self.children, cap)
-                self.deltas = _grow(self.deltas, cap)
-                self.expanded = _grow(self.expanded, cap)
-            self._codes[n:size] = fresh
-            self.codes = self._codes[:size]
+        self.add(child_codes)
         # in blocks of branches, to keep the transient row indices small
         for block in _branch_blocks(len(self.gains), new.shape[0]):
             self.children[block, new] = self.find(child_codes[block])

@@ -14,16 +14,17 @@ absolute totals therefore never need to be part of the state.
 The packed state code stores each gap after the leader's in
 ``packed_width(k)`` bits.  One module knows its layout, this one: ``pack``
 and ``unpack`` place and read every gap's bits, for a Python int or a whole
-int64 array of codes alike.  ``forward._successors``, the one transition on
-packed codes, reads the tie pattern of arrays of codes through ``unpack``:
-re-sorting a child's gaps only reorders runs of tied gaps, and ``pack`` is
-additive over in-range gaps, so the step adds a tabulated offset to each
-code.  Every engine, the forward sweeps and the adaptive solver alike,
-steps each state once in a ``forward._TransitionTable`` through
-``_successors``, and the adaptive solver maps gap tuples to rows and back
-through the table's ``row_of`` and ``gaps``.  The tests check
-``_successors`` against the brute-force oracle's step on raw totals, which
-shares no state representation with it.
+int64 array of codes alike, and ``collapse`` sets every gap below the first
+split a horizon cannot close to one far ``sentinel``, on arrays of codes.
+``forward._successors``, the one transition on packed codes, reads the tie
+pattern of arrays of codes through ``unpack``: re-sorting a child's gaps
+only reorders runs of tied gaps, and ``pack`` is additive over in-range
+gaps, so the step adds a tabulated offset to each code.  Every engine, the
+forward sweeps and the adaptive solver alike, steps each state once in a
+``forward._TransitionTable`` through ``_successors``; the adaptive solver
+values collapsed states only.  The tests check ``_successors`` against the
+brute-force oracle's step on raw totals, which shares no state
+representation with it, and ``collapse`` against a collapse of gap tuples.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
+
+import numpy as np
 
 GapState = tuple[int, ...]
 
@@ -177,3 +180,41 @@ def unpack(codes, k: int) -> tuple:
     mask = (1 << width) - 1
     # codes & 0 is the leader's zero, as an int or as an array
     return (codes & 0,) + tuple((codes >> (width * i)) & mask for i in range(k - 1))
+
+
+def sentinel(k: int) -> int:
+    """The gap ``collapse`` gives every expert below a split: 2^width - 2,
+    so that a child of it, at most one more, still fits its field."""
+    return (1 << packed_width(k)) - 2
+
+
+def collapse(codes, k: int, r: int):
+    """The int64 array of codes ``codes`` with r days left, each with every
+    gap below its first split set to ``sentinel(k)``.
+
+    With sorted gaps g_0 = 0 <= g_1 <= ... <= g_(k-1), the first split is
+    the first i with g_(i+1) - g_i >= r + 1.  A gap between two experts
+    closes by at most 1 a day, so within r days no expert below the split
+    reaches the lead, and none ties or swaps rank with one above it: ranks
+    1 .. i + 1 keep the same experts, and every leader delta depends on
+    them alone; the experts below the split only reorder among themselves,
+    at ranks i + 2 .. k.  So a state and its
+    collapse have the same scaled value N(s, r) under every sequence of
+    family members, as long as the collapse keeps the split: S - g_i >=
+    r + 1 for the sentinel S.  A state reached at day d has every gap at
+    most d, so that holds when S >= T + 1 for the horizon T = d + r.  The
+    sentinel keeps the split from day to day: the gap across it closes to
+    at least r, a split again with r - 1 days left, so every gap below it
+    is set back to S, and collapsed codes repeat.  A state with no split
+    is returned as it is.  Nothing is checked.
+    """
+    width = packed_width(k)
+    gaps = unpack(codes, k)
+    # the first field below the first split; k - 1, past the last, for none
+    first = np.full(codes.shape, k - 1)
+    for i in reversed(range(k - 1)):
+        first[gaps[i + 1] - gaps[i] > r] = i
+    keep = np.array([(1 << width * i) - 1 for i in range(k)], dtype=np.int64)
+    far = sentinel(k)
+    tail = np.array([pack((0,) * (i + 1) + (far,) * (k - 1 - i), k) for i in range(k)], dtype=np.int64)
+    return codes & keep[first] | tail[first]

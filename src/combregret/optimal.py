@@ -12,15 +12,21 @@ A.  V(initial, T) is the expected maximum total gain after T days; subtracting
 T/2 (the expected gain any player is pinned to) gives the expected regret.
 
 The value is horizon-dependent but day-translation-invariant, so the solver
-works in layers.  A forward pass enumerates L_0 ... L_T over one
-``forward._TransitionTable`` of the whole family, which steps each state
-once however many layers hold it and keeps its children and leader deltas.
-L_d holds the table rows of every state reachable at day d under some
-sequence of family members, in ascending order: L_{d+1} is what the table's
-``reach`` returns for the child rows of L_d, as the forward sweeps build
-their next frontier.  A row never moves once the table has it, so a layer
-stays valid as later layers add states.  Gap tuples become rows and back
-only through the table's ``row_of`` and ``gaps``.  A backward pass then
+works in layers, one set for the horizon T it solves.  A forward pass
+enumerates L_0 ... L_T over one ``forward._TransitionTable`` of the whole
+family, which steps each state once however many layers or horizons hold it
+and keeps its children and leader deltas.  L_d holds the table rows of the
+states reachable at day d under some sequence of family members, each
+collapsed by ``game.collapse`` with T - d days left, in ascending order.  A
+collapsed state has the value of every state it stands for (the proof is in
+``collapse``'s docstring), so L_{d+1} is the collapse of what the table's
+``reach`` returns for the child rows of L_d, and a layer keeps those raw
+child rows with the position of each one's collapse in L_{d+1}.  While no
+child gap can span a split (d + 1 < T - d), the collapse is the identity and
+the child rows are the next layer.  A row never moves once the table has
+it, and the table keeps raw children, so another horizon derives its own
+layers over the same table.  Gap tuples become codes and back only at
+``maximizers`` and ``trace``.  A backward pass then
 values a whole layer at once on the scaled integers N(s, r) = V(s, r) * 2^r,
 which obey
 
@@ -48,21 +54,31 @@ import numpy as np
 
 from .dyadic import Dyadic
 from .errors import BudgetError
-from .forward import _at_least, _branch_blocks, _carry, _join, _TransitionTable, regret_series_fixed
-from .game import MAX_K, GapState, RankSubset, all_strategies, packed_width
+from .forward import (
+    _at_least, _branch_blocks, _carry, _join, _sorted_unique, _successors, _TransitionTable, regret_series_fixed,
+)
+from .game import (
+    MAX_K, GapState, RankSubset, all_strategies, collapse, pack, packed_width, sentinel, unpack, validate_state,
+)
 
 # hard ceilings; exceeding them is an error, never a silent approximation.
 # A layer row keeps an 8 B table row index and its value for the one horizon
 # held (8 B per int64 limb: one limb while r <= 55 days are left, two through
-# r = 115); children and deltas live in the shared table, capped by
+# r = 115); where the collapse is not the identity, the layer before it keeps
+# 16 B per raw child row, its table row and its position (0.7-1.3 raw rows
+# per layer row for all subsets of k = 3, 5 and 6 at T = 80, 80 and 39).
+# Children and deltas live in the shared table, capped by
 # forward.MAX_TABLE_ROWS.  Counting the table, peak RSS grows by about
-# 440-480 B per layer row for the 32 subsets of k = 6 (T = 13, 16), 87-109 B
-# for the 16 of k = 5 (T = 30, 40) and 17-22 B for the 4 of k = 3 (T = 80,
+# 660-810 B per layer row for the 32 subsets of k = 6 (T = 13, 16), 113-146 B
+# for the 16 of k = 5 (T = 30, 40) and 12-37 B for the 4 of k = 3 (T = 80,
 # 200: up to two and four limbs).
 MAX_MEMO_NODES = 20_000_000
 MAX_HORIZON = 400
-# every gap reached within MAX_HORIZON days fits the packed width of any k
+# every gap reached within MAX_HORIZON days fits the packed width of any k,
+# and collapse's sentinel S keeps its split at every horizon T: a gap kept
+# on day d is at most d, and S - d >= T - d + 1 when S >= T + 1
 assert MAX_HORIZON < 1 << packed_width(MAX_K)
+assert MAX_HORIZON + 1 <= sentinel(MAX_K)
 
 # values are limb rows of LIMB_BITS bits.  Before its carry, a limb of a
 # candidate sums two limbs, a delta sum of at most 2 shifted by up to 60 bits
@@ -102,10 +118,11 @@ def _canonical_family(family: Iterable[RankSubset]) -> tuple[RankSubset, ...]:
 class AdaptiveSolver:
     """Layered evaluator for one (k, family) pair.
 
-    A single solver can value several horizons: the layers are shared, so
-    asking for T after T_max adds no rows, only one backward pass.  Only the
-    last horizon solved keeps its values.  States are table rows inside; gap
-    tuples appear only at the public methods.
+    A single solver can value several horizons: they share the transition
+    table, so a state is stepped once for all of them, and each derives its
+    own layers of collapsed states over it.  Only the last horizon solved
+    keeps its layers and values.  States are table rows inside; gap tuples
+    appear only at the public methods.
     """
 
     def __init__(self, k: int, family: Iterable[RankSubset]):
@@ -113,27 +130,47 @@ class AdaptiveSolver:
         if self.family[0].k != k:
             raise ValueError(f"family is for k={self.family[0].k}, not k={k}")
         self.table = _TransitionTable(self.family)
-        self._layers = [np.zeros(1, dtype=np.int64)]  # L_0: row 0, the day-0 state
-        self._t, self._values = -1, []  # the horizon held (-1: none), N over L_0..L_t
+        self._release()
 
-    def _expand(self, t: int) -> None:
-        """Enumerate the layers up to L_t."""
-        for d in range(len(self._layers) - 1, t):
-            # the states of L_0 .. L_d, those valued for horizon d + 1
-            if sum(layer.shape[0] for layer in self._layers) > MAX_MEMO_NODES:
+    def _release(self) -> None:
+        # the horizon held (-1: none); its layers L_0 .. L_t; per layer d < t,
+        # the raw child rows of L_d and their positions in L_{d+1} (None where
+        # the collapse is the identity); and N over L_0 .. L_t
+        self._t, self._layers, self._reached, self._values = -1, [], [], []
+
+    def _derive(self, t: int) -> None:
+        """The layers L_0 .. L_t of horizon t, and the raw child rows of each."""
+        k, table = self.table.k, self.table
+        layers, reached = [np.zeros(1, dtype=np.int64)], []  # L_0: row 0, the day-0 state
+        nodes = 0
+        for d in range(t):
+            # the states of L_0 .. L_d, all of them valued if d = t - 1
+            rows = layers[d]
+            nodes += rows.shape[0]
+            if nodes > MAX_MEMO_NODES:
                 raise BudgetError(f"adaptive memo exceeded {MAX_MEMO_NODES} nodes")
-            rows = self._layers[d]
-            self.table.expand(rows)
-            children = self.table.children
-            blocks = _branch_blocks(children.shape[0], rows.shape[0])
-            self._layers.append(self.table.reach(np.take(children[b], rows, axis=1) for b in blocks))
+            table.expand(rows)
+            blocks = _branch_blocks(table.children.shape[0], rows.shape[0])
+            raw = table.reach(np.take(table.children[b], rows, axis=1) for b in blocks)
+            if d + 1 < t - d:
+                # a child's gaps are at most d + 1: none spans a split of t - d
+                layers.append(raw)
+                reached.append((raw, None))
+                continue
+            codes = collapse(table.codes[raw], k, t - d - 1)
+            table.add(codes)
+            rows = table.find(codes)
+            layers.append(_sorted_unique(rows))
+            reached.append((raw, np.searchsorted(layers[-1], rows)))
+        self._layers, self._reached = layers, reached
 
     def _solve(self, t: int) -> None:
         """The backward pass: N over every layer for horizon t, in place of the one held."""
-        self._expand(t)
+        # release the held horizon first; none is held until the pass ends
+        self._release()
+        self._derive(t)
         n = np.zeros((1, self._layers[t].shape[0]), dtype=np.int64)
-        # release the held values first; no horizon is held until the pass ends
-        self._t, self._values = -1, [n]
+        self._values = [n]
         for d in reversed(range(t)):
             # each block's members, one at a time
             blocks = self._candidates(d, t - d, n)
@@ -147,7 +184,8 @@ class AdaptiveSolver:
         given ``below``, the N over L_{d+1} with r-1 days left: carried limb
         rows of shape (limbs, members, rows)."""
         spread = np.zeros((_limb_count(r), len(self.table)), dtype=np.int64)
-        spread[: below.shape[0], self._layers[d + 1]] = below
+        raw, collapsed = self._reached[d]
+        spread[: below.shape[0], raw] = below if collapsed is None else np.take(below, collapsed, axis=1)
         at = self._layers[d][rows]
         # 2^(r-1) is bit `shift` of limb `limb`
         limb, shift = divmod(r - 1, LIMB_BITS)
@@ -172,6 +210,15 @@ class AdaptiveSolver:
             [(c == target).all(axis=0) for c in self._candidates(d, self._t - d, values[d + 1], rows)]
         )
 
+    def _positions(self, d: int, codes, remaining: int):
+        """The positions in layer d of the collapses of ``codes``, and
+        whether each lies there."""
+        rows = self.table.find(collapse(codes, self.table.k, remaining))
+        layer = self._layers[d]
+        at = np.minimum(np.searchsorted(layer, rows), layer.shape[0] - 1)
+        # -1, a code with no table row, matches no row of a layer
+        return at, layer[at] == rows
+
     def value(self, t: int) -> "AdaptivePolicyValue":
         """The value of t days of best adaptive play, solved unless t is the horizon held."""
         if t < 0:
@@ -185,21 +232,31 @@ class AdaptiveSolver:
             family=self.family,
             expected_max=emax,
             regret=Dyadic(emax - Dyadic(t, 1)),
-            # the states valued for horizon t: L_0 ... L_{t-1}
+            # the collapsed states valued for horizon t: L_0 ... L_{t-1}
             node_count=sum(layer.shape[0] for layer in self._layers[:t]),
             solver=self,
         )
 
     def maximizers(self, state: GapState, remaining: int) -> tuple[RankSubset, ...]:
-        """All family members achieving the max at a node of the last horizon solved."""
-        row = self.table.row_of(state)
+        """All family members achieving the max at ``state`` with ``remaining``
+        days left, in the last horizon solved: answered exactly where the
+        state's collapse lies in the layer of that day."""
+        k = self.table.k
+        # packed codes drop trailing zero gaps, so check the length first
+        if len(state) != k:
+            raise ValueError(f"state has {len(state)} entries, expected k={k}: {state!r}")
+        validate_state(state)
         d = self._t - remaining
-        # -1, a state with no table row, matches no row of a layer
         if remaining >= 1 and d >= 0:
-            layer = self._layers[d]
-            at = int(np.searchsorted(layer, row))
-            if at < layer.shape[0] and layer[at] == row:
-                best = self._best(d, np.array([at]))[:, 0]
+            # every gap a layer keeps is below the horizon, and so below the
+            # sentinel: a wider gap lies below a split wherever the collapse
+            # is in a layer, so capping it at the sentinel moves no such
+            # collapse, and the capped gaps fit their fields
+            far = sentinel(k)
+            code = pack(tuple(min(g, far) for g in state), k)
+            at, found = self._positions(d, np.array([code]), remaining)
+            if found[0]:
+                best = self._best(d, at)[:, 0]
                 return tuple(s for s, b in zip(self.family, best) if b)
         raise ValueError(f"node not computed: state={state}, remaining={remaining}")
 
@@ -209,22 +266,23 @@ class AdaptiveSolver:
         Yields (state, remaining, maximizers); children follow every
         maximizing subset in family order, a-branch before b-branch, so the
         dump covers the whole set of positions an optimal adversary can face.
-        Solving another horizon before the dump ends makes it raise
-        ``RuntimeError``.
+        States are raw, not collapsed: each is stepped by ``_successors`` and
+        answered at its collapse.  Solving another horizon before the dump
+        ends makes it raise ``RuntimeError``.
         """
         self.value(t)
-        level = np.zeros(1, dtype=np.int64)  # positions in layer d, in breadth-first order
+        k = self.table.k
+        level = np.zeros(1, dtype=np.int64)  # the codes of day d, in breadth-first order
         for d in range(t):
             if self._t != t:
                 raise RuntimeError(f"trace of horizon {t} interrupted: another horizon was solved")
-            best = self._best(d, level).T.tolist()
-            # child table rows to positions in layer d + 1
-            at = self._layers[d][level]
-            children = np.searchsorted(self._layers[d + 1], self.table.children[:, at])
+            best = self._best(d, self._positions(d, level, t - d)[0]).T.tolist()
+            children = _successors(level, k, self.table.gains)[0].T.tolist()
+            states = np.stack(unpack(level, k), axis=1).tolist()
             reached: dict = {}  # insertion-ordered set
-            for state, mask, kids in zip(self.table.gaps(at), best, children.T.tolist()):
+            for state, mask, kids in zip(states, best, children):
                 members = [m for m, b in enumerate(mask) if b]
-                yield state, t - d, tuple(self.family[m] for m in members)
+                yield tuple(state), t - d, tuple(self.family[m] for m in members)
                 for m in members:
                     reached.setdefault(kids[2 * m])
                     reached.setdefault(kids[2 * m + 1])

@@ -1,6 +1,14 @@
+import os
+
 import pytest
+from hypothesis import settings
 
 from combregret import FLOAT, RankSubset, regret_series_fixed
+
+# in CI, a failing property test prints the blob that reproduces it
+settings.register_profile("ci", print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 SWEEP_EPS = 2.0**-50
 

@@ -1,16 +1,18 @@
 """Shared helpers for the test suite: state enumeration, the brute-force
-oracle's raw-totals step as the reference for the one-day transition, and a
-dict-based reference for exact and float forward series."""
+oracle's raw-totals step as the reference for the one-day transition, a
+collapse of gap tuples with the adaptive solver's layers and values built on
+it, and a dict-based reference for exact and float forward series."""
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations_with_replacement
 
 import numpy as np
 
 from combregret.backend import EXACT
 from combregret.dyadic import ZERO, Dyadic
-from combregret.game import pack, unpack
+from combregret.game import pack, packed_width, unpack
 from combregret.oracle import _advance, _rank_order
 
 
@@ -74,6 +76,57 @@ def raw_reference_step(
     new = _advance(totals, order, frozenset(ranks))
     new_max = max(new)
     return tuple(sorted(new_max - t for t in new)), new_max
+
+
+def collapse_reference(gaps: tuple[int, ...], r: int) -> tuple[int, ...]:
+    """``gaps`` with r days left, every gap below the first split (the first
+    i with gaps[i + 1] - gaps[i] > r) set to the far gap 2^width - 2."""
+    far = (1 << packed_width(len(gaps))) - 2
+    for i in range(1, len(gaps)):
+        if gaps[i] - gaps[i - 1] > r:
+            return gaps[:i] + (far,) * (len(gaps) - i)
+    return gaps
+
+
+@cache
+def collapsed_layers(k: int, family: tuple, t: int) -> tuple[frozenset, ...]:
+    """The adaptive solver's layers L_0 .. L_t of horizon t as sets of gap
+    tuples: L_{d+1} holds the ``raw_reference_step`` children of L_d under
+    every member, each collapsed by ``collapse_reference`` with t - d - 1
+    days left.  ``family`` is a tuple of subsets."""
+    branches = [ranks for s in family for ranks in (s.ranks, s.complement_ranks())]
+    layers = [frozenset([(0,) * k])]
+    for d in range(t):
+        layers.append(frozenset(
+            collapse_reference(raw_reference_step(gaps, ranks)[0], t - d - 1)
+            for gaps in layers[-1]
+            for ranks in branches
+        ))
+    return tuple(layers)
+
+
+def reference_values(family):
+    """A function of (gaps, r): the scaled value N(s, r) = V(s, r) * 2^r of
+    best adaptive play over ``family`` from the gap tuple s with r days
+    left, and the indices of the members achieving it.  A memoized
+    recursion over ``raw_reference_step``, with no collapse."""
+    pairs = [(s.ranks, s.complement_ranks()) for s in family]
+
+    @cache
+    def scaled(gaps: tuple[int, ...], r: int) -> tuple[int, tuple[int, ...]]:
+        if r == 0:
+            return 0, ()
+        values = []
+        for pair in pairs:
+            n = 0
+            for ranks in pair:
+                child, delta = raw_reference_step(gaps, ranks)
+                n += (delta << (r - 1)) + scaled(child, r - 1)[0]
+            values.append(n)
+        best = max(values)
+        return best, tuple(m for m, n in enumerate(values) if n == best)
+
+    return scaled
 
 
 def reference_series(subset, t_max: int, eps: float, backend=EXACT):

@@ -468,11 +468,14 @@ def test_exact_sweep_byte_budget_exit_code(capsys, monkeypatch):
 def test_wide_family_table_budget_exit_code(capsys, monkeypatch):
     # a table row of the 32 subsets of k = 6 holds 64 child rows and 64
     # deltas, 593 B against 35 B for one member, so the cap scales to
-    # 100,000 * 35 // 593 rows; the k = 6, T = 13 solve needs 8,568
+    # 100,000 * 35 // 593 rows; the k = 6 solves need 5,542 rows at T = 14
+    # and more than 5,902 at T = 15
     monkeypatch.setattr("combregret.forward.MAX_TABLE_ROWS", 100_000)
-    code, out, _ = run(capsys, "optimal", "--k", "6", "--family", "1,3,6", "--t", "13")
-    assert code == 0 and "t=13" in out.splitlines()
-    code, out, err = run(capsys, "optimal", "--k", "6", "--family", "all", "--t", "13")
+    code, out, _ = run(capsys, "optimal", "--k", "6", "--family", "1,3,6", "--t", "15")
+    assert code == 0 and "t=15" in out.splitlines()
+    code, out, _ = run(capsys, "optimal", "--k", "6", "--family", "all", "--t", "14")
+    assert code == 0 and "t=14" in out.splitlines()
+    code, out, err = run(capsys, "optimal", "--k", "6", "--family", "all", "--t", "15")
     assert code == 2
     assert "table exceeded 5902 rows" in err and "Traceback" not in err
 

@@ -9,12 +9,20 @@ from combregret.forward import _successors
 from combregret.game import (
     RankSubset,
     all_strategies,
+    collapse,
     pack,
     packed_width,
+    sentinel,
     unpack,
     validate_state,
 )
-from tests.support import raw_reference_step, tie_consistent_perms
+from combregret.optimal import MAX_HORIZON
+from tests.support import (
+    collapse_reference,
+    raw_reference_step,
+    reference_values,
+    tie_consistent_perms,
+)
 
 
 def test_validate_state():
@@ -230,6 +238,51 @@ def test_encode_injective():
         seen[key] = gaps
         count += 1
     assert count == 10626
+
+
+@st.composite
+def _collapse_cases(draw):
+    k = draw(st.integers(2, 8))
+    top = (1 << packed_width(k)) - 1
+    r = draw(st.integers(0, MAX_HORIZON))
+    # small rises, rises around the split at r + 1, and any rise at all
+    rise = st.one_of(st.integers(0, 2), st.integers(max(r - 1, 0), r + 2), st.integers(0, top))
+    states = []
+    for _ in range(draw(st.integers(1, 6))):
+        gaps = itertools.accumulate(draw(st.lists(rise, min_size=k - 1, max_size=k - 1)), initial=0)
+        states.append(tuple(min(g, top) for g in gaps))
+    return k, r, states
+
+
+@settings(max_examples=300, deadline=None)
+@given(_collapse_cases())
+def test_collapse_matches_tuple_reference(case):
+    # the gaps up to the first split are kept, every gap below it becomes
+    # 2^width - 2, and a collapsed state collapses to itself
+    k, r, states = case
+    assert sentinel(k) == (1 << packed_width(k)) - 2
+    codes = np.array([pack(gaps, k) for gaps in states], dtype=np.int64)
+    out = collapse(codes, k, r)
+    assert out.tolist() == [pack(collapse_reference(gaps, r), k) for gaps in states]
+    assert (collapse(out, k, r) == out).all()
+
+
+def test_collapse_keeps_the_value():
+    # the lemma behind the adaptive solver's layers: N(s, r) and its
+    # maximizing members equal those of collapse(s, r), by a recursion on
+    # raw gap tuples, over all subsets and over one pair of them
+    for k in range(3, 6):
+        states = list(_small_states(k, 6))
+        codes = np.array([pack(gaps, k) for gaps in states], dtype=np.int64)
+        families = (tuple(all_strategies(k)), (RankSubset.of(k, (1, 3)), RankSubset.of(k, (1, k))))
+        for scaled in map(reference_values, families):
+            moved = 0
+            for r in range(6):
+                images = np.stack(unpack(collapse(codes, k, r), k), axis=1).tolist()
+                for gaps, image in zip(states, map(tuple, images)):
+                    assert scaled(gaps, r) == scaled(image, r), (gaps, r)
+                    moved += image != gaps
+            assert moved > len(states)
 
 
 def test_all_strategies():

@@ -1,13 +1,13 @@
-import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from combregret import forward, optimal
 from combregret.dyadic import ZERO, Dyadic
 from combregret.errors import BudgetError
 from combregret.forward import _successors, regret_series_fixed
-from combregret.game import RankSubset, all_strategies
+from combregret.game import RankSubset, all_strategies, unpack
 from combregret.optimal import (
     MAX_HORIZON,
     AdaptiveSolver,
@@ -15,7 +15,31 @@ from combregret.optimal import (
     best_fixed_subset,
     value_adaptive,
 )
-from tests.support import enumerate_states, raw_reference_step
+from tests.support import (
+    collapse_reference,
+    collapsed_layers,
+    enumerate_states,
+    raw_reference_step,
+    reference_values,
+)
+
+
+def _nodes(k, family, t):
+    """|L_0| + ... + |L_{t-1}| of horizon t, by the walk on gap tuples."""
+    return sum(map(len, collapsed_layers(k, tuple(family), t)[:t]))
+
+
+def _table_states(k, family, t):
+    """The layers of horizon t and the raw children of all but the last."""
+    layers = collapsed_layers(k, tuple(family), t)
+    children = {
+        raw_reference_step(gaps, ranks)[0]
+        for layer in layers[:t]
+        for gaps in layer
+        for s in family
+        for ranks in (s.ranks, s.complement_ranks())
+    }
+    return children.union(*layers)
 
 
 def test_singleton_family_equals_fixed_series():
@@ -66,27 +90,45 @@ def test_k3_all_family_in_small_blocks(monkeypatch):
 
 
 @pytest.mark.slow
-def test_k5_all_family_equals_13_at_t60():
+def test_k5_all_family_equals_13_at_t80():
     # the headline family, with two limbs past 57 days left: no adaptive
     # gain over the fixed [1,3]
-    fixed = regret_series_fixed(5, RankSubset.of(5, (1, 3)), 60).values[60]
-    assert value_adaptive(5, all_strategies(5), 60).regret == fixed
+    fixed = regret_series_fixed(5, RankSubset.of(5, (1, 3)), 80).values[80]
+    assert value_adaptive(5, all_strategies(5), 80).regret == fixed
+
+
+@pytest.mark.slow
+def test_k6_all_family_beats_136_at_t39():
+    # past the raw solver's table budget: adaptive play over all 32 subsets
+    # of k = 6 gains over the best fixed subset, {1,3,6}
+    best = best_fixed_subset(6, 39)
+    assert best.maximizers == (RankSubset.of(6, (1, 3, 6)),)
+    assert best.regret == Dyadic(317477291097, 36)
+    res = value_adaptive(6, all_strategies(6), 39)
+    assert res.regret == Dyadic(79559529375, 34) > best.regret
+    assert res.node_count == 1_503_397
 
 
 def test_all_subset_values_and_node_counts():
-    # node_count is the number of states valued: |L_0| + ... + |L_{T-1}|
+    # node_count is the number of collapsed states valued, |L_0| + ... +
+    # |L_{T-1}|, against the layers walked on gap tuples
     k3 = value_adaptive(3, all_strategies(3), 80)
     assert k3.regret == Dyadic(5745867330449876380037831, 80)
-    assert k3.node_count == 88_560
-    assert value_adaptive(6, all_strategies(6), 13).node_count == 18_564
-    # the closed form of an `all` family: layer d is every sorted gap vector
-    # whose largest gap is at most d, C(d+k-1, k-1) states, so T layers hold
-    # C(T+k-1, k) and the table C(T+k-1, k-1) rows
+    assert k3.node_count == 31_789 == _nodes(3, all_strategies(3), 80)
+    k6 = value_adaptive(6, all_strategies(6), 13)
+    assert k6.node_count == 5_986 == _nodes(6, all_strategies(6), 13)
+    assert len(k6.solver.table) == 4_342
+    # a solver valued at several horizons counts each one's own layers, and
+    # its table holds exactly the layer states of every horizon and their
+    # raw children
     for k, horizons in ((2, (1, 9, 40)), (3, (5, 20)), (4, (4, 15)), (5, (3, 10)), (6, (2, 7))):
-        solver = AdaptiveSolver(k, all_strategies(k))
+        family = list(all_strategies(k))
+        solver = AdaptiveSolver(k, family)
         for t in horizons:
-            assert solver.value(t).node_count == math.comb(t + k - 1, k)
-            assert len(solver.table) == math.comb(t + k - 1, k - 1)
+            assert solver.value(t).node_count == _nodes(k, family, t)
+        states = set().union(*(_table_states(k, family, t) for t in horizons))
+        codes = np.stack(unpack(solver.table.codes, k), axis=1).tolist()
+        assert len(solver.table) == len(states) == len(set(map(tuple, codes)) & states)
 
 
 def test_family_monotonicity():
@@ -110,7 +152,7 @@ def test_k6_t13_two_subset_family(k6_family):
     assert res.regret == Dyadic(677, 8)
     assert res.expected_max - res.regret == Dyadic(13, 1)
     assert ":".join(s.label() for s in res.family) == "1,3,6:1,4,6"
-    assert res.node_count == 312
+    assert res.node_count == 234 == _nodes(6, k6_family, 13)
 
 
 def test_k6_t13_best_fixed():
@@ -190,36 +232,39 @@ def test_maximizers_skip_shorter_horizons():
 
 
 def test_maximizers_on_missing_node():
+    # {1} of k = 2 reaches (0, 1) on day 1 and (0, 0) and (0, 2) on day 2;
+    # with 1 day left, (0, 2) collapses to (0, 4094), as (0, 9) and a gap
+    # too wide to pack do
     solver = AdaptiveSolver(2, [RankSubset.of(2, (1,))])
     solver.value(3)
-    with pytest.raises(ValueError, match="node not computed"):
-        solver.maximizers((0, 9), 1)
+    for state, remaining in (((0, 1), 1), ((0, 0), 2), ((0, 2), 2)):
+        with pytest.raises(ValueError, match="node not computed"):
+            solver.maximizers(state, remaining)
+    for state in ((0, 9), (0, 1 << 70), (0, 4094)):
+        assert solver.maximizers(state, 1) == solver.maximizers((0, 2), 1)
 
 
 def test_maximizers_answer_exactly_the_layer_states():
-    # L_d by a plain set walk with the oracle's raw-total step; every other
-    # valid state, reachable at another day or never, must read "node not
-    # computed"
+    # a state is answered exactly when its collapse lies in the layer of its
+    # day, walked on gap tuples, and the answer is that of a recursion on
+    # the raw state; every other valid state reads "node not computed"
     family = [RankSubset.of(4, (1, 3)), RankSubset.of(4, (1, 4))]
-    layers = [{(0, 0, 0, 0)}]
-    for _ in range(5):
-        layers.append({
-            raw_reference_step(gaps, ranks)[0]
-            for gaps in layers[-1]
-            for s in family
-            for ranks in (s.ranks, s.complement_ranks())
-        })
+    layers = collapsed_layers(4, tuple(family), 6)
+    scaled = reference_values(family)
     res = value_adaptive(4, family, 6)
     answered = set()
     for state in enumerate_states(4, 9):
         for remaining in range(1, 7):
-            if state in layers[6 - remaining]:
-                assert res.solver.maximizers(state, remaining)
-                answered.add((state, remaining))
+            image = collapse_reference(state, remaining)
+            if image in layers[6 - remaining]:
+                members = scaled(state, remaining)[1]
+                assert res.solver.maximizers(state, remaining) == tuple(family[m] for m in members)
+                answered.add((image, remaining))
             else:
                 with pytest.raises(ValueError, match="node not computed"):
                     res.solver.maximizers(state, remaining)
-    assert len(answered) == res.node_count == 19
+    # every state valued has a preimage among these states
+    assert len(answered) == res.node_count == _nodes(4, family, 6)
 
 
 def test_maximizers_never_alias_wide_gaps():
@@ -253,13 +298,12 @@ def test_reproducible_and_shared_memo():
     b = AdaptiveSolver(4, fam)
     nine = a.value(9)
     assert nine.regret == b.value(9).regret
-    # a smaller horizon afterwards reuses the layers: it adds no rows
-    sizes = len(a.table), len(a._layers)
+    # a smaller horizon afterwards derives its own layers over the shared table
     five_shared = a.value(5)
     fresh = AdaptiveSolver(4, fam).value(5)
     assert five_shared.regret == fresh.regret
-    assert (len(a.table), len(a._layers)) == sizes
     assert five_shared.node_count == fresh.node_count < nine.node_count
+    assert list(a.trace(5)) == list(fresh.solver.trace(5))
     # horizons in ascending order: T = 9 appends table rows after T = 5's
     # layers were stored, and leaves every row T = 5 made as it was
     c = AdaptiveSolver(4, fam)
@@ -316,7 +360,7 @@ def test_solver_holds_one_horizon():
 def test_each_state_stepped_once(monkeypatch):
     # the layers share one transition table, so each distinct state of
     # L_0 .. L_79 is stepped once under each member, however many layers
-    # hold it: 3,240 states against 88,560 layer rows
+    # hold it, and once for every horizon of one solver
     stepped = []
 
     def counting(codes, k, gains):
@@ -324,9 +368,14 @@ def test_each_state_stepped_once(monkeypatch):
         return _successors(codes, k, gains)
 
     monkeypatch.setattr("combregret.forward._successors", counting)
-    family = list(all_strategies(3))
-    assert value_adaptive(3, family, 80).node_count == 88_560
-    assert sum(stepped) == 2 * len(family) * 3_240
+    family = tuple(all_strategies(3))
+    solver = AdaptiveSolver(3, family)
+    states = set()
+    for t in (80, 60, 81):
+        assert solver.value(t).node_count == _nodes(3, family, t)
+        states.update(*collapsed_layers(3, family, t)[:t])
+        assert sum(stepped) == 2 * len(family) * len(states)
+    assert len(states) < 31_789
 
 
 def test_blocked_steps_match_one_block(monkeypatch):
