@@ -25,7 +25,6 @@ from .game import (
     validate_state,
 )
 from .optimal import (
-    AdaptivePolicyValue,
     AdaptiveSolver,
     BestFixedResult,
     best_fixed_subset,

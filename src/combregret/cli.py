@@ -143,7 +143,7 @@ def _cmd_optimal(args) -> int:
     _print_values(result, args.backend)
     if args.trace is not None:
         with _open_out(args.trace) as f:
-            for state, remaining, maxers in result.solver.trace(args.t):
+            for state, remaining, maxers in result.trace():
                 state_txt = ",".join(map(str, state))
                 f.write(f"({state_txt}) {remaining} -> {':'.join(label[s] for s in maxers)}\n")
     return 0

@@ -371,8 +371,8 @@ def _series_exact(subset: RankSubset, t_max: int, eps) -> RegretSeries:
     ``np.bincount`` of the child rows, gathers the sums to the next frontier
     and ``_carry``s them into a spare top limb, kept only when the carry
     reaches it.  Raises ``BudgetError`` when the table would exceed
-    ``MAX_TABLE_ROWS`` rows, or its rows at ``ROW_BYTES`` plus 16 B per limb
-    after the first the float sweep's ``MAX_TABLE_ROWS * ROW_BYTES`` bytes.
+    ``MAX_TABLE_ROWS`` rows, or once its rows, at ``ROW_BYTES`` plus 16 B per
+    limb after the first, pass ``MAX_TABLE_ROWS * ROW_BYTES`` bytes.
     """
     table = _TransitionTable((subset,))
     eps_num, eps_den = float(eps).as_integer_ratio()

@@ -14,8 +14,8 @@ T/2 (the expected gain any player is pinned to) gives the expected regret.
 The value is horizon-dependent but day-translation-invariant, so the solver
 works in layers, one set for the horizon T it solves.  A forward pass
 enumerates L_0 ... L_T over one ``forward._TransitionTable`` of the whole
-family, which steps each state once however many layers or horizons hold it
-and keeps its children and leader deltas.  L_d holds the table rows of the
+family, which steps each state once however many layers hold it and keeps
+its children and leader deltas.  L_d holds the table rows of the
 states reachable at day d under some sequence of family members, each
 collapsed by ``game.collapse`` with T - d days left, in ascending order.  A
 collapsed state has the value of every state it stands for (the proof is in
@@ -24,11 +24,9 @@ collapsed state has the value of every state it stands for (the proof is in
 child rows with the position of each one's collapse in L_{d+1}.  While no
 child gap can span a split (d + 1 < T - d), the collapse is the identity and
 the child rows are the next layer.  A row never moves once the table has
-it, and the table keeps raw children, so another horizon derives its own
-layers over the same table.  Gap tuples become codes and back only at
-``maximizers`` and ``trace``.  A backward pass then
-values a whole layer at once on the scaled integers N(s, r) = V(s, r) * 2^r,
-which obey
+it.  Gap tuples become codes and back only at ``maximizers`` and
+``trace``.  A backward pass then values a whole layer at once on the
+scaled integers N(s, r) = V(s, r) * 2^r, which obey
 
     N(s, r) = max over A of 2^(r-1) * (delta_A + delta_B) + N(s_A, r-1) + N(s_B, r-1)
 
@@ -46,7 +44,7 @@ rounded float of the exact value when asked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Iterator
 
@@ -62,11 +60,11 @@ from .game import (
 )
 
 # hard ceilings; exceeding them is an error, never a silent approximation.
-# A layer row keeps an 8 B table row index and its value for the one horizon
-# held (8 B per int64 limb: one limb while r <= 55 days are left, two through
-# r = 115); where the collapse is not the identity, the layer before it keeps
-# 16 B per raw child row, its table row and its position (0.7-1.3 raw rows
-# per layer row for all subsets of k = 3, 5 and 6 at T = 80, 80 and 39).
+# A layer row keeps an 8 B table row index and its value (8 B per int64
+# limb: one limb while r <= 55 days are left, two through r = 115); where
+# the collapse is not the identity, the layer before it keeps 16 B per raw
+# child row, its table row and its position (0.7-1.3 raw rows per layer
+# row for all subsets of k = 3, 5 and 6 at T = 80, 80 and 39).
 # Children and deltas live in the shared table, capped by
 # forward.MAX_TABLE_ROWS.  Counting the table, peak RSS grows by about
 # 660-810 B per layer row for the 32 subsets of k = 6 (T = 13, 16), 113-146 B
@@ -116,31 +114,37 @@ def _canonical_family(family: Iterable[RankSubset]) -> tuple[RankSubset, ...]:
 
 
 class AdaptiveSolver:
-    """Layered evaluator for one (k, family) pair.
+    """The best adaptive play over a family of subsets at horizon t.
 
-    A single solver can value several horizons: they share the transition
-    table, so a state is stepped once for all of them, and each derives its
-    own layers of collapsed states over it.  Only the last horizon solved
-    keeps its layers and values.  States are table rows inside; gap tuples
-    appear only at the public methods.
+    Construction checks the family, then the horizon, and only then derives
+    and values the layers; the solver is its own result, with ``family``,
+    ``t``, ``expected_max``, ``regret`` (their difference is exactly t/2) and
+    ``node_count`` as attributes.  States are table rows inside; gap tuples
+    appear only at ``maximizers`` and ``trace``.
     """
 
-    def __init__(self, k: int, family: Iterable[RankSubset]):
+    def __init__(self, k: int, family: Iterable[RankSubset], t: int):
         self.family = _canonical_family(family)
         if self.family[0].k != k:
             raise ValueError(f"family is for k={self.family[0].k}, not k={k}")
+        if t < 0:
+            raise ValueError(f"horizon must be nonnegative, got {t}")
+        if t > MAX_HORIZON:
+            raise BudgetError(f"horizon {t} exceeds the adaptive engine cap {MAX_HORIZON}")
+        self.t = t
         self.table = _TransitionTable(self.family)
-        self._release()
+        self._derive()
+        self._solve()
+        self.expected_max = Dyadic(_join(self._values[0][:, 0], LIMB_BITS), t)
+        self.regret = Dyadic(self.expected_max - Dyadic(t, 1))
+        # the collapsed states valued: L_0 ... L_{t-1}
+        self.node_count = sum(layer.shape[0] for layer in self._layers[:t])
 
-    def _release(self) -> None:
-        # the horizon held (-1: none); its layers L_0 .. L_t; per layer d < t,
-        # the raw child rows of L_d and their positions in L_{d+1} (None where
-        # the collapse is the identity); and N over L_0 .. L_t
-        self._t, self._layers, self._reached, self._values = -1, [], [], []
-
-    def _derive(self, t: int) -> None:
-        """The layers L_0 .. L_t of horizon t, and the raw child rows of each."""
-        k, table = self.table.k, self.table
+    def _derive(self) -> None:
+        """The layers L_0 .. L_t, and per layer d < t the raw child rows of
+        L_d with their positions in L_{d+1} (None where the collapse is the
+        identity)."""
+        k, t, table = self.table.k, self.t, self.table
         layers, reached = [np.zeros(1, dtype=np.int64)], []  # L_0: row 0, the day-0 state
         nodes = 0
         for d in range(t):
@@ -164,25 +168,21 @@ class AdaptiveSolver:
             reached.append((raw, np.searchsorted(layers[-1], rows)))
         self._layers, self._reached = layers, reached
 
-    def _solve(self, t: int) -> None:
-        """The backward pass: N over every layer for horizon t, in place of the one held."""
-        # release the held horizon first; none is held until the pass ends
-        self._release()
-        self._derive(t)
-        n = np.zeros((1, self._layers[t].shape[0]), dtype=np.int64)
+    def _solve(self) -> None:
+        """The backward pass: N over every layer, L_t first."""
+        n = np.zeros((1, self._layers[self.t].shape[0]), dtype=np.int64)
         self._values = [n]
-        for d in reversed(range(t)):
+        for d in reversed(range(self.t)):
             # each block's members, one at a time
-            blocks = self._candidates(d, t - d, n)
-            n = reduce(_lex_maximum, (m for c in blocks for m in c.swapaxes(0, 1)))
+            n = reduce(_lex_maximum, (m for c in self._candidates(d, n) for m in c.swapaxes(0, 1)))
             self._values.append(n)
         self._values.reverse()
-        self._t = t
 
-    def _candidates(self, d: int, r: int, below, rows=slice(None)):
-        """N(s, r) of layer d's ``rows`` under each block of members in turn,
-        given ``below``, the N over L_{d+1} with r-1 days left: carried limb
+    def _candidates(self, d: int, below, rows=slice(None)):
+        """N(s, r) of layer d's ``rows``, r = t - d, under each block of
+        members in turn, given ``below``, the N over L_{d+1}: carried limb
         rows of shape (limbs, members, rows)."""
+        r = self.t - d
         spread = np.zeros((_limb_count(r), len(self.table)), dtype=np.int64)
         raw, collapsed = self._reached[d]
         spread[: below.shape[0], raw] = below if collapsed is None else np.take(below, collapsed, axis=1)
@@ -206,9 +206,7 @@ class AdaptiveSolver:
         """Mask (members, rows) of the members achieving N at layer d's rows."""
         values = self._values
         target = values[d][:, None, rows]
-        return np.concatenate(
-            [(c == target).all(axis=0) for c in self._candidates(d, self._t - d, values[d + 1], rows)]
-        )
+        return np.concatenate([(c == target).all(axis=0) for c in self._candidates(d, values[d + 1], rows)])
 
     def _positions(self, d: int, codes, remaining: int):
         """The positions in layer d of the collapses of ``codes``, and
@@ -219,34 +217,16 @@ class AdaptiveSolver:
         # -1, a code with no table row, matches no row of a layer
         return at, layer[at] == rows
 
-    def value(self, t: int) -> "AdaptivePolicyValue":
-        """The value of t days of best adaptive play, solved unless t is the horizon held."""
-        if t < 0:
-            raise ValueError(f"horizon must be nonnegative, got {t}")
-        if t > MAX_HORIZON:
-            raise BudgetError(f"horizon {t} exceeds the adaptive engine cap {MAX_HORIZON}")
-        if t != self._t:
-            self._solve(t)
-        emax = Dyadic(_join(self._values[0][:, 0], LIMB_BITS), t)
-        return AdaptivePolicyValue(
-            family=self.family,
-            expected_max=emax,
-            regret=Dyadic(emax - Dyadic(t, 1)),
-            # the collapsed states valued for horizon t: L_0 ... L_{t-1}
-            node_count=sum(layer.shape[0] for layer in self._layers[:t]),
-            solver=self,
-        )
-
     def maximizers(self, state: GapState, remaining: int) -> tuple[RankSubset, ...]:
         """All family members achieving the max at ``state`` with ``remaining``
-        days left, in the last horizon solved: answered exactly where the
-        state's collapse lies in the layer of that day."""
+        days left: answered exactly where the state's collapse lies in the
+        layer of that day."""
         k = self.table.k
         # packed codes drop trailing zero gaps, so check the length first
         if len(state) != k:
             raise ValueError(f"state has {len(state)} entries, expected k={k}: {state!r}")
         validate_state(state)
-        d = self._t - remaining
+        d = self.t - remaining
         if remaining >= 1 and d >= 0:
             # every gap a layer keeps is below the horizon, and so below the
             # sentinel: a wider gap lies below a split wherever the collapse
@@ -260,22 +240,18 @@ class AdaptiveSolver:
                 return tuple(s for s, b in zip(self.family, best) if b)
         raise ValueError(f"node not computed: state={state}, remaining={remaining}")
 
-    def trace(self, t: int) -> Iterator[tuple[GapState, int, tuple[RankSubset, ...]]]:
+    def trace(self) -> Iterator[tuple[GapState, int, tuple[RankSubset, ...]]]:
         """Nodes reachable under optimal play from the start, breadth-first.
 
         Yields (state, remaining, maximizers); children follow every
         maximizing subset in family order, a-branch before b-branch, so the
         dump covers the whole set of positions an optimal adversary can face.
         States are raw, not collapsed: each is stepped by ``_successors`` and
-        answered at its collapse.  Solving another horizon before the dump
-        ends makes it raise ``RuntimeError``.
+        answered at its collapse.
         """
-        self.value(t)
-        k = self.table.k
+        k, t = self.table.k, self.t
         level = np.zeros(1, dtype=np.int64)  # the codes of day d, in breadth-first order
         for d in range(t):
-            if self._t != t:
-                raise RuntimeError(f"trace of horizon {t} interrupted: another horizon was solved")
             best = self._best(d, self._positions(d, level, t - d)[0]).T.tolist()
             children = _successors(level, k, self.table.gains)[0].T.tolist()
             states = np.stack(unpack(level, k), axis=1).tolist()
@@ -289,21 +265,9 @@ class AdaptiveSolver:
             level = np.array(list(reached), dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class AdaptivePolicyValue:
-    """Result of valuing one horizon: both the raw expected maximum and the
-    centered regret (their difference is exactly t/2)."""
-
-    family: tuple[RankSubset, ...]
-    expected_max: Dyadic
-    regret: Dyadic
-    node_count: int
-    solver: AdaptiveSolver = field(repr=False, compare=False)
-
-
-def value_adaptive(k: int, family: Iterable[RankSubset], t: int) -> AdaptivePolicyValue:
+def value_adaptive(k: int, family: Iterable[RankSubset], t: int) -> AdaptiveSolver:
     """Expected regret of the best adaptive policy over ``family`` at horizon t."""
-    return AdaptiveSolver(k, family).value(t)
+    return AdaptiveSolver(k, family, t)
 
 
 @dataclass(frozen=True)

@@ -174,12 +174,11 @@ def _poison_spare_rows(monkeypatch) -> list:
 
 def _table_runs():
     comb = RankSubset.comb(5)
-    solver = AdaptiveSolver(4, all_strategies(4))
-    value = solver.value(12)
+    solver = AdaptiveSolver(4, all_strategies(4), 12)
     return (
         regret_series_fixed(5, comb, 120, FLOAT),
         regret_series_fixed(5, comb, 60, EXACT),
-        (value.expected_max, value.node_count, list(solver.trace(12))),
+        (solver.expected_max, solver.node_count, list(solver.trace())),
     )
 
 

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -46,9 +44,8 @@ def test_singleton_family_equals_fixed_series():
     for k in range(2, 6):
         for subset in all_strategies(k):
             series = regret_series_fixed(k, subset, 8)
-            solver = AdaptiveSolver(k, [subset])
             for t in range(1, 9):
-                assert solver.value(t).regret == series.values[t]
+                assert AdaptiveSolver(k, [subset], t).regret == series.values[t]
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -60,9 +57,8 @@ def test_singleton_family_across_int64_switch(k):
     horizons = (55, 56, 57, 58) + ((115, 116, 117, 118) if k == 2 else ())
     for subset in all_strategies(k):
         series = regret_series_fixed(k, subset, horizons[-1])
-        solver = AdaptiveSolver(k, [subset])
         for t in horizons:
-            assert solver.value(t).regret == series.values[t]
+            assert AdaptiveSolver(k, [subset], t).regret == series.values[t]
 
 
 def test_k3_all_family_equals_comb_at_t100():
@@ -117,18 +113,17 @@ def test_all_subset_values_and_node_counts():
     assert k3.node_count == 31_789 == _nodes(3, all_strategies(3), 80)
     k6 = value_adaptive(6, all_strategies(6), 13)
     assert k6.node_count == 5_986 == _nodes(6, all_strategies(6), 13)
-    assert len(k6.solver.table) == 4_342
-    # a solver valued at several horizons counts each one's own layers, and
-    # its table holds exactly the layer states of every horizon and their
-    # raw children
+    assert len(k6.table) == 4_342
+    # at every horizon, a solver's table holds exactly the states of its
+    # layers and their raw children
     for k, horizons in ((2, (1, 9, 40)), (3, (5, 20)), (4, (4, 15)), (5, (3, 10)), (6, (2, 7))):
         family = list(all_strategies(k))
-        solver = AdaptiveSolver(k, family)
         for t in horizons:
-            assert solver.value(t).node_count == _nodes(k, family, t)
-        states = set().union(*(_table_states(k, family, t) for t in horizons))
-        codes = np.stack(unpack(solver.table.codes, k), axis=1).tolist()
-        assert len(solver.table) == len(states) == len(set(map(tuple, codes)) & states)
+            solver = AdaptiveSolver(k, family, t)
+            assert solver.node_count == _nodes(k, family, t)
+            states = _table_states(k, family, t)
+            codes = np.stack(unpack(solver.table.codes, k), axis=1).tolist()
+            assert len(solver.table) == len(states) == len(set(map(tuple, codes)) & states)
 
 
 def test_family_monotonicity():
@@ -177,9 +172,8 @@ def test_best_fixed_small_cases():
 
 
 def test_adaptive_trace_k6(k6_family):
-    solver = AdaptiveSolver(6, k6_family)
-    solver.value(13)
-    nodes = list(solver.trace(13))
+    solver = AdaptiveSolver(6, k6_family, 13)
+    nodes = list(solver.trace())
     state0, r0, maxers0 = nodes[0]
     assert state0 == (0,) * 6
     assert r0 == 13
@@ -196,47 +190,17 @@ def test_adaptive_trace_k6(k6_family):
         assert state[0] == 0
 
 
-@pytest.mark.parametrize("other", [13, 3])
-def test_trace_raises_after_another_horizon_is_solved(k6_family, other):
-    # a trace reads the values of the horizon the solver holds: solving
-    # another one mid-trace must stop it, not let it go on with the wrong
-    # maximizer sets (or fail on a missing layer)
-    assert len(list(AdaptiveSolver(6, k6_family).trace(8))) == 52
-    solver = AdaptiveSolver(6, k6_family)
-    nodes = solver.trace(8)
-    for _ in range(3):
-        next(nodes)
-    solver.value(other)
-    with pytest.raises(RuntimeError, match="horizon 8"):
-        list(nodes)
-
-
 def test_full_set_never_unique_at_start():
     full = RankSubset.of(3, (1, 2, 3))
     res = value_adaptive(3, [full, RankSubset.of(3, (1,))], 4)
-    assert res.solver.maximizers((0, 0, 0), 4) == (RankSubset.of(3, (1,)),)
-
-
-def test_maximizers_skip_shorter_horizons():
-    # T = 6, the horizon last solved, answers; T = 3, solved first, is
-    # released and had no layer with 5 or 6 days left
-    family = [RankSubset.of(4, (1, 3)), RankSubset.of(4, (1, 4))]
-    solver = AdaptiveSolver(4, family)
-    solver.value(3)
-    solver.value(6)
-    fresh = AdaptiveSolver(4, family)
-    fresh.value(6)
-    for state, r, maxers in fresh.trace(6):
-        if r > 3:
-            assert solver.maximizers(state, r) == maxers
+    assert res.maximizers((0, 0, 0), 4) == (RankSubset.of(3, (1,)),)
 
 
 def test_maximizers_on_missing_node():
     # {1} of k = 2 reaches (0, 1) on day 1 and (0, 0) and (0, 2) on day 2;
     # with 1 day left, (0, 2) collapses to (0, 4094), as (0, 9) and a gap
     # too wide to pack do
-    solver = AdaptiveSolver(2, [RankSubset.of(2, (1,))])
-    solver.value(3)
+    solver = AdaptiveSolver(2, [RankSubset.of(2, (1,))], 3)
     for state, remaining in (((0, 1), 1), ((0, 0), 2), ((0, 2), 2)):
         with pytest.raises(ValueError, match="node not computed"):
             solver.maximizers(state, remaining)
@@ -258,11 +222,11 @@ def test_maximizers_answer_exactly_the_layer_states():
             image = collapse_reference(state, remaining)
             if image in layers[6 - remaining]:
                 members = scaled(state, remaining)[1]
-                assert res.solver.maximizers(state, remaining) == tuple(family[m] for m in members)
+                assert res.maximizers(state, remaining) == tuple(family[m] for m in members)
                 answered.add((image, remaining))
             else:
                 with pytest.raises(ValueError, match="node not computed"):
-                    res.solver.maximizers(state, remaining)
+                    res.maximizers(state, remaining)
     # every state valued has a preimage among these states
     assert len(answered) == res.node_count == _nodes(4, family, 6)
 
@@ -271,16 +235,14 @@ def test_maximizers_never_alias_wide_gaps():
     # masked to the packed width, each of these states would read as the
     # computed all-tied start; k = 7 packs 10 bits per gap, k = 3 packs 12
     for k, gap in ((7, 1 << 10), (3, 1 << 12), (3, 1 << 64)):
-        solver = AdaptiveSolver(k, [RankSubset.comb(k)])
-        solver.value(3)
+        solver = AdaptiveSolver(k, [RankSubset.comb(k)], 3)
         assert solver.maximizers((0,) * k, 3) == (RankSubset.comb(k),)
         with pytest.raises(ValueError, match="node not computed"):
             solver.maximizers((0,) * (k - 1) + (gap,), 3)
 
 
 def test_maximizers_validates_state():
-    solver = AdaptiveSolver(3, [RankSubset.of(3, (1,))])
-    solver.value(2)
+    solver = AdaptiveSolver(3, [RankSubset.of(3, (1,))], 2)
     # (0, 0) packs to the same code as the computed (0, 0, 0)
     with pytest.raises(ValueError, match="expected k=3"):
         solver.maximizers((0, 0), 1)
@@ -293,74 +255,23 @@ def test_maximizers_validates_state():
 
 
 def test_reproducible_and_shared_memo():
+    # two solvers of one horizon agree on every result, and a longer horizon
+    # values more states
     fam = [RankSubset.of(4, (1, 3)), RankSubset.of(4, (1, 4))]
-    a = AdaptiveSolver(4, fam)
-    b = AdaptiveSolver(4, fam)
-    nine = a.value(9)
-    assert nine.regret == b.value(9).regret
-    # a smaller horizon afterwards derives its own layers over the shared table
-    five_shared = a.value(5)
-    fresh = AdaptiveSolver(4, fam).value(5)
-    assert five_shared.regret == fresh.regret
-    assert five_shared.node_count == fresh.node_count < nine.node_count
-    assert list(a.trace(5)) == list(fresh.solver.trace(5))
-    # horizons in ascending order: T = 9 appends table rows after T = 5's
-    # layers were stored, and leaves every row T = 5 made as it was
-    c = AdaptiveSolver(4, fam)
-    c.value(5)
-    table, n = c.table, len(c.table)
-    # the live rows: past them the buffers hold spare capacity
-    codes, expanded, children, deltas = (
-        x[..., :n].copy() for x in (table.codes, table.expanded, table.children, table.deltas)
-    )
-    c.value(9)
-    assert len(table) > n
-    assert (table.codes[:n] == codes).all() and table.expanded[:n][expanded].all()
-    assert (table.children[:, :n][:, expanded] == children[:, expanded]).all()
-    assert (table.deltas[:, :n][:, expanded] == deltas[:, expanded]).all()
-    assert list(c.trace(5)) == list(fresh.solver.trace(5))
-    for state, r, maxers in fresh.solver.trace(5):
-        assert c.maximizers(state, r) == fresh.solver.maximizers(state, r) == maxers
-
-
-def test_solver_holds_one_horizon():
-    # a map over horizons holds the values of its last horizon only
-    family = list(all_strategies(3))
-    solver = AdaptiveSolver(3, family)
-    for t in range(1, 61):
-        assert solver.value(t).regret == AdaptiveSolver(3, family).value(t).regret
-    fresh = AdaptiveSolver(3, family)
-    fresh.value(60)
-    assert sum(a.nbytes for a in solver._values) == sum(a.nbytes for a in fresh._values)
-    # a re-solve releases the values held before it builds the next ones
-    tracemalloc.start()
-    try:
-        solver = AdaptiveSolver(3, family)
-        solver.value(200)
-        values = sum(a.nbytes for a in solver._values)
-        held, _ = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        solver.value(199)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak - held < values / 2
-    # maximizers answers for the nodes of the last horizon solved only
-    solver = AdaptiveSolver(3, family)
-    solver.value(6)
-    nodes = [(state, maxers) for state, r, maxers in solver.trace(6) if r == 5]
-    solver.value(3)
-    for state, _ in nodes:
-        with pytest.raises(ValueError, match="node not computed"):
-            solver.maximizers(state, 5)
-    solver.value(6)
-    assert [(state, solver.maximizers(state, 5)) for state, _ in nodes] == nodes
+    counts = []
+    for t in (5, 9):
+        a, b = AdaptiveSolver(4, fam, t), AdaptiveSolver(4, fam, t)
+        assert a.regret == b.regret and a.expected_max == b.expected_max
+        assert a.node_count == b.node_count
+        assert list(a.trace()) == list(b.trace())
+        counts.append(a.node_count)
+    assert counts[0] < counts[1]
 
 
 def test_each_state_stepped_once(monkeypatch):
     # the layers share one transition table, so each distinct state of
     # L_0 .. L_79 is stepped once under each member, however many layers
-    # hold it, and once for every horizon of one solver
+    # hold it
     stepped = []
 
     def counting(codes, k, gains):
@@ -369,13 +280,11 @@ def test_each_state_stepped_once(monkeypatch):
 
     monkeypatch.setattr("combregret.forward._successors", counting)
     family = tuple(all_strategies(3))
-    solver = AdaptiveSolver(3, family)
-    states = set()
-    for t in (80, 60, 81):
-        assert solver.value(t).node_count == _nodes(3, family, t)
-        states.update(*collapsed_layers(3, family, t)[:t])
-        assert sum(stepped) == 2 * len(family) * len(states)
-    assert len(states) < 31_789
+    solver = AdaptiveSolver(3, family, 80)
+    assert solver.node_count == _nodes(3, family, 80) == 31_789
+    states = set().union(*collapsed_layers(3, family, 80)[:80])
+    assert sum(stepped) == 2 * len(family) * len(states)
+    assert len(states) < solver.node_count
 
 
 def test_blocked_steps_match_one_block(monkeypatch):
@@ -396,17 +305,16 @@ def test_blocked_steps_match_one_block(monkeypatch):
     for cells in (1 << 40, 200):
         monkeypatch.setattr("combregret.forward.BLOCK_CELLS", cells)
         blocks.clear()
-        solver = AdaptiveSolver(6, all_strategies(6))
-        runs.append((solver, solver.value(9), list(blocks)))
-    (one, v1, one_blocks), (several, v2, several_blocks) = runs
+        runs.append((AdaptiveSolver(6, all_strategies(6), 9), list(blocks)))
+    (one, one_blocks), (several, several_blocks) = runs
     assert {n for _, n in one_blocks} == {1}
     # branches (64) and members (32) both went in several blocks of more than one
     assert {groups for groups, n in several_blocks if 1 < n < groups / 2} == {32, 64}
     assert several.table.children.shape[0] == 64
     for name in ("codes", "order", "children", "deltas", "expanded"):
         assert (getattr(several.table, name) == getattr(one.table, name)).all()
-    assert v2.expected_max == v1.expected_max and v2.node_count == v1.node_count
-    assert list(several.trace(9)) == list(one.trace(9))
+    assert several.expected_max == one.expected_max and several.node_count == one.node_count
+    assert list(several.trace()) == list(one.trace())
 
 
 def test_node_budget_counts_node_count(monkeypatch):
@@ -422,24 +330,40 @@ def test_node_budget_counts_node_count(monkeypatch):
 
 def test_family_validation():
     with pytest.raises(ValueError):
-        AdaptiveSolver(5, [])
+        AdaptiveSolver(5, [], 1)
     with pytest.raises(ValueError):
-        AdaptiveSolver(5, [RankSubset.of(5, (1,)), RankSubset.of(4, (1,))])
+        AdaptiveSolver(5, [RankSubset.of(5, (1,)), RankSubset.of(4, (1,))], 1)
     with pytest.raises(ValueError):
-        AdaptiveSolver(4, [RankSubset.of(5, (1,))])
-    solver = AdaptiveSolver(5, [RankSubset(5, (2, 4, 5)), RankSubset.of(5, (1, 3))])
+        AdaptiveSolver(4, [RankSubset.of(5, (1,))], 1)
+    solver = AdaptiveSolver(5, [RankSubset(5, (2, 4, 5)), RankSubset.of(5, (1, 3))], 1)
     assert solver.family == (RankSubset.of(5, (1, 3)),)
 
 
 def test_horizon_limits(monkeypatch):
-    solver = AdaptiveSolver(2, [RankSubset.of(2, (1,))])
-    assert solver.value(0).regret == ZERO
+    family = [RankSubset.of(2, (1,))]
+    solver = AdaptiveSolver(2, family, 0)
+    assert solver.t == 0 and solver.regret == ZERO and solver.node_count == 0
     with pytest.raises(ValueError):
-        solver.value(-1)
+        AdaptiveSolver(2, family, -1)
     with pytest.raises(BudgetError):
-        solver.value(MAX_HORIZON + 1)
+        AdaptiveSolver(2, family, MAX_HORIZON + 1)
     with pytest.raises(ValueError):
         best_fixed_subset(2, 0)
     monkeypatch.setattr("combregret.optimal.MAX_MEMO_NODES", 10)
     with pytest.raises(BudgetError, match="memo exceeded 10 nodes"):
         value_adaptive(3, all_strategies(3), 10)
+
+
+def test_construction_checks_inputs_before_any_work(monkeypatch):
+    # the family first, then the horizon, and only then the table
+    def no_table(family):
+        raise AssertionError("the transition table was built")
+
+    monkeypatch.setattr("combregret.optimal._TransitionTable", no_table)
+    family = [RankSubset.of(2, (1,))]
+    with pytest.raises(BudgetError, match=f"horizon {MAX_HORIZON + 1} exceeds"):
+        AdaptiveSolver(2, family, MAX_HORIZON + 1)
+    with pytest.raises(ValueError, match="horizon must be nonnegative, got -1"):
+        AdaptiveSolver(2, family, -1)
+    with pytest.raises(ValueError, match="strategy family must be nonempty"):
+        AdaptiveSolver(5, [], -1)

@@ -121,7 +121,7 @@ def test_budget_guards():
     pytest.param(lambda: brute_value_adaptive(3, [RankSubset.comb(3)], 0),
                  "horizon must be at least 1, got 0", id="adaptive-t0"),
     # {1} of k = 5 and {1} of k = 4 share their ranks, not their game
-    pytest.param(lambda: AdaptiveSolver(4, [RankSubset.of(5, (1,)), RankSubset.of(4, (1,))]),
+    pytest.param(lambda: AdaptiveSolver(4, [RankSubset.of(5, (1,)), RankSubset.of(4, (1,))], 1),
                  r"family mixes expert counts: \[4, 5\]", id="family-mixes-k"),
     pytest.param(lambda: RankSubset(3, ()), "rank subset must be nonempty", id="empty-subset"),
     pytest.param(lambda: run_suite("nope"), "unknown suite 'nope'", id="unknown-suite"),
