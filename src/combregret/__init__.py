@@ -22,7 +22,6 @@ from .game import (
     GapState,
     RankSubset,
     all_strategies,
-    validate_state,
 )
 from .optimal import (
     AdaptiveSolver,

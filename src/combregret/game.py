@@ -48,17 +48,6 @@ def check_expert_count(k: int) -> None:
         raise ValueError(f"expert count must be in {MIN_K}..{MAX_K}, got k={k}")
 
 
-def validate_state(gaps: GapState) -> None:
-    """Raise ValueError unless ``gaps`` is a valid sorted gap vector: a
-    leader gap of zero, then nondecreasing (hence nonnegative) gaps."""
-    check_expert_count(len(gaps))
-    if gaps[0] != 0:
-        raise ValueError(f"leader gap must be zero: {gaps!r}")
-    for a, b in zip(gaps, gaps[1:]):
-        if b < a:
-            raise ValueError(f"gaps must be nondecreasing: {gaps!r}")
-
-
 @dataclass(frozen=True)
 class RankSubset:
     """A validated subset of ranks 1..k, kept sorted.

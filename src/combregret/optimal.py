@@ -24,9 +24,9 @@ collapsed state has the value of every state it stands for (the proof is in
 child rows with the position of each one's collapse in L_{d+1}.  While no
 child gap can span a split (d + 1 < T - d), the collapse is the identity and
 the child rows are the next layer.  A row never moves once the table has
-it.  Gap tuples become codes and back only at ``maximizers`` and
-``trace``.  A backward pass then values a whole layer at once on the
-scaled integers N(s, r) = V(s, r) * 2^r, which obey
+it.  Gap tuples become codes and back only at ``trace``.  A backward pass
+then values a whole layer at once on the scaled integers
+N(s, r) = V(s, r) * 2^r, which obey
 
     N(s, r) = max over A of 2^(r-1) * (delta_A + delta_B) + N(s_A, r-1) + N(s_B, r-1)
 
@@ -56,7 +56,7 @@ from .forward import (
     _at_least, _branch_blocks, _carry, _join, _sorted_unique, _successors, _TransitionTable, regret_series_fixed,
 )
 from .game import (
-    MAX_K, GapState, RankSubset, all_strategies, collapse, pack, packed_width, sentinel, unpack, validate_state,
+    MAX_K, GapState, RankSubset, all_strategies, collapse, packed_width, sentinel, unpack,
 )
 
 # hard ceilings; exceeding them is an error, never a silent approximation.
@@ -119,8 +119,8 @@ class AdaptiveSolver:
     Construction checks the family, then the horizon, and only then derives
     and values the layers; the solver is its own result, with ``family``,
     ``t``, ``expected_max``, ``regret`` (their difference is exactly t/2) and
-    ``node_count`` as attributes.  States are table rows inside; gap tuples
-    appear only at ``maximizers`` and ``trace``.
+    ``node_count`` as attributes, and the policy is read through ``trace``.
+    States are table rows inside; gap tuples appear only at ``trace``.
     """
 
     def __init__(self, k: int, family: Iterable[RankSubset], t: int):
@@ -208,38 +208,6 @@ class AdaptiveSolver:
         target = values[d][:, None, rows]
         return np.concatenate([(c == target).all(axis=0) for c in self._candidates(d, values[d + 1], rows)])
 
-    def _positions(self, d: int, codes, remaining: int):
-        """The positions in layer d of the collapses of ``codes``, and
-        whether each lies there."""
-        rows = self.table.find(collapse(codes, self.table.k, remaining))
-        layer = self._layers[d]
-        at = np.minimum(np.searchsorted(layer, rows), layer.shape[0] - 1)
-        # -1, a code with no table row, matches no row of a layer
-        return at, layer[at] == rows
-
-    def maximizers(self, state: GapState, remaining: int) -> tuple[RankSubset, ...]:
-        """All family members achieving the max at ``state`` with ``remaining``
-        days left: answered exactly where the state's collapse lies in the
-        layer of that day."""
-        k = self.table.k
-        # packed codes drop trailing zero gaps, so check the length first
-        if len(state) != k:
-            raise ValueError(f"state has {len(state)} entries, expected k={k}: {state!r}")
-        validate_state(state)
-        d = self.t - remaining
-        if remaining >= 1 and d >= 0:
-            # every gap a layer keeps is below the horizon, and so below the
-            # sentinel: a wider gap lies below a split wherever the collapse
-            # is in a layer, so capping it at the sentinel moves no such
-            # collapse, and the capped gaps fit their fields
-            far = sentinel(k)
-            code = pack(tuple(min(g, far) for g in state), k)
-            at, found = self._positions(d, np.array([code]), remaining)
-            if found[0]:
-                best = self._best(d, at)[:, 0]
-                return tuple(s for s, b in zip(self.family, best) if b)
-        raise ValueError(f"node not computed: state={state}, remaining={remaining}")
-
     def trace(self) -> Iterator[tuple[GapState, int, tuple[RankSubset, ...]]]:
         """Nodes reachable under optimal play from the start, breadth-first.
 
@@ -247,12 +215,17 @@ class AdaptiveSolver:
         maximizing subset in family order, a-branch before b-branch, so the
         dump covers the whole set of positions an optimal adversary can face.
         States are raw, not collapsed: each is stepped by ``_successors`` and
-        answered at its collapse.
+        answered at its collapse, which lies in layer d for a state of day
+        d.  That holds at the start, and a raw child has the collapse of
+        the child of its parent's collapse, which L_{d+1} holds: above the
+        split the two step alike, and below it every gap is still past a
+        split with r - 1 days left, so it is set to the sentinel again.
         """
         k, t = self.table.k, self.t
         level = np.zeros(1, dtype=np.int64)  # the codes of day d, in breadth-first order
         for d in range(t):
-            best = self._best(d, self._positions(d, level, t - d)[0]).T.tolist()
+            rows = self.table.find(collapse(level, k, t - d))
+            best = self._best(d, np.searchsorted(self._layers[d], rows)).T.tolist()
             children = _successors(level, k, self.table.gains)[0].T.tolist()
             states = np.stack(unpack(level, k), axis=1).tolist()
             reached: dict = {}  # insertion-ordered set

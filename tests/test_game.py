@@ -14,7 +14,6 @@ from combregret.game import (
     packed_width,
     sentinel,
     unpack,
-    validate_state,
 )
 from combregret.optimal import MAX_HORIZON
 from tests.support import (
@@ -23,16 +22,6 @@ from tests.support import (
     reference_values,
     tie_consistent_perms,
 )
-
-
-def test_validate_state():
-    validate_state((0, 1, 5))
-    with pytest.raises(ValueError):
-        validate_state((1, 2))
-    with pytest.raises(ValueError):
-        validate_state((0, 2, 1))
-    with pytest.raises(ValueError):
-        validate_state((0,))
 
 
 def test_comb_construction():
@@ -111,7 +100,10 @@ def test_step_enumeration_properties():
                 assert d in (1, 2)
                 n_gains = len(subset.ranks)
                 for out, delta, n in ((a, 1, n_gains), (b, d - 1, k - n_gains)):
-                    validate_state(out)
+                    # a valid gap vector: k gaps, the leader's zero first,
+                    # then nondecreasing
+                    assert len(out) == k and out[0] == 0
+                    assert all(x <= y for x, y in zip(out, out[1:]))
                     assert sum(out) == sum(gaps) + k * delta - n
 
 

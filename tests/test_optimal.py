@@ -16,7 +16,6 @@ from combregret.optimal import (
 from tests.support import (
     collapse_reference,
     collapsed_layers,
-    enumerate_states,
     raw_reference_step,
     reference_values,
 )
@@ -183,7 +182,7 @@ def test_adaptive_trace_k6(k6_family):
     uniques = {maxers[0].ranks for _, _, maxers in nodes if len(maxers) == 1}
     assert (1, 3, 6) in uniques
     assert (1, 4, 6) in uniques
-    assert solver.maximizers((0, 1, 2, 3, 3, 3), 9) == (RankSubset.of(6, (1, 4, 6)),)
+    assert ((0, 1, 2, 3, 3, 3), 9, (RankSubset.of(6, (1, 4, 6)),)) in nodes
     for state, r, maxers in nodes:
         assert r >= 1
         assert maxers
@@ -193,65 +192,40 @@ def test_adaptive_trace_k6(k6_family):
 def test_full_set_never_unique_at_start():
     full = RankSubset.of(3, (1, 2, 3))
     res = value_adaptive(3, [full, RankSubset.of(3, (1,))], 4)
-    assert res.maximizers((0, 0, 0), 4) == (RankSubset.of(3, (1,)),)
+    assert next(res.trace()) == ((0, 0, 0), 4, (RankSubset.of(3, (1,)),))
 
 
-def test_maximizers_on_missing_node():
-    # {1} of k = 2 reaches (0, 1) on day 1 and (0, 0) and (0, 2) on day 2;
-    # with 1 day left, (0, 2) collapses to (0, 4094), as (0, 9) and a gap
-    # too wide to pack do
-    solver = AdaptiveSolver(2, [RankSubset.of(2, (1,))], 3)
-    for state, remaining in (((0, 1), 1), ((0, 0), 2), ((0, 2), 2)):
-        with pytest.raises(ValueError, match="node not computed"):
-            solver.maximizers(state, remaining)
-    for state in ((0, 9), (0, 1 << 70), (0, 4094)):
-        assert solver.maximizers(state, 1) == solver.maximizers((0, 2), 1)
-
-
-def test_maximizers_answer_exactly_the_layer_states():
-    # a state is answered exactly when its collapse lies in the layer of its
-    # day, walked on gap tuples, and the answer is that of a recursion on
-    # the raw state; every other valid state reads "node not computed"
-    family = [RankSubset.of(4, (1, 3)), RankSubset.of(4, (1, 4))]
-    layers = collapsed_layers(4, tuple(family), 6)
+@pytest.mark.parametrize("k, family, t", [
+    (4, [RankSubset.of(4, (1, 3)), RankSubset.of(4, (1, 4))], 6),
+    (6, [RankSubset.of(6, (1, 3, 6)), RankSubset.of(6, (1, 4, 6))], 13),
+    (3, list(all_strategies(3)), 10),
+], ids=["k4-1,3:1,4", "k6-1,3,6:1,4,6", "k3-all"])
+def test_trace_matches_the_raw_recursion(k, family, t):
+    # every traced state is a valid gap vector whose collapse lies in the
+    # layer of its day, answered as a recursion on the raw state answers,
+    # and the trace is the breadth-first walk over that recursion's
+    # maximizers
+    layers = collapsed_layers(k, tuple(family), t)
     scaled = reference_values(family)
-    res = value_adaptive(4, family, 6)
-    answered = set()
-    for state in enumerate_states(4, 9):
-        for remaining in range(1, 7):
-            image = collapse_reference(state, remaining)
-            if image in layers[6 - remaining]:
-                members = scaled(state, remaining)[1]
-                assert res.maximizers(state, remaining) == tuple(family[m] for m in members)
-                answered.add((image, remaining))
-            else:
-                with pytest.raises(ValueError, match="node not computed"):
-                    res.maximizers(state, remaining)
-    # every state valued has a preimage among these states
-    assert len(answered) == res.node_count == _nodes(4, family, 6)
-
-
-def test_maximizers_never_alias_wide_gaps():
-    # masked to the packed width, each of these states would read as the
-    # computed all-tied start; k = 7 packs 10 bits per gap, k = 3 packs 12
-    for k, gap in ((7, 1 << 10), (3, 1 << 12), (3, 1 << 64)):
-        solver = AdaptiveSolver(k, [RankSubset.comb(k)], 3)
-        assert solver.maximizers((0,) * k, 3) == (RankSubset.comb(k),)
-        with pytest.raises(ValueError, match="node not computed"):
-            solver.maximizers((0,) * (k - 1) + (gap,), 3)
-
-
-def test_maximizers_validates_state():
-    solver = AdaptiveSolver(3, [RankSubset.of(3, (1,))], 2)
-    # (0, 0) packs to the same code as the computed (0, 0, 0)
-    with pytest.raises(ValueError, match="expected k=3"):
-        solver.maximizers((0, 0), 1)
-    with pytest.raises(ValueError, match="nondecreasing"):
-        solver.maximizers((0, 2, 1), 1)
-    # the state is checked before the horizon, even where no node is valued
-    with pytest.raises(ValueError, match="nondecreasing"):
-        solver.maximizers((0, 2, 1), 0)
-    assert solver.maximizers((0, 0, 0), 2) == (RankSubset.of(3, (1,)),)
+    nodes = list(AdaptiveSolver(k, family, t).trace())
+    for state, r, maxers in nodes:
+        assert len(state) == k and state[0] == 0
+        assert all(x <= y for x, y in zip(state, state[1:]))
+        assert collapse_reference(state, r) in layers[t - r]
+        assert maxers == tuple(family[m] for m in scaled(state, r)[1])
+    walk, level = set(), {((0,) * k, t)}
+    while level:
+        walk |= level
+        level = {
+            (raw_reference_step(state, ranks)[0], r - 1)
+            for state, r in level
+            if r > 1
+            for m in scaled(state, r)[1]
+            for ranks in (family[m].ranks, family[m].complement_ranks())
+        }
+    traced = [(state, r) for state, r, _ in nodes]
+    assert len(set(traced)) == len(traced)
+    assert set(traced) == walk
 
 
 def test_reproducible_and_shared_memo():
