@@ -24,7 +24,17 @@ which returns the next frontier, or the raw states the solver collapses
 into its next layer and appends through ``add``; a sweep also adds one
 ``np.bincount`` per weight row.  The table never forgets a state, so it is
 capped at ``MAX_TABLE_ROWS`` rows for one member and fewer for a family;
-growing past the cap raises ``BudgetError``.
+growing past the cap raises ``BudgetError``.  The table's rows, lookups and
+growth are those of ``_Index``, an append-only map from codes to rows.
+
+``scan_exact`` values every canonical subset of k experts at one horizon
+with exact sweeps over groups of subsets.  A group's rows are pairs, one
+member with one state, held in a ``_PairTable``: a pair is stepped under
+its own member alone, by the same tabulated offsets, so a day costs the
+same number of numpy calls however many members the group has.  A group
+whose table outgrows ``SCAN_PAIRS`` rows splits in two, so long horizons
+hold one or a few subsets' pairs at a time.  Single-subset series keep
+``_series_exact``, which also prunes.
 
 The backends differ only in how they hold the weights:
 
@@ -58,7 +68,7 @@ import numpy as np
 from .backend import EXACT, FLOAT, ValueBackend
 from .dyadic import ZERO, Dyadic
 from .errors import BudgetError
-from .game import RankSubset, pack, packed_width, unpack
+from .game import RankSubset, all_strategies, pack, packed_width, unpack
 
 # default prune threshold for float sweeps; exact runs default to no pruning
 DEFAULT_FLOAT_EPS = 2.0**-50
@@ -87,6 +97,13 @@ MAX_TABLE_ROWS = (2 << 30) // ROW_BYTES
 LIMB_BITS = 28
 _LIMB_MASK = (1 << LIMB_BITS) - 1
 assert 2 * MAX_TABLE_ROWS << LIMB_BITS <= 1 << 53
+
+# the most rows a scan's pair table holds for a group of more than one
+# member before the group splits in two, each half over a table of its own.
+# At 2^13 rows, about 0.4 MB of table, the k = 5 scans at T = 150 and 200
+# peaked at most 2.3 MB (4 %) above one sweep per subset; at 2^16 they
+# peaked 5-8 MB above it, and k = 6 at T = 80 8 MB above it
+SCAN_PAIRS = 1 << 13
 
 # the most branch-rows (branches times states) one numpy call looks up or
 # values at once: a small layer goes in one call, a layer of more rows one
@@ -177,13 +194,10 @@ def _successors(codes, k: int, gains):
     additive over in-range gaps, so pack(child) - pack(parent) is one fixed
     offset for each (gain vector, tie pattern).
 
-    ``game.unpack`` reads the tie pattern; nothing of shape (branches, n)
+    ``_tie_pattern`` reads the tie pattern; nothing of shape (branches, n)
     is allocated beyond the two outputs.
     """
-    gaps = unpack(codes, k)
-    pattern = np.zeros(codes.shape[0], dtype=np.int64)
-    for p in range(k - 1):
-        pattern |= (gaps[p] == gaps[p + 1]) << p
+    pattern = _tie_pattern(codes, k)
     offsets, deltas = _step_table(k)
     rows = np.asarray(gains, dtype=np.int64) @ (1 << np.arange(k))
     child_codes = np.take(offsets[rows], pattern, axis=1)
@@ -191,43 +205,49 @@ def _successors(codes, k: int, gains):
     return child_codes, np.take(deltas[rows], pattern, axis=1)
 
 
-class _TransitionTable:
-    """Every state reached under a family of subsets, one row per state.
+def _tie_pattern(codes, k: int):
+    """The tie pattern of every packed state in ``codes``, the column of
+    ``_step_table`` it steps by: bit p is set when gaps p + 1 and p + 2 tie,
+    read through ``game.unpack``."""
+    gaps = unpack(codes, k)
+    pattern = np.zeros(codes.shape[0], dtype=np.int64)
+    for p in range(k - 1):
+        pattern |= (gaps[p] == gaps[p + 1]) << p
+    return pattern
 
-    Row i holds the code of state i and, once the state has been expanded,
-    the rows of its children and their leader deltas: rows 2j and 2j + 1 of
-    ``children`` and ``deltas`` are the two branches of member j.  Each state
-    is therefore stepped once, however many days it stays on a sweep's
-    frontier or in how many of the adaptive solver's layers it lies.  Rows
-    are appended by ``add`` alone, as states appear, each batch in code
-    order, and never move; ``order`` lists them in code order, for lookups.
-    A batch of states is stepped in one call, and their child rows looked up
-    in blocks of branches of at most ``BLOCK_CELLS`` branch-rows.
+
+class _Index:
+    """An append-only map from distinct int64 codes to stable rows, with
+    ``branches`` child rows and leader deltas per row.
+
+    Row i holds code i and, once it has been expanded by a subclass, the rows
+    of its children and their leader deltas in column i of ``children`` and
+    ``deltas``.  Rows are appended by ``add`` alone, as codes appear, each
+    batch in code order, and never move; ``order`` lists them in code order,
+    for lookups.
 
     ``len`` counts the live rows.  ``children``, ``deltas`` and ``expanded``
     are whole buffers with spare rows past the live ones, which no reader
     indexes; ``codes`` is a view of the live rows of its buffer, so lookups
     never see a spare code.  A batch that does not fit grows every buffer by
-    a quarter, or to the batch, and never past the row budget.
+    a quarter, or to the batch, and never past the row budget: at most
+    ``MAX_TABLE_ROWS`` rows, and fewer in the ratio of a two-branch row's
+    width to the row's own where a row holds more branches.
     """
 
-    def __init__(self, family: tuple[RankSubset, ...]):
-        self.k = family[0].k
-        self.gains = np.array(  # (branches, k)
-            [g for s in family for g in (s.gains(), s.complement_gains())], dtype=np.int64
-        )
-        self._codes = np.zeros(1, dtype=np.int64)  # the day-0 state
-        self.codes = self._codes[:1]  # the live rows' codes
-        self.order = np.zeros(1, dtype=np.int64)
-        self.children = np.zeros((len(self.gains), 1), dtype=np.int64)
-        self.deltas = np.zeros((len(self.gains), 1), dtype=np.int8)  # a leader delta is 0 or 1
-        self.expanded = np.zeros(1, dtype=bool)
+    def __init__(self, codes, branches: int):
+        self._codes = codes  # ascending and distinct
+        self.codes = codes[:]  # the live rows' codes
+        self.order = np.arange(codes.shape[0], dtype=np.int64)
+        self.children = np.zeros((branches, codes.shape[0]), dtype=np.int64)
+        self.deltas = np.zeros((branches, codes.shape[0]), dtype=np.int8)  # a leader delta is 0 or 1
+        self.expanded = np.zeros(codes.shape[0], dtype=bool)
 
     def __len__(self) -> int:
         return self.codes.shape[0]
 
     def find(self, codes):
-        """The rows of the states ``codes``, -1 for a code with no row."""
+        """The rows of ``codes``, -1 for a code with no row."""
         at = np.searchsorted(self.codes, codes, sorter=self.order)
         rows = self.order[np.minimum(at, len(self) - 1)]
         return np.where(self.codes[rows] == codes, rows, -1)
@@ -242,7 +262,7 @@ class _TransitionTable:
         return np.flatnonzero(reached)
 
     def add(self, codes) -> None:
-        """Append a row for each distinct state of ``codes`` that has none, in code order."""
+        """Append a row for each distinct code of ``codes`` that has none, in code order."""
         fresh = _sorted_unique(codes)
         fresh = fresh[self.find(fresh) < 0]
         if fresh.shape[0] == 0:
@@ -250,9 +270,9 @@ class _TransitionTable:
         n, size = len(self), len(self) + fresh.shape[0]
         fixed = self.codes.itemsize + self.order.itemsize + self.expanded.itemsize
         branch = self.children.itemsize + self.deltas.itemsize
-        limit = MAX_TABLE_ROWS * (fixed + 2 * branch) // (fixed + len(self.gains) * branch)
+        limit = MAX_TABLE_ROWS * (fixed + 2 * branch) // (fixed + self.children.shape[0] * branch)
         if size > limit:
-            raise BudgetError(f"transition table exceeded {limit} rows")
+            raise BudgetError(f"{self.label} exceeded {limit} rows")
         self.order = np.insert(
             self.order, np.searchsorted(self.codes, fresh, sorter=self.order), np.arange(n, size)
         )
@@ -267,6 +287,27 @@ class _TransitionTable:
         self._codes[n:size] = fresh
         self.codes = self._codes[:size]
 
+
+class _TransitionTable(_Index):
+    """Every state reached under a family of subsets, one row per state.
+
+    Rows 2j and 2j + 1 of ``children`` and ``deltas`` are the two branches
+    of member j.  Each state is therefore stepped once, however many days it
+    stays on a sweep's frontier or in how many of the adaptive solver's
+    layers it lies.  A batch of states is stepped in one call, and their
+    child rows looked up in blocks of branches of at most ``BLOCK_CELLS``
+    branch-rows.
+    """
+
+    label = "transition table"
+
+    def __init__(self, family: tuple[RankSubset, ...]):
+        self.k = family[0].k
+        self.gains = np.array(  # (branches, k)
+            [g for s in family for g in (s.gains(), s.complement_gains())], dtype=np.int64
+        )
+        super().__init__(np.zeros(1, dtype=np.int64), len(self.gains))  # the day-0 state
+
     def expand(self, rows) -> None:
         """Step the unexpanded states among ``rows``, appending their new children."""
         new = rows[~self.expanded[rows]]
@@ -278,6 +319,45 @@ class _TransitionTable:
         for block in _branch_blocks(len(self.gains), new.shape[0]):
             self.children[block, new] = self.find(child_codes[block])
         self.deltas[:, new] = child_deltas
+        self.expanded[new] = True
+
+
+class _PairTable(_Index):
+    """Every (member, state) pair reached under a group of fixed subsets,
+    one row per pair.
+
+    A pair's code is ``member << shift | state code``.  Every gap of a sweep
+    to t_max is at most t_max, so its packed state codes stay below
+    2^shift for shift = ``packed_width(k) * (k - 2) + t_max.bit_length()``,
+    and each member's pairs form one run of codes.  ``gain_rows`` holds the
+    members' two gain vectors as rows of ``_step_table``, shape (2,
+    members).  The table starts from the pairs ``codes``, ascending.  Rows
+    0 and 1 of ``children`` and ``deltas`` are the pair's two branches under
+    its own member: each pair is stepped once, the first day it is on the
+    frontier, by adding the offsets of its member's two rows of
+    ``_step_table`` at its state's tie pattern to its code.  That is the
+    step ``_successors`` takes, and it leaves the member's bits as they are.
+    """
+
+    label = "pair table"
+
+    def __init__(self, k: int, shift: int, gain_rows, codes):
+        self.k, self.shift, self.gain_rows = k, shift, gain_rows
+        super().__init__(codes, 2)
+
+    def expand(self, rows) -> None:
+        """Step the unexpanded pairs among ``rows``, appending their new children."""
+        new = rows[~self.expanded[rows]]
+        if new.shape[0] == 0:
+            return
+        codes = self.codes[new]
+        branch = self.gain_rows[:, codes >> self.shift]
+        pattern = _tie_pattern(codes & ((1 << self.shift) - 1), self.k)
+        offsets, deltas = _step_table(self.k)
+        child_codes = offsets[branch, pattern] + codes
+        self.add(child_codes)
+        self.children[:, new] = self.find(child_codes)
+        self.deltas[:, new] = deltas[branch, pattern]
         self.expanded[new] = True
 
 # ----------------------------------------------------------------------
@@ -425,6 +505,122 @@ def _series_exact(subset: RankSubset, t_max: int, eps) -> RegretSeries:
         bounds.append(Dyadic(s0 * day - s1, day))
         peak = max(peak, frontier.shape[0])
     return RegretSeries(subset, EXACT, tuple(values), tuple(bounds), peak)
+
+
+def scan_exact(k: int, t_max: int) -> tuple[Dyadic, ...]:
+    """R(t_max) of every canonical subset of k experts, exact and unpruned,
+    in ``all_strategies`` order, from sweeps over (member, state) pairs.
+
+    The members start in as few groups as their pair codes allow (one group
+    up to k = 5, and at k = 6, 7 and 8 to T = 1,023, 127 and 3), each over a
+    ``_PairTable`` of its own.  A group whose table passes ``SCAN_PAIRS``
+    rows, or the row or byte budget, splits into two halves at the end of
+    that day (or before the day whose step overflows the table); each half
+    carries on over a new table, started from its frontier, and the first
+    half runs to ``t_max`` before the second starts.  A group of one member
+    splits no further and raises ``BudgetError`` where ``_series_exact``
+    would: its table rows are the subset's states, under the same budgets.
+    """
+    if t_max >= 1 << packed_width(k):
+        raise ValueError(f"t_max {t_max} exceeds packed-gap range for k={k}")
+    gains = np.array([[s.gains(), s.complement_gains()] for s in all_strategies(k)], dtype=np.int64)
+    gain_rows = (gains @ (1 << np.arange(k))).T
+    shift = packed_width(k) * (k - 2) + t_max.bit_length()
+    size = min(gain_rows.shape[1], 1 << (63 - shift))
+    codes = np.arange(size, dtype=np.int64) << shift
+    # a group: its day, gain rows, frontier pairs and their counts, and its
+    # members' regrets, scaled by 2^day; the first group is popped first
+    pending = [
+        (0, gain_rows[:, lo : lo + size], codes, [np.ones(size, dtype=np.int64)], [0] * size)
+        for lo in reversed(range(0, gain_rows.shape[1], size))
+    ]
+    regrets = []
+    while pending:
+        done, halves = _scan_group(k, t_max, shift, *pending.pop())
+        regrets += done
+        pending += reversed(halves)
+    return tuple(Dyadic(r, t_max) for r in regrets)
+
+
+def _scan_group(k: int, t_max: int, shift: int, day: int, gain_rows, codes, counts, regrets):
+    """Carry a group of ``scan_exact`` from ``day`` on: its members' regrets
+    at ``t_max`` and no halves, or no regrets and its two halves on the day
+    it splits.
+
+    A day is ``_series_exact``'s day on pair rows, with one ``np.bincount``
+    per limb for every member at once.  The frontier lists its pairs in code
+    order (a lone member's in row order), so each member's pairs form one
+    contiguous segment, and a member's expected delta is an int64 sum over
+    its segment: exact, since no member holds more than 2^24 frontier
+    pairs, each below 2^(LIMB_BITS + 1) once multiplied by its delta sum.
+    A pair's children are pairs of its own member, and a child's count
+    merges straight into its position in the next frontier.  The table's
+    rows are charged ``ROW_BYTES`` plus 16 B per limb after the first,
+    against ``MAX_TABLE_ROWS * ROW_BYTES`` bytes, as ``_series_exact``
+    charges them.
+    """
+    table = _PairTable(k, shift, gain_rows, codes)
+    size = gain_rows.shape[1]
+    members = np.arange(size)
+    budget = MAX_TABLE_ROWS * ROW_BYTES
+    frontier = np.arange(len(table))
+    for day in range(day + 1, t_max + 1):
+        try:
+            table.expand(frontier)
+        except BudgetError:
+            if size == 1:
+                raise
+            return [], _halves(table, day - 1, frontier, counts, regrets)
+        deltas = np.take(table.deltas, frontier, axis=1)
+        both = deltas[0] + deltas[1]
+        # every member keeps a pair on the frontier, so no segment is empty
+        segments = np.searchsorted(table.codes[frontier] >> shift, members)
+        delta = [np.add.reduceat(limb * both, segments).tolist() for limb in counts]
+        children = np.take(table.children, frontier, axis=1)
+        reached = np.zeros(len(table), dtype=bool)
+        reached[children] = True
+        # code order puts each member's pairs in one segment; a lone member's
+        # frontier takes row order, whose gathers from the table run forward
+        frontier = table.order[reached[table.order]] if size > 1 else np.flatnonzero(reached)
+        # each child's position in the next frontier, where its count merges
+        at = np.empty(len(table), dtype=np.int64)
+        at[frontier] = np.arange(frontier.shape[0])
+        into = at[children.ravel()]
+        # free the day's arrays before the merge and before the next day
+        # grows the table
+        del deltas, both, children, reached, at
+        merged = []
+        while counts:
+            # popped, so each limb is freed once merged
+            limb = counts.pop(0)
+            sums = np.bincount(into, weights=np.concatenate([limb, limb]), minlength=frontier.shape[0])
+            merged.append(sums.astype(np.int64))
+        merged.append(np.zeros_like(frontier))
+        _carry(merged, LIMB_BITS)
+        counts = merged if merged[-1].any() else merged[:-1]
+        del into, limb, sums
+        half = 1 << (day - 1)
+        regrets = [2 * r + _join(limbs, LIMB_BITS) - half for r, limbs in zip(regrets, zip(*delta))]
+        over = len(table) * (ROW_BYTES + 16 * (len(counts) - 1)) > budget
+        if over and size == 1:
+            raise BudgetError(f"exact scan exceeded {budget} bytes: {len(table)} pairs of {len(counts)} limbs")
+        if day < t_max and (over or (size > 1 and len(table) > SCAN_PAIRS)):
+            return [], _halves(table, day, frontier, counts, regrets)
+    return regrets, []
+
+
+def _halves(table: _PairTable, day: int, frontier, counts, regrets):
+    """The two halves of a ``scan_exact`` group whose ``table`` holds the
+    pairs ``frontier``, in code order, with ``counts`` at the end of
+    ``day``: the first half of its members, then the rest, renumbered from
+    0."""
+    codes = table.codes[frontier]
+    half = len(regrets) // 2
+    cut = np.searchsorted(codes, half << table.shift)
+    return [
+        (day, table.gain_rows[:, :half], codes[:cut], [limb[:cut] for limb in counts], regrets[:half]),
+        (day, table.gain_rows[:, half:], codes[cut:] - (half << table.shift), [limb[cut:] for limb in counts], regrets[half:]),
+    ]
 
 
 def _series_float(subset: RankSubset, t_max: int, eps: float) -> RegretSeries:

@@ -38,8 +38,9 @@ branch-rows and folded into the max one at a time; two limb rows are
 compared by the sign of their normalized difference, ``forward._at_least``.
 Values leave the solver as ``Dyadic(N, r)``, and regrets as ``Dyadic(x)`` of
 their ``Fraction`` difference.  Neither this solver nor ``best_fixed_subset``
-(exact forward sweeps) has a float engine: the CLI prints the correctly
-rounded float of the exact value when asked.
+(exact forward sweeps of groups of subsets at once, ``forward.scan_exact``)
+has a float engine: the CLI prints the correctly rounded float of the exact
+value when asked.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ import numpy as np
 from .dyadic import Dyadic
 from .errors import BudgetError
 from .forward import (
-    _at_least, _branch_blocks, _carry, _join, _sorted_unique, _successors, _TransitionTable, regret_series_fixed,
+    _at_least, _branch_blocks, _carry, _join, _sorted_unique, _successors, _TransitionTable, scan_exact,
 )
 from .game import (
     MAX_K, GapState, RankSubset, all_strategies, collapse, packed_width, sentinel, unpack,
@@ -256,14 +257,14 @@ class BestFixedResult:
 def best_fixed_subset(k: int, t: int) -> BestFixedResult:
     """The best single subset strategy at horizon t, with all tied maximizers.
 
-    Scans all 2^(k-1) canonical subsets with exact, unpruned sweeps; ties are
-    exact equalities, reported in lexicographic rank order, so the first
-    maximizer is deterministic.
+    Values all 2^(k-1) canonical subsets by exact, unpruned sweeps over
+    groups of them, ``forward.scan_exact``; ties are exact equalities, reported in
+    lexicographic rank order, so the first maximizer is deterministic.
     """
     if t < 1:
         raise ValueError(f"horizon must be at least 1, got {t}")
     subsets = list(all_strategies(k))
-    regrets = [regret_series_fixed(k, s, t).values[t] for s in subsets]
+    regrets = scan_exact(k, t)
     best = max(regrets)
     return BestFixedResult(
         maximizers=tuple(s for s, v in zip(subsets, regrets) if v == best),

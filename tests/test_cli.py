@@ -465,6 +465,27 @@ def test_exact_sweep_byte_budget_exit_code(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_best_fixed_budget_exit_code(capsys, monkeypatch):
+    # a group of subsets splits in two before its pair table passes the row
+    # or byte budget, down to one subset, whose table has a one-subset
+    # sweep's budget: under 1,000 rows k = 5 answers up to T = 32, as the
+    # sixteen sweeps do, and at T = 33 one subset's counts pass 128,000 B
+    _, want, _ = run(capsys, "best-fixed", "--k", "5", "--t", "11")
+    monkeypatch.setattr("combregret.forward.MAX_TABLE_ROWS", 1000)
+    code, out, _ = run(capsys, "best-fixed", "--k", "5", "--t", "11")
+    assert code == 0 and out == want
+    code, out, _ = run(capsys, "best-fixed", "--k", "5", "--t", "32")
+    assert code == 0 and "t=32" in out.splitlines()
+    code, out, err = run(capsys, "best-fixed", "--k", "5", "--t", "33")
+    assert code == 2 and out == ""
+    assert "exact scan exceeded 128000 bytes: 958 pairs of 2 limbs" in err
+    assert "Traceback" not in err
+    monkeypatch.setattr("combregret.forward.MAX_TABLE_ROWS", 100)
+    code, out, err = run(capsys, "best-fixed", "--k", "5", "--t", "12")
+    assert code == 2 and out == ""
+    assert "table exceeded 100 rows" in err and "Traceback" not in err
+
+
 def test_wide_family_table_budget_exit_code(capsys, monkeypatch):
     # a table row of the 32 subsets of k = 6 holds 64 child rows and 64
     # deltas, 593 B against 35 B for one member, so the cap scales to

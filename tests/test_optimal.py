@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from combregret import forward, optimal
 from combregret.dyadic import ZERO, Dyadic
 from combregret.errors import BudgetError
-from combregret.forward import _successors, regret_series_fixed
-from combregret.game import RankSubset, all_strategies, unpack
+from combregret.forward import _PairTable, _sorted_unique, _successors, regret_series_fixed, scan_exact
+from combregret.game import RankSubset, all_strategies, pack, packed_width, unpack
+from combregret.oracle import brute_regret_fixed
 from combregret.optimal import (
     MAX_HORIZON,
     AdaptiveSolver,
@@ -104,6 +107,14 @@ def test_k6_all_family_beats_136_at_t39():
     assert res.node_count == 1_503_397
 
 
+@pytest.mark.slow
+def test_k5_best_fixed_at_t200():
+    # the scan's slowest shape: 16 members to T = 200, 8 limbs
+    best = best_fixed_subset(5, 200)
+    assert best.maximizers == (RankSubset.of(5, (1, 3)),)
+    assert best.regret == Dyadic(491239253406467103245791690841732370609786648042295343809375, 195)
+
+
 def test_all_subset_values_and_node_counts():
     # node_count is the number of collapsed states valued, |L_0| + ... +
     # |L_{T-1}|, against the layers walked on gap tuples
@@ -168,6 +179,104 @@ def test_best_fixed_small_cases():
     # {1,3} and {1,4} tie exactly at k=4, so both are reported
     res4 = best_fixed_subset(4, 80)
     assert res4.maximizers == (RankSubset.of(4, (1, 3)), RankSubset.of(4, (1, 4)))
+
+
+def test_scan_matches_every_fixed_series():
+    # one sweep over (member, state) pairs gives every subset's R(T), as
+    # the one-subset sweep does
+    for k, t_max in ((2, 20), (3, 20), (4, 20), (5, 20), (6, 8), (7, 8), (8, 8)):
+        series = [regret_series_fixed(k, s, t_max).values for s in all_strategies(k)]
+        for t in range(1, t_max + 1):
+            assert list(scan_exact(k, t)) == [values[t] for values in series]
+
+
+def test_scan_carries_across_limbs():
+    # five 28-bit limbs by T = 120: every carry between them runs
+    res = best_fixed_subset(3, 120)
+    assert ":".join(s.label() for s in res.maximizers) == "1:1,3"
+    assert res.regret == Dyadic(7740049020348251711427135862170904335, 120)
+
+
+def test_scan_matches_oracle_k4():
+    regrets = [scan_exact(4, t) for t in range(1, 8)]
+    for i, subset in enumerate(all_strategies(4)):
+        for t in range(1, 8):
+            assert regrets[t - 1][i] == brute_regret_fixed(4, subset, t)
+
+
+@pytest.mark.parametrize("pairs", [1, 40])
+def test_scan_splits_groups(monkeypatch, pairs):
+    # a group whose table passes SCAN_PAIRS rows carries on as two halves,
+    # each over a table started from its frontier; k = 8 at T = 8 starts in
+    # four groups of 32 members, as its pair codes leave 5 bits for members
+    monkeypatch.setattr(forward, "SCAN_PAIRS", pairs)
+    for k, t in ((5, 20), (8, 8)):
+        assert list(scan_exact(k, t)) == [regret_series_fixed(k, s, t).values[t] for s in all_strategies(k)]
+
+
+@st.composite
+def _pairs(draw):
+    # a horizon t, states whose gaps stay below it, and members whose pair
+    # codes fit an int64
+    k = draw(st.integers(2, 8))
+    t = draw(st.integers(1, (1 << packed_width(k)) - 1))
+    shift = packed_width(k) * (k - 2) + t.bit_length()
+    tails = st.lists(st.integers(0, t - 1), min_size=k - 1, max_size=k - 1)
+    states = [(0, *sorted(tail)) for tail in draw(st.lists(tails, min_size=1, max_size=8))]
+    top = min(1 << (k - 1), 1 << (63 - shift)) - 1
+    members = draw(st.lists(st.integers(0, top), min_size=len(states), max_size=len(states)))
+    return k, shift, states, members
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pairs())
+def test_pair_step_matches_successors(case):
+    # a pair's child codes and leader deltas are _successors' columns for
+    # its own member, code for code, and its children are pairs of that member
+    k, shift, states, members = case
+    codes = np.array([pack(g, k) for g in states], dtype=np.int64)
+    pairs = np.array(members, dtype=np.int64) << shift | codes
+    gains = [g for s in all_strategies(k) for g in (s.gains(), s.complement_gains())]
+    gain_rows = (np.array(gains) @ (1 << np.arange(k))).reshape(-1, 2).T
+    table = _PairTable(k, shift, gain_rows, _sorted_unique(pairs))
+    rows = table.find(pairs)
+    table.expand(rows)
+    children = table.codes[table.children[:, rows]]
+    assert (children >> shift == members).all()
+    want_codes, want_deltas = _successors(codes, k, gains)
+    branch = 2 * np.array(members)
+    for b in (0, 1):
+        assert (children[b] & ((1 << shift) - 1)).tolist() == want_codes[branch + b, np.arange(len(states))].tolist()
+        assert table.deltas[b, rows].tolist() == want_deltas[branch + b, np.arange(len(states))].tolist()
+
+
+@pytest.mark.parametrize("k, t", [(4, 12), (6, 7)])
+def test_each_pair_expanded_once(monkeypatch, k, t):
+    # a scan whose one group never splits steps each (member, state) pair on
+    # the frontier of days 0 .. t - 1 once, and no other pair
+    stepped = []
+    expand = _PairTable.expand
+
+    def counting(table, rows):
+        codes = table.codes[rows[~table.expanded[rows]]]
+        gaps = np.stack(unpack(codes & ((1 << table.shift) - 1), k), axis=1).tolist()
+        stepped.extend(zip((codes >> table.shift).tolist(), map(tuple, gaps)))
+        expand(table, rows)
+
+    monkeypatch.setattr(_PairTable, "expand", counting)
+    scan_exact(k, t)
+    assert len(stepped) == len(set(stepped))
+    walk = set()
+    for m, subset in enumerate(all_strategies(k)):
+        level = {(0,) * k}
+        for _ in range(t):
+            walk |= {(m, gaps) for gaps in level}
+            level = {
+                raw_reference_step(gaps, ranks)[0]
+                for gaps in level
+                for ranks in (subset.ranks, subset.complement_ranks())
+            }
+    assert set(stepped) == walk
 
 
 def test_adaptive_trace_k6(k6_family):
