@@ -1,40 +1,41 @@
 """Forward propagation of the gap-state distribution under a fixed strategy.
 
-The frontier is the ascending array of the transition-table rows of the
-states reached, with their probability weights: one float64 per state, or
-int64 limb rows of exact path counts.  One day of play splits every state
+The frontier is the array of the table rows of the states reached, with
+their probability weights: one float64 per state, or int64 limb rows of
+exact path counts.  One day of play splits every state
 into its two equally likely branch successors and accumulates the expected
 leader delta; the regret after T days is the sum of the daily expected
 deltas minus T/2.
 
-Both backends run this recurrence over one per-series ``_TransitionTable``:
-every state reached so far, one row each, appended as the state first
-appears and never moved, with the rows of its children and their leader
-deltas filled in the first day the state is on the frontier.  Rows live in
-buffers with spare capacity, grown by a quarter when a batch of new states
-does not fit, and ``len`` of the table counts the live rows.  The table
-holds a family of subsets; a sweep passes its one subset, and the adaptive
-solver in ``optimal`` its whole family.  Each state is therefore stepped
-once, by ``_successors``.  Re-sorting a child's gaps only reorders runs of
-tied gaps, so the step reads the state's tie pattern through
-``game.unpack`` and adds a tabulated offset to its code; the tests check it
-against the brute-force oracle's step on raw totals.  Every engine
-expands a day's states and hands their child rows to the table's ``reach``,
-which returns the next frontier, or the raw states the solver collapses
-into its next layer and appends through ``add``; a sweep also adds one
-``np.bincount`` per weight row.  The table never forgets a state, so it is
-capped at ``MAX_TABLE_ROWS`` rows for one member and fewer for a family;
-growing past the cap raises ``BudgetError``.  The table's rows, lookups and
+Every engine runs this recurrence over a table of every state reached so
+far, one row each, appended as the state first appears and never moved,
+with the rows of its children and their leader deltas filled in the first
+day the state is on the frontier.  Rows live in buffers with spare
+capacity, grown by a quarter when a batch of new states does not fit, and
+``len`` of a table counts the live rows.  The table's rows, lookups and
 growth are those of ``_Index``, an append-only map from codes to rows.
+Each state is stepped once: re-sorting a child's gaps only reorders runs
+of tied gaps, so the step reads the state's tie pattern through
+``game.unpack`` and adds a tabulated offset to its code; the tests check
+it against the brute-force oracle's step on raw totals.  A table never
+forgets a state, so it is capped at ``MAX_TABLE_ROWS`` rows for a
+two-branch row and fewer for a wider one; growing past the cap raises
+``BudgetError``.
 
-``scan_exact`` values every canonical subset of k experts at one horizon
-with exact sweeps over groups of subsets.  A group's rows are pairs, one
-member with one state, held in a ``_PairTable``: a pair is stepped under
+There are two tables.  A ``_TransitionTable`` holds a family of subsets,
+every branch of every member per state: the float sweep passes its one
+subset, and the adaptive solver in ``optimal`` its whole family.  Both hand
+a day's child rows to the table's ``reach``, which returns the next
+frontier, or the raw states the solver collapses into its next layer and
+appends through ``add``; the float sweep adds one ``np.bincount`` of the
+weights.  A ``_PairTable`` holds (member, state) pairs, each stepped under
 its own member alone, by the same tabulated offsets, so a day costs the
-same number of numpy calls however many members the group has.  A group
-whose table outgrows ``SCAN_PAIRS`` rows splits in two, so long horizons
-hold one or a few subsets' pairs at a time.  Single-subset series keep
-``_series_exact``, which also prunes.
+same number of numpy calls however many members it holds.  It serves the
+one exact sweep, ``_sweep_exact``: one member for ``regret_series_fixed``
+(``eval`` and ``compare``), and groups of members for ``scan_exact``
+(``best-fixed``), which values every canonical subset of k experts at one
+horizon.  A group whose table outgrows ``SCAN_PAIRS`` rows splits in two,
+so long horizons hold one or a few subsets' pairs at a time.
 
 The backends differ only in how they hold the weights:
 
@@ -66,14 +67,14 @@ from itertools import accumulate
 import numpy as np
 
 from .backend import EXACT, FLOAT, ValueBackend
-from .dyadic import ZERO, Dyadic
+from .dyadic import Dyadic
 from .errors import BudgetError
 from .game import RankSubset, all_strategies, pack, packed_width, unpack
 
 # default prune threshold for float sweeps; exact runs default to no pruning
 DEFAULT_FLOAT_EPS = 2.0**-50
 
-# hard ceiling on the rows of a one-member transition table, which keeps
+# hard ceiling on the rows of a one-member table, which keeps
 # every state a sweep ever reaches.  A float sweep peaks at about 119-133 B
 # of RSS per row (k = 5 comb, eps = 0, T = 340-355: 555,089-629,404 rows,
 # over a 113-row sweep; 128 B at T = 350), up to 7 B of it in the table's
@@ -339,7 +340,7 @@ class _PairTable(_Index):
     step ``_successors`` takes, and it leaves the member's bits as they are.
     """
 
-    label = "pair table"
+    label = "sweep table"
 
     def __init__(self, k: int, shift: int, gain_rows, codes):
         self.k, self.shift, self.gain_rows = k, shift, gain_rows
@@ -404,6 +405,7 @@ class RegretSeries:
     values[T] is the expected regret after T days (values[0] is zero); with
     pruning, the true value lies within error_bounds[T] above an exact
     stored one (a float bound does not cover binary64 rounding).
+    frontier_peak is the largest frontier of any day, after pruning.
     """
 
     subset: RankSubset
@@ -437,150 +439,102 @@ def regret_series_fixed(
     if t_max >= 1 << packed_width(k):
         raise ValueError(f"t_max {t_max} exceeds packed-gap range for k={k}")
 
-    if backend.is_exact:
-        return _series_exact(subset, t_max, eps)
-    return _series_float(subset, t_max, eps)
-
-
-def _series_exact(subset: RankSubset, t_max: int, eps) -> RegretSeries:
-    """The exact recurrence over a ``_TransitionTable``.
-
-    ``counts`` holds the frontier's path counts over 2^day as int64 rows of
-    ``LIMB_BITS``-bit limbs, least significant first; entry i of each row
-    belongs to frontier state i.  A day merges each limb with one
-    ``np.bincount`` of the child rows, gathers the sums to the next frontier
-    and ``_carry``s them into a spare top limb, kept only when the carry
-    reaches it.  Raises ``BudgetError`` when the table would exceed
-    ``MAX_TABLE_ROWS`` rows, or once its rows, at ``ROW_BYTES`` plus 16 B per
-    limb after the first, pass ``MAX_TABLE_ROWS * ROW_BYTES`` bytes.
-    """
-    table = _TransitionTable((subset,))
-    eps_num, eps_den = float(eps).as_integer_ratio()
-    budget = MAX_TABLE_ROWS * ROW_BYTES
-    frontier = np.zeros(1, dtype=np.int64)
-    counts = [np.ones(1, dtype=np.int64)]
-    values = [ZERO]
-    bounds = [ZERO]
-    # all scaled by 2^day: the regret, and the pruned-mass ledger
-    # bound(T) = S0*T - S1 with S0 = sum m_t, S1 = sum m_t*t
-    regret = s0 = s1 = 0
-    peak = 1
-    for day in range(1, t_max + 1):
-        table.expand(frontier)
-        deltas = np.take(table.deltas, frontier, axis=1)
-        children = np.take(table.children, frontier, axis=1)
-        frontier = table.reach(children)
-        both = deltas[0] + deltas[1]
-        delta = _join((limb @ both for limb in counts), LIMB_BITS)
-        merged = []
-        while counts:
-            # popped, so each limb is freed once merged
-            limb = counts.pop(0)
-            sums = np.bincount(children.ravel(), weights=np.concatenate([limb, limb]), minlength=len(table))
-            merged.append(sums[frontier].astype(np.int64))
-        merged.append(np.zeros_like(frontier))
-        _carry(merged, LIMB_BITS)
-        counts = merged if merged[-1].any() else merged[:-1]
-        # free the day's arrays before the next day grows the table
-        del deltas, children, both, limb, sums
-        if len(table) * (ROW_BYTES + 16 * (len(counts) - 1)) > budget:
-            raise BudgetError(
-                f"exact sweep exceeded {budget} bytes: {len(table)} rows of {len(counts)} limbs"
-            )
-        regret = 2 * regret + delta - (1 << (day - 1))
-        pruned = 0
-        if eps_num:
-            # w/2^day < eps exactly when the integer w < ceil(eps * 2^day), in
-            # limbs; a top limb of 2^LIMB_BITS already exceeds every count
-            cut, top = -(-(eps_num << day) // eps_den), len(counts) - 1
-            cut = [cut >> (LIMB_BITS * j) & _LIMB_MASK for j in range(top)] + [
-                min(cut >> (LIMB_BITS * top), 1 << LIMB_BITS)
-            ]
-            keep = _at_least(counts, cut, LIMB_BITS)
-            pruned = _join((limb[~keep].sum() for limb in counts), LIMB_BITS)
-            frontier, counts = frontier[keep], [limb[keep] for limb in counts]
-        s0 = 2 * s0 + pruned
-        s1 = 2 * s1 + pruned * day
-        values.append(Dyadic(regret, day))
-        bounds.append(Dyadic(s0 * day - s1, day))
-        peak = max(peak, frontier.shape[0])
-    return RegretSeries(subset, EXACT, tuple(values), tuple(bounds), peak)
+    if not backend.is_exact:
+        return _series_float(subset, t_max, eps)
+    (record,), peak = _sweep_exact((subset,), t_max, eps)
+    values = tuple(Dyadic(r, day) for day, (r, _, _) in enumerate(record))
+    bounds = tuple(Dyadic(s0 * day - s1, day) for day, (_, s0, s1) in enumerate(record))
+    return RegretSeries(subset, EXACT, values, bounds, peak)
 
 
 def scan_exact(k: int, t_max: int) -> tuple[Dyadic, ...]:
     """R(t_max) of every canonical subset of k experts, exact and unpruned,
-    in ``all_strategies`` order, from sweeps over (member, state) pairs.
+    in ``all_strategies`` order, from one ``_sweep_exact`` of them all."""
+    if t_max >= 1 << packed_width(k):
+        raise ValueError(f"t_max {t_max} exceeds packed-gap range for k={k}")
+    records, _ = _sweep_exact(tuple(all_strategies(k)), t_max, 0.0)
+    return tuple(Dyadic(record[-1][0], t_max) for record in records)
 
-    The members start in as few groups as their pair codes allow (one group
+
+def _sweep_exact(subsets: tuple[RankSubset, ...], t_max: int, eps):
+    """The exact sweep of ``subsets`` to ``t_max``, pruned at ``eps``: each
+    subset's record, in order, and the largest frontier a group held after
+    pruning (the subset's own for one subset).
+
+    A record lists, for every day 0..t_max, the subset's regret and its
+    pruned-mass ledger S0 = sum m_t and S1 = sum m_t * t, all three Python
+    integers over 2^day; the error bound is S0 * day - S1.
+
+    The subsets start in as few groups as their pair codes allow (one group
     up to k = 5, and at k = 6, 7 and 8 to T = 1,023, 127 and 3), each over a
     ``_PairTable`` of its own.  A group whose table passes ``SCAN_PAIRS``
     rows, or the row or byte budget, splits into two halves at the end of
     that day (or before the day whose step overflows the table); each half
     carries on over a new table, started from its frontier, and the first
-    half runs to ``t_max`` before the second starts.  A group of one member
-    splits no further and raises ``BudgetError`` where ``_series_exact``
-    would: its table rows are the subset's states, under the same budgets.
+    half runs to ``t_max`` before the second starts.  A group of one subset
+    splits no further and raises ``BudgetError`` instead: its table rows are
+    the subset's states.
     """
-    if t_max >= 1 << packed_width(k):
-        raise ValueError(f"t_max {t_max} exceeds packed-gap range for k={k}")
-    gains = np.array([[s.gains(), s.complement_gains()] for s in all_strategies(k)], dtype=np.int64)
+    k = subsets[0].k
+    gains = np.array([[s.gains(), s.complement_gains()] for s in subsets], dtype=np.int64)
     gain_rows = (gains @ (1 << np.arange(k))).T
     shift = packed_width(k) * (k - 2) + t_max.bit_length()
     size = min(gain_rows.shape[1], 1 << (63 - shift))
     codes = np.arange(size, dtype=np.int64) << shift
     # a group: its day, gain rows, frontier pairs and their counts, and its
-    # members' regrets, scaled by 2^day; the first group is popped first
+    # members' records; the first group is popped first
     pending = [
-        (0, gain_rows[:, lo : lo + size], codes, [np.ones(size, dtype=np.int64)], [0] * size)
+        (0, gain_rows[:, lo : lo + size], codes, [np.ones(size, dtype=np.int64)], [[(0, 0, 0)] for _ in range(size)])
         for lo in reversed(range(0, gain_rows.shape[1], size))
     ]
-    regrets = []
+    records, peak = [], 0
     while pending:
-        done, halves = _scan_group(k, t_max, shift, *pending.pop())
-        regrets += done
+        done, halves, group_peak = _sweep_group(k, t_max, shift, eps, *pending.pop())
+        records += done
         pending += reversed(halves)
-    return tuple(Dyadic(r, t_max) for r in regrets)
+        peak = max(peak, group_peak)
+    return records, peak
 
 
-def _scan_group(k: int, t_max: int, shift: int, day: int, gain_rows, codes, counts, regrets):
-    """Carry a group of ``scan_exact`` from ``day`` on: its members' regrets
-    at ``t_max`` and no halves, or no regrets and its two halves on the day
-    it splits.
+def _sweep_group(k: int, t_max: int, shift: int, eps, day: int, gain_rows, codes, counts, records):
+    """Carry a group of ``_sweep_exact`` from ``day`` on: its members'
+    records to ``t_max`` and no halves, or no records and its two halves on
+    the day it splits; and the largest frontier it held after pruning.
 
-    A day is ``_series_exact``'s day on pair rows, with one ``np.bincount``
-    per limb for every member at once.  The frontier lists its pairs in code
-    order (a lone member's in row order), so each member's pairs form one
-    contiguous segment, and a member's expected delta is an int64 sum over
-    its segment: exact, since no member holds more than 2^24 frontier
-    pairs, each below 2^(LIMB_BITS + 1) once multiplied by its delta sum.
-    A pair's children are pairs of its own member, and a child's count
-    merges straight into its position in the next frontier.  The table's
-    rows are charged ``ROW_BYTES`` plus 16 B per limb after the first,
-    against ``MAX_TABLE_ROWS * ROW_BYTES`` bytes, as ``_series_exact``
-    charges them.
+    ``counts`` holds the frontier's path counts over 2^day as int64 rows of
+    ``LIMB_BITS``-bit limbs, least significant first; entry i of each row
+    belongs to frontier pair i.  The frontier lists its pairs in code order
+    (a lone member's in row order, whose gathers from the table run
+    forward), so each member's pairs form one segment, and its expected
+    delta and pruned mass are sums over its segment (``_member_sums``).  A
+    pair's children are pairs of its own member, and a day merges each limb
+    with one ``np.bincount`` of the children straight into their positions
+    in the next frontier, then ``_carry``s the sums into a spare top limb,
+    kept only when the carry reaches it.  The pruning cut drops the pairs
+    whose count over 2^day falls below ``eps`` and charges each member's
+    dropped mass to its own ledger.  The table's rows are charged
+    ``ROW_BYTES`` plus 16 B per limb after the first, against
+    ``MAX_TABLE_ROWS * ROW_BYTES`` bytes.
     """
     table = _PairTable(k, shift, gain_rows, codes)
     size = gain_rows.shape[1]
-    members = np.arange(size)
+    eps_num, eps_den = float(eps).as_integer_ratio()
     budget = MAX_TABLE_ROWS * ROW_BYTES
     frontier = np.arange(len(table))
+    peak = frontier.shape[0]
     for day in range(day + 1, t_max + 1):
         try:
             table.expand(frontier)
         except BudgetError:
             if size == 1:
                 raise
-            return [], _halves(table, day - 1, frontier, counts, regrets)
+            return [], _halves(table, day - 1, frontier, counts, records), peak
         deltas = np.take(table.deltas, frontier, axis=1)
         both = deltas[0] + deltas[1]
-        # every member keeps a pair on the frontier, so no segment is empty
-        segments = np.searchsorted(table.codes[frontier] >> shift, members)
-        delta = [np.add.reduceat(limb * both, segments).tolist() for limb in counts]
+        delta = _member_sums(table, frontier, [limb * both for limb in counts])
         children = np.take(table.children, frontier, axis=1)
         reached = np.zeros(len(table), dtype=bool)
         reached[children] = True
-        # code order puts each member's pairs in one segment; a lone member's
-        # frontier takes row order, whose gathers from the table run forward
         frontier = table.order[reached[table.order]] if size > 1 else np.flatnonzero(reached)
         # each child's position in the next frontier, where its count merges
         at = np.empty(len(table), dtype=np.int64)
@@ -599,27 +553,62 @@ def _scan_group(k: int, t_max: int, shift: int, day: int, gain_rows, codes, coun
         _carry(merged, LIMB_BITS)
         counts = merged if merged[-1].any() else merged[:-1]
         del into, limb, sums
-        half = 1 << (day - 1)
-        regrets = [2 * r + _join(limbs, LIMB_BITS) - half for r, limbs in zip(regrets, zip(*delta))]
         over = len(table) * (ROW_BYTES + 16 * (len(counts) - 1)) > budget
         if over and size == 1:
-            raise BudgetError(f"exact scan exceeded {budget} bytes: {len(table)} pairs of {len(counts)} limbs")
+            raise BudgetError(f"exact sweep exceeded {budget} bytes: {len(table)} rows of {len(counts)} limbs")
+        pruned = [0] * size
+        if eps_num:
+            # w/2^day < eps exactly when the integer w < ceil(eps * 2^day), in
+            # limbs; a top limb of 2^LIMB_BITS already exceeds every count
+            cut, top = -(-(eps_num << day) // eps_den), len(counts) - 1
+            cut = [cut >> (LIMB_BITS * j) & _LIMB_MASK for j in range(top)] + [
+                min(cut >> (LIMB_BITS * top), 1 << LIMB_BITS)
+            ]
+            keep = _at_least(counts, cut, LIMB_BITS)
+            gone = ~keep
+            pruned = _member_sums(table, frontier[gone], [limb[gone] for limb in counts])
+            frontier, counts = frontier[keep], [limb[keep] for limb in counts]
+        half = 1 << (day - 1)
+        for record, d, m in zip(records, delta, pruned):
+            r, s0, s1 = record[-1]
+            record.append((2 * r + d - half, 2 * s0 + m, 2 * s1 + m * day))
+        peak = max(peak, frontier.shape[0])
         if day < t_max and (over or (size > 1 and len(table) > SCAN_PAIRS)):
-            return [], _halves(table, day, frontier, counts, regrets)
-    return regrets, []
+            return [], _halves(table, day, frontier, counts, records), peak
+    return records, [], peak
 
 
-def _halves(table: _PairTable, day: int, frontier, counts, regrets):
-    """The two halves of a ``scan_exact`` group whose ``table`` holds the
+def _member_sums(table: _PairTable, rows, limbs) -> list[int]:
+    """Each member's sum of the limb rows ``limbs`` over its pairs, as Python
+    ints, where entry i of each limb row belongs to the pair ``rows[i]`` and
+    ``rows`` are frontier pairs in frontier order.  A lone member's sums are
+    whole-row sums; a group's are one ``np.add.reduceat`` per limb over the
+    members that hold pairs, and 0 for the rest.  Every sum is exact in
+    int64: no frontier holds more than 2^24 pairs, each entry below
+    2^(LIMB_BITS + 1)."""
+    size = table.gain_rows.shape[1]
+    if size == 1:
+        # every pair is the member's, in row order: no segments to find
+        return [_join((int(limb.sum()) for limb in limbs), LIMB_BITS)]
+    # a group's pairs are in code order, so each member's form one segment
+    edges = np.searchsorted(table.codes[rows] >> table.shift, np.arange(size + 1))
+    held = edges[:-1] < edges[1:]
+    sums = [np.add.reduceat(limb, edges[:-1][held]).tolist() for limb in limbs]
+    totals = iter([_join(column, LIMB_BITS) for column in zip(*sums)])
+    return [next(totals) if h else 0 for h in held.tolist()]
+
+
+def _halves(table: _PairTable, day: int, frontier, counts, records):
+    """The two halves of a ``_sweep_exact`` group whose ``table`` holds the
     pairs ``frontier``, in code order, with ``counts`` at the end of
     ``day``: the first half of its members, then the rest, renumbered from
     0."""
     codes = table.codes[frontier]
-    half = len(regrets) // 2
+    half = len(records) // 2
     cut = np.searchsorted(codes, half << table.shift)
     return [
-        (day, table.gain_rows[:, :half], codes[:cut], [limb[:cut] for limb in counts], regrets[:half]),
-        (day, table.gain_rows[:, half:], codes[cut:] - (half << table.shift), [limb[cut:] for limb in counts], regrets[half:]),
+        (day, table.gain_rows[:, :half], codes[:cut], [limb[:cut] for limb in counts], records[:half]),
+        (day, table.gain_rows[:, half:], codes[cut:] - (half << table.shift), [limb[cut:] for limb in counts], records[half:]),
     ]
 
 

@@ -478,7 +478,7 @@ def test_best_fixed_budget_exit_code(capsys, monkeypatch):
     assert code == 0 and "t=32" in out.splitlines()
     code, out, err = run(capsys, "best-fixed", "--k", "5", "--t", "33")
     assert code == 2 and out == ""
-    assert "exact scan exceeded 128000 bytes: 958 pairs of 2 limbs" in err
+    assert "exact sweep exceeded 128000 bytes: 958 rows of 2 limbs" in err
     assert "Traceback" not in err
     monkeypatch.setattr("combregret.forward.MAX_TABLE_ROWS", 100)
     code, out, err = run(capsys, "best-fixed", "--k", "5", "--t", "12")

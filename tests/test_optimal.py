@@ -20,6 +20,7 @@ from tests.support import (
     collapse_reference,
     collapsed_layers,
     raw_reference_step,
+    reference_series,
     reference_values,
 )
 
@@ -183,9 +184,9 @@ def test_best_fixed_small_cases():
 
 def test_scan_matches_every_fixed_series():
     # one sweep over (member, state) pairs gives every subset's R(T), as
-    # the one-subset sweep does
+    # the dict recurrence, which shares no code with forward, does
     for k, t_max in ((2, 20), (3, 20), (4, 20), (5, 20), (6, 8), (7, 8), (8, 8)):
-        series = [regret_series_fixed(k, s, t_max).values for s in all_strategies(k)]
+        series = [reference_series(s, t_max, 0.0)[0] for s in all_strategies(k)]
         for t in range(1, t_max + 1):
             assert list(scan_exact(k, t)) == [values[t] for values in series]
 
@@ -211,7 +212,21 @@ def test_scan_splits_groups(monkeypatch, pairs):
     # four groups of 32 members, as its pair codes leave 5 bits for members
     monkeypatch.setattr(forward, "SCAN_PAIRS", pairs)
     for k, t in ((5, 20), (8, 8)):
-        assert list(scan_exact(k, t)) == [regret_series_fixed(k, s, t).values[t] for s in all_strategies(k)]
+        assert list(scan_exact(k, t)) == [reference_series(s, t, 0.0)[0][t] for s in all_strategies(k)]
+
+
+@pytest.mark.parametrize("pairs", [forward.SCAN_PAIRS, 40])
+def test_pruned_groups_match_reference(monkeypatch, pairs):
+    # a group charges each member's pruned mass to its own ledger, and runs
+    # on when some members have no pairs left (eps = 0.3 and 0.6); k = 8 at
+    # T = 10 fills each of its four groups up to member 31
+    monkeypatch.setattr(forward, "SCAN_PAIRS", pairs)
+    for k, t, eps in ((4, 12, 2.0**-6), (5, 20, 0.3), (6, 10, 0.6), (8, 10, 2.0**-5)):
+        records, _ = forward._sweep_exact(tuple(all_strategies(k)), t, eps)
+        for subset, record in zip(all_strategies(k), records):
+            values, bounds, _ = reference_series(subset, t, eps)
+            assert [Dyadic(r, day) for day, (r, _, _) in enumerate(record)] == list(values)
+            assert [Dyadic(s0 * day - s1, day) for day, (_, s0, s1) in enumerate(record)] == list(bounds)
 
 
 @st.composite
