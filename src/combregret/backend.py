@@ -1,8 +1,9 @@
 """Value backends: exact dyadic arithmetic or IEEE floats.
 
-The forward engine can run either way over one transition table.  The exact
-backend is the reference; the float backend trades exactness for speed and
-memory, and its error bound covers pruned mass but not its own rounding.
+The forward engine can run either way over one kind of table, whose rows
+are (member, state) codes.  The exact backend is the reference; the float
+backend trades exactness for speed and memory, and its error bound covers
+pruned mass but not its own rounding.
 """
 
 from __future__ import annotations

@@ -7,35 +7,34 @@ into its two equally likely branch successors and accumulates the expected
 leader delta; the regret after T days is the sum of the daily expected
 deltas minus T/2.
 
-Every engine runs this recurrence over a table of every state reached so
-far, one row each, appended as the state first appears and never moved,
-with the rows of its children and their leader deltas filled in the first
-day the state is on the frontier.  Rows live in buffers with spare
-capacity, grown by a quarter when a batch of new states does not fit, and
-``len`` of a table counts the live rows.  The table's rows, lookups and
-growth are those of ``_Index``, an append-only map from codes to rows.
-Each state is stepped once: re-sorting a child's gaps only reorders runs
-of tied gaps, so the step reads the state's tie pattern through
-``game.unpack`` and adds a tabulated offset to its code; the tests check
-it against the brute-force oracle's step on raw totals.  A table never
-forgets a state, so it is capped at ``MAX_TABLE_ROWS`` rows for a
-two-branch row and fewer for a wider one; growing past the cap raises
-``BudgetError``.
+Every engine runs this recurrence over one kind of table, ``_Table``, of
+every (member, state) code reached so far, one row each, appended as the
+code first appears and never moved, with the rows of its children and
+their leader deltas under its own member's branches filled in the first
+day the code is on the frontier.  Rows live in buffers with spare
+capacity, grown by a quarter when a batch of new codes does not fit, and
+``len`` of a table counts the live rows.  Each code is stepped once, by
+``_successors``: re-sorting a child's gaps only reorders runs of tied gaps,
+so the step reads the state's tie pattern through ``game.unpack`` and adds
+a tabulated offset to its code; the tests check it against the
+brute-force oracle's step on raw totals.  A table never forgets a code, so
+it is capped at ``MAX_TABLE_ROWS`` rows for a two-branch row and fewer for
+a wider one; growing past the cap raises ``BudgetError``.
 
-There are two tables.  A ``_TransitionTable`` holds a family of subsets,
-every branch of every member per state: the float sweep passes its one
-subset, and the adaptive solver in ``optimal`` its whole family.  Both hand
-a day's child rows to the table's ``reach``, which returns the next
-frontier, or the raw states the solver collapses into its next layer and
-appends through ``add``; the float sweep adds one ``np.bincount`` of the
-weights.  A ``_PairTable`` holds (member, state) pairs, each stepped under
-its own member alone, by the same tabulated offsets, so a day costs the
-same number of numpy calls however many members it holds.  It serves the
-one exact sweep, ``_sweep_exact``: one member for ``regret_series_fixed``
-(``eval`` and ``compare``), and groups of members for ``scan_exact``
-(``best-fixed``), which values every canonical subset of k experts at one
-horizon.  A group whose table outgrows ``SCAN_PAIRS`` rows splits in two,
-so long horizons hold one or a few subsets' pairs at a time.
+A table of one member holds bare states under every branch of a family:
+the float sweep's, of its one subset, and the adaptive solver's in
+``optimal``, of its whole family.  Both hand a day's child rows to the
+table's ``reach``, which returns the next frontier, or the raw states the
+solver collapses into its next layer and appends through ``add``; the
+float sweep adds one ``np.bincount`` of the weights.  A table of many
+members, each of one subset's two branches, steps each row under its own
+member alone, so a day costs the same number of numpy calls however many
+members it holds.  It serves the one exact sweep, ``_sweep_exact``: one
+member for ``regret_series_fixed`` (``eval`` and ``compare``), and groups
+of members for ``scan_exact`` (``best-fixed``), which values every
+canonical subset of k experts at one horizon.  A group whose table
+outgrows ``SCAN_PAIRS`` rows splits in two, so long horizons hold one or a
+few subsets' rows at a time.
 
 The backends differ only in how they hold the weights:
 
@@ -99,7 +98,7 @@ LIMB_BITS = 28
 _LIMB_MASK = (1 << LIMB_BITS) - 1
 assert 2 * MAX_TABLE_ROWS << LIMB_BITS <= 1 << 53
 
-# the most rows a scan's pair table holds for a group of more than one
+# the most rows a scan's table holds for a group of more than one
 # member before the group splits in two, each half over a table of its own.
 # At 2^13 rows, about 0.4 MB of table, the k = 5 scans at T = 150 and 200
 # peaked at most 2.3 MB (4 %) above one sweep per subset; at 2^16 they
@@ -168,12 +167,22 @@ def _step_table(k: int):
     return offsets, deltas
 
 
-def _successors(codes, k: int, gains):
-    """One day from every packed state in ``codes``, vectorized over the codes.
+def _gain_rows(subsets):
+    """The ``_step_table`` rows of each subset's two branches, shape (2,
+    len(subsets)): row 0 the subset's gains, row 1 its complement's."""
+    gains = np.array([[s.gains(), s.complement_gains()] for s in subsets], dtype=np.int64)
+    return (gains @ (1 << np.arange(subsets[0].k))).T
 
-    ``gains`` holds the 0/1 per-rank gains of each branch (a subset and its
-    complement, for one or more subsets in turn).  Returns the child codes
-    and the leader deltas of every branch, shape (len(gains), n) each.
+
+def _successors(codes, k: int, gain_rows, shift: int):
+    """One day from every (member, state) code in ``codes``, vectorized over
+    the codes.
+
+    A code is ``member << shift | state``, with the state's packed code below
+    2^shift.  Column m of ``gain_rows`` names member m's branches as rows of
+    ``_step_table``: shape (branches, members).  Returns the child codes and
+    the leader deltas of every branch of each code's own member, shape
+    (branches, n) each; a child keeps its parent's member bits.
 
     A child's code is its parent's code plus an offset from ``_step_table``,
     which depends only on the branch's gains and the parent's tie pattern.
@@ -191,41 +200,53 @@ def _successors(codes, k: int, gains):
     one above the parent's largest, and every engine steps gaps of at most
     2^width - 2 alone: a sweep's are below t_max < 2^width, and the adaptive
     solver's below its horizon or at ``game.sentinel``, 2^width - 2.  So
-    every child gap stays inside its packed field.  ``game.pack`` is
-    additive over in-range gaps, so pack(child) - pack(parent) is one fixed
-    offset for each (gain vector, tie pattern).
+    every child gap stays inside its packed field, and every child's state
+    code below 2^shift.
+    ``game.pack`` is additive over in-range gaps, so pack(child) -
+    pack(parent) is one fixed offset for each (gain vector, tie pattern).
 
-    ``_tie_pattern`` reads the tie pattern; nothing of shape (branches, n)
-    is allocated beyond the two outputs.
+    The tie pattern is read from the state bits through ``game.unpack``, and
+    every branch's offset and delta taken at column member * 2^(k-1) +
+    pattern of its row of the members' tables laid side by side; nothing of
+    shape (branches, n) is allocated beyond the two outputs.
     """
-    pattern = _tie_pattern(codes, k)
-    offsets, deltas = _step_table(k)
-    rows = np.asarray(gains, dtype=np.int64) @ (1 << np.arange(k))
-    child_codes = np.take(offsets[rows], pattern, axis=1)
-    child_codes += codes
-    return child_codes, np.take(deltas[rows], pattern, axis=1)
-
-
-def _tie_pattern(codes, k: int):
-    """The tie pattern of every packed state in ``codes``, the column of
-    ``_step_table`` it steps by: bit p is set when gaps p + 1 and p + 2 tie,
-    read through ``game.unpack``."""
-    gaps = unpack(codes, k)
-    pattern = np.zeros(codes.shape[0], dtype=np.int64)
+    gaps = unpack(codes & ((1 << shift) - 1), k)
+    column = (codes >> shift) << (k - 1)
     for p in range(k - 1):
-        pattern |= (gaps[p] == gaps[p + 1]) << p
-    return pattern
+        column |= (gaps[p] == gaps[p + 1]) << p
+    offsets, deltas = _step_table(k)
+    width = gain_rows.shape[1] << (k - 1)
+    child_codes = np.take(offsets[gain_rows].reshape(-1, width), column, axis=1)
+    child_codes += codes
+    return child_codes, np.take(deltas[gain_rows].reshape(-1, width), column, axis=1)
 
 
-class _Index:
-    """An append-only map from distinct int64 codes to stable rows, with
-    ``branches`` child rows and leader deltas per row.
+class _Table:
+    """Every (member, state) code reached under a table's members, one row
+    per code, with each row's child rows and leader deltas under every
+    branch of its own member.
 
-    Row i holds code i and, once it has been expanded by a subclass, the rows
-    of its children and their leader deltas in column i of ``children`` and
-    ``deltas``.  Rows are appended by ``add`` alone, as codes appear, each
+    A code is ``member << shift | state``, and column m of ``gain_rows``,
+    shape (branches, members), names member m's branches as rows of
+    ``_step_table``, the arguments ``_successors`` steps by.  The exact
+    sweep's groups have many members of two branches each, shape (2, m).
+    Every gap of a sweep to t_max is at most t_max, so its state codes stay
+    below 2^shift for shift = ``packed_width(k) * (k - 2) +
+    t_max.bit_length()``, and each member's codes form one run.
+    The float sweep and the adaptive solver have one member of every branch
+    of their family, shape (2m, 1), and shift = ``packed_width(k) * (k -
+    1)``, so that every code is a bare state code; rows 2j and 2j + 1 are
+    subset j's two branches.
+
+    Row i holds code i and, once it has been expanded, the rows of its
+    children and their leader deltas in column i of ``children`` and
+    ``deltas``.  Each code is stepped once, the first time ``expand`` meets
+    it, however many days it stays on a sweep's frontier or in how many of
+    the solver's layers it lies; a batch is stepped in one call, and its
+    child rows looked up in blocks of branches of at most ``BLOCK_CELLS``
+    branch-rows.  Rows are appended by ``add`` alone, as codes appear, each
     batch in code order, and never move; ``order`` lists them in code order,
-    for lookups.
+    for lookups.  The table starts from the rows ``codes``, ascending.
 
     ``len`` counts the live rows.  ``children``, ``deltas`` and ``expanded``
     are whole buffers with spare rows past the live ones, which no reader
@@ -236,12 +257,13 @@ class _Index:
     width to the row's own where a row holds more branches.
     """
 
-    def __init__(self, codes, branches: int):
+    def __init__(self, k: int, gain_rows, shift: int, codes):
+        self.k, self.gain_rows, self.shift = k, gain_rows, shift
         self._codes = codes  # ascending and distinct
         self.codes = codes[:]  # the live rows' codes
         self.order = np.arange(codes.shape[0], dtype=np.int64)
-        self.children = np.zeros((branches, codes.shape[0]), dtype=np.int64)
-        self.deltas = np.zeros((branches, codes.shape[0]), dtype=np.int8)  # a leader delta is 0 or 1
+        self.children = np.zeros((gain_rows.shape[0], codes.shape[0]), dtype=np.int64)
+        self.deltas = np.zeros(self.children.shape, dtype=np.int8)  # a leader delta is 0 or 1
         self.expanded = np.zeros(codes.shape[0], dtype=bool)
 
     def __len__(self) -> int:
@@ -255,12 +277,25 @@ class _Index:
 
     def reach(self, children):
         """The rows that ``children``, arrays of child rows, reach, ascending: a
-        sweep's next frontier, or the raw rows of the solver's next layer
-        (the solver passes blocks of branches)."""
+        float sweep's next frontier, or the raw rows of the solver's next
+        layer (the solver passes blocks of branches)."""
         reached = np.zeros(len(self), dtype=bool)
         for rows in children:
             reached[rows] = True
         return np.flatnonzero(reached)
+
+    def expand(self, rows) -> None:
+        """Step the unexpanded codes among ``rows``, appending their new children."""
+        new = rows[~self.expanded[rows]]
+        if new.shape[0] == 0:
+            return
+        child_codes, child_deltas = _successors(self.codes[new], self.k, self.gain_rows, self.shift)
+        self.add(child_codes)
+        # in blocks of branches, to keep the transient row indices small
+        for block in _branch_blocks(self.children.shape[0], new.shape[0]):
+            self.children[block, new] = self.find(child_codes[block])
+        self.deltas[:, new] = child_deltas
+        self.expanded[new] = True
 
     def add(self, codes) -> None:
         """Append a row for each distinct code of ``codes`` that has none, in code order."""
@@ -273,7 +308,7 @@ class _Index:
         branch = self.children.itemsize + self.deltas.itemsize
         limit = MAX_TABLE_ROWS * (fixed + 2 * branch) // (fixed + self.children.shape[0] * branch)
         if size > limit:
-            raise BudgetError(f"{self.label} exceeded {limit} rows")
+            raise BudgetError(f"table exceeded {limit} rows")
         self.order = np.insert(
             self.order, np.searchsorted(self.codes, fresh, sorter=self.order), np.arange(n, size)
         )
@@ -288,78 +323,6 @@ class _Index:
         self._codes[n:size] = fresh
         self.codes = self._codes[:size]
 
-
-class _TransitionTable(_Index):
-    """Every state reached under a family of subsets, one row per state.
-
-    Rows 2j and 2j + 1 of ``children`` and ``deltas`` are the two branches
-    of member j.  Each state is therefore stepped once, however many days it
-    stays on a sweep's frontier or in how many of the adaptive solver's
-    layers it lies.  A batch of states is stepped in one call, and their
-    child rows looked up in blocks of branches of at most ``BLOCK_CELLS``
-    branch-rows.
-    """
-
-    label = "transition table"
-
-    def __init__(self, family: tuple[RankSubset, ...]):
-        self.k = family[0].k
-        self.gains = np.array(  # (branches, k)
-            [g for s in family for g in (s.gains(), s.complement_gains())], dtype=np.int64
-        )
-        super().__init__(np.zeros(1, dtype=np.int64), len(self.gains))  # the day-0 state
-
-    def expand(self, rows) -> None:
-        """Step the unexpanded states among ``rows``, appending their new children."""
-        new = rows[~self.expanded[rows]]
-        if new.shape[0] == 0:
-            return
-        child_codes, child_deltas = _successors(self.codes[new], self.k, self.gains)
-        self.add(child_codes)
-        # in blocks of branches, to keep the transient row indices small
-        for block in _branch_blocks(len(self.gains), new.shape[0]):
-            self.children[block, new] = self.find(child_codes[block])
-        self.deltas[:, new] = child_deltas
-        self.expanded[new] = True
-
-
-class _PairTable(_Index):
-    """Every (member, state) pair reached under a group of fixed subsets,
-    one row per pair.
-
-    A pair's code is ``member << shift | state code``.  Every gap of a sweep
-    to t_max is at most t_max, so its packed state codes stay below
-    2^shift for shift = ``packed_width(k) * (k - 2) + t_max.bit_length()``,
-    and each member's pairs form one run of codes.  ``gain_rows`` holds the
-    members' two gain vectors as rows of ``_step_table``, shape (2,
-    members).  The table starts from the pairs ``codes``, ascending.  Rows
-    0 and 1 of ``children`` and ``deltas`` are the pair's two branches under
-    its own member: each pair is stepped once, the first day it is on the
-    frontier, by adding the offsets of its member's two rows of
-    ``_step_table`` at its state's tie pattern to its code.  That is the
-    step ``_successors`` takes, and it leaves the member's bits as they are.
-    """
-
-    label = "sweep table"
-
-    def __init__(self, k: int, shift: int, gain_rows, codes):
-        self.k, self.shift, self.gain_rows = k, shift, gain_rows
-        super().__init__(codes, 2)
-
-    def expand(self, rows) -> None:
-        """Step the unexpanded pairs among ``rows``, appending their new children."""
-        new = rows[~self.expanded[rows]]
-        if new.shape[0] == 0:
-            return
-        codes = self.codes[new]
-        branch = self.gain_rows[:, codes >> self.shift]
-        pattern = _tie_pattern(codes & ((1 << self.shift) - 1), self.k)
-        offsets, deltas = _step_table(self.k)
-        child_codes = offsets[branch, pattern] + codes
-        self.add(child_codes)
-        self.children[:, new] = self.find(child_codes)
-        self.deltas[:, new] = deltas[branch, pattern]
-        self.expanded[new] = True
 
 # ----------------------------------------------------------------------
 # exact weights: path counts as int64 limb rows
@@ -465,19 +428,19 @@ def _sweep_exact(subsets: tuple[RankSubset, ...], t_max: int, eps):
     pruned-mass ledger S0 = sum m_t and S1 = sum m_t * t, all three Python
     integers over 2^day; the error bound is S0 * day - S1.
 
-    The subsets start in as few groups as their pair codes allow (one group
-    up to k = 5, and at k = 6, 7 and 8 to T = 1,023, 127 and 3), each over a
-    ``_PairTable`` of its own.  A group whose table passes ``SCAN_PAIRS``
-    rows, or the row or byte budget, splits into two halves at the end of
-    that day (or before the day whose step overflows the table); each half
-    carries on over a new table, started from its frontier, and the first
-    half runs to ``t_max`` before the second starts.  A group of one subset
+    The subsets start in as few groups as their (member, state) codes allow
+    (one group up to k = 5, and at k = 6, 7 and 8 to T = 1,023, 127 and 3),
+    each over a ``_Table`` of its own, with a member of two branches per
+    subset.  A group whose table passes ``SCAN_PAIRS`` rows, or the row or
+    byte budget, splits into two halves at the end of that day (or before
+    the day whose step overflows the table); each half carries on over a
+    new table, started from its frontier, and the first half runs to
+    ``t_max`` before the second starts.  A group of one subset
     splits no further and raises ``BudgetError`` instead: its table rows are
     the subset's states.
     """
     k = subsets[0].k
-    gains = np.array([[s.gains(), s.complement_gains()] for s in subsets], dtype=np.int64)
-    gain_rows = (gains @ (1 << np.arange(k))).T
+    gain_rows = _gain_rows(subsets)
     shift = packed_width(k) * (k - 2) + t_max.bit_length()
     size = min(gain_rows.shape[1], 1 << (63 - shift))
     codes = np.arange(size, dtype=np.int64) << shift
@@ -516,7 +479,7 @@ def _sweep_group(k: int, t_max: int, shift: int, eps, day: int, gain_rows, codes
     ``ROW_BYTES`` plus 16 B per limb after the first, against
     ``MAX_TABLE_ROWS * ROW_BYTES`` bytes.
     """
-    table = _PairTable(k, shift, gain_rows, codes)
+    table = _Table(k, gain_rows, shift, codes)
     size = gain_rows.shape[1]
     eps_num, eps_den = float(eps).as_integer_ratio()
     budget = MAX_TABLE_ROWS * ROW_BYTES
@@ -578,7 +541,7 @@ def _sweep_group(k: int, t_max: int, shift: int, eps, day: int, gain_rows, codes
     return records, [], peak
 
 
-def _member_sums(table: _PairTable, rows, limbs) -> list[int]:
+def _member_sums(table: _Table, rows, limbs) -> list[int]:
     """Each member's sum of the limb rows ``limbs`` over its pairs, as Python
     ints, where entry i of each limb row belongs to the pair ``rows[i]`` and
     ``rows`` are frontier pairs in frontier order.  A lone member's sums are
@@ -598,7 +561,7 @@ def _member_sums(table: _PairTable, rows, limbs) -> list[int]:
     return [next(totals) if h else 0 for h in held.tolist()]
 
 
-def _halves(table: _PairTable, day: int, frontier, counts, records):
+def _halves(table: _Table, day: int, frontier, counts, records):
     """The two halves of a ``_sweep_exact`` group whose ``table`` holds the
     pairs ``frontier``, in code order, with ``counts`` at the end of
     ``day``: the first half of its members, then the rest, renumbered from
@@ -613,7 +576,7 @@ def _halves(table: _PairTable, day: int, frontier, counts, records):
 
 
 def _series_float(subset: RankSubset, t_max: int, eps: float) -> RegretSeries:
-    """The float recurrence over a ``_TransitionTable``.
+    """The float recurrence over a one-member ``_Table`` of ``subset``.
 
     A day merges the children's weights with one ``np.bincount``.  The
     frontier lists its rows in ascending order, which is the order of the
@@ -625,7 +588,8 @@ def _series_float(subset: RankSubset, t_max: int, eps: float) -> RegretSeries:
     weight has underflowed to 0.0, as the exact engine keeps it.  Raises
     ``BudgetError`` when the table would exceed ``MAX_TABLE_ROWS`` rows.
     """
-    table = _TransitionTable((subset,))
+    k = subset.k
+    table = _Table(k, _gain_rows((subset,)), packed_width(k) * (k - 1), np.zeros(1, dtype=np.int64))
     frontier = np.zeros(1, dtype=np.int64)
     weights = np.ones(1, dtype=np.float64)
     values = [0.0]

@@ -21,10 +21,11 @@ pattern of arrays of codes through ``unpack``: re-sorting a child's gaps
 only reorders runs of tied gaps, and ``pack`` is additive over in-range
 gaps, so the step adds a tabulated offset to each code.  Every engine, the
 forward sweeps and the adaptive solver alike, steps each state once in a
-``forward._TransitionTable`` through ``_successors``; the adaptive solver
-values collapsed states only.  The tests check ``_successors`` against the
-brute-force oracle's step on raw totals, which shares no state
-representation with it, and ``collapse`` against a collapse of gap tuples.
+``forward._Table`` of (member, state) codes through ``_successors``; the
+adaptive solver values collapsed states only.  The tests check
+``_successors`` against the brute-force oracle's step on raw totals, which
+shares no state representation with it, and ``collapse`` against a collapse
+of gap tuples.
 """
 
 from __future__ import annotations

@@ -13,10 +13,10 @@ T/2 (the expected gain any player is pinned to) gives the expected regret.
 
 The value is horizon-dependent but day-translation-invariant, so the solver
 works in layers, one set for the horizon T it solves.  A forward pass
-enumerates L_0 ... L_T over one ``forward._TransitionTable`` of the whole
-family, which steps each state once however many layers hold it and keeps
-its children and leader deltas.  L_d holds the table rows of the
-states reachable at day d under some sequence of family members, each
+enumerates L_0 ... L_T over one ``forward._Table`` of one member, every
+branch of the whole family, which steps each state once however many layers
+hold it and keeps its children and leader deltas.  L_d holds the table rows
+of the states reachable at day d under some sequence of family members, each
 collapsed by ``game.collapse`` with T - d days left, in ascending order.  A
 collapsed state has the value of every state it stands for (the proof is in
 ``collapse``'s docstring), so L_{d+1} is the collapse of what the table's
@@ -54,7 +54,7 @@ import numpy as np
 from .dyadic import Dyadic
 from .errors import BudgetError
 from .forward import (
-    _at_least, _branch_blocks, _carry, _join, _sorted_unique, _successors, _TransitionTable, scan_exact,
+    _at_least, _branch_blocks, _carry, _gain_rows, _join, _sorted_unique, _successors, _Table, scan_exact,
 )
 from .game import (
     MAX_K, GapState, RankSubset, all_strategies, collapse, packed_width, sentinel, unpack,
@@ -133,7 +133,10 @@ class AdaptiveSolver:
         if t > MAX_HORIZON:
             raise BudgetError(f"horizon {t} exceeds the adaptive engine cap {MAX_HORIZON}")
         self.t = t
-        self.table = _TransitionTable(self.family)
+        # one member of every branch: rows 2j and 2j + 1 are subset j's
+        self.table = _Table(
+            k, _gain_rows(self.family).T.reshape(-1, 1), packed_width(k) * (k - 1), np.zeros(1, dtype=np.int64)
+        )
         self._derive()
         self._solve()
         self.expected_max = Dyadic(_join(self._values[0][:, 0], LIMB_BITS), t)
@@ -227,7 +230,7 @@ class AdaptiveSolver:
         for d in range(t):
             rows = self.table.find(collapse(level, k, t - d))
             best = self._best(d, np.searchsorted(self._layers[d], rows)).T.tolist()
-            children = _successors(level, k, self.table.gains)[0].T.tolist()
+            children = _successors(level, k, self.table.gain_rows, self.table.shift)[0].T.tolist()
             states = np.stack(unpack(level, k), axis=1).tolist()
             reached: dict = {}  # insertion-ordered set
             for state, mask, kids in zip(states, best, children):

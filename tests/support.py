@@ -78,6 +78,15 @@ def raw_reference_step(
     return tuple(sorted(new_max - t for t in new)), new_max
 
 
+def one_member(gains, k: int):
+    """The one-member ``gain_rows`` of the 0/1 gain vectors ``gains``, shape
+    (len(gains), 1), and the ``shift`` of a one-member table: the arguments
+    after ``k`` with which ``forward._successors`` steps bare state codes
+    under every branch of ``gains``."""
+    rows = np.asarray(gains, dtype=np.int64) @ (1 << np.arange(k))
+    return rows[:, None], packed_width(k) * (k - 1)
+
+
 def collapse_reference(gaps: tuple[int, ...], r: int) -> tuple[int, ...]:
     """``gaps`` with r days left, every gap below the first split (the first
     i with gaps[i + 1] - gaps[i] > r) set to the far gap 2^width - 2."""

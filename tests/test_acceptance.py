@@ -20,7 +20,7 @@ from combregret.forward import _successors, regret_series_fixed
 from combregret.game import RankSubset, all_strategies, pack
 from combregret.optimal import AdaptiveSolver, best_fixed_subset, value_adaptive
 from combregret.oracle import brute_regret_fixed, brute_value_adaptive, k2_closed_form
-from tests.support import raw_reference_step, tie_consistent_perms, tied_states
+from tests.support import one_member, raw_reference_step, tie_consistent_perms, tied_states
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -293,7 +293,7 @@ def test_criterion_8_tie_permutation_invariance():
         states = tied_states(k, gap_max)
         codes = np.array([pack(gaps, k) for gaps in states], dtype=np.int64)
         for subset in (RankSubset.comb(k), RankSubset.of(k, (1,))):
-            child_codes, deltas = _successors(codes, k, (subset.gains(), subset.complement_gains()))
+            child_codes, deltas = _successors(codes, k, *one_member((subset.gains(), subset.complement_gains()), k))
             for gaps, code, delta in zip(states, child_codes[0].tolist(), deltas[0].tolist()):
                 for perm in tie_consistent_perms(gaps):
                     child, rise = raw_reference_step(gaps, subset.ranks, perm)

@@ -10,11 +10,12 @@ from combregret.errors import BudgetError
 from combregret.forward import (
     SERIES_HEADER,
     _at_least,
-    _TransitionTable,
+    _gain_rows,
+    _Table,
     regret_series_fixed,
     write_series_csv,
 )
-from combregret.game import RankSubset, all_strategies
+from combregret.game import RankSubset, all_strategies, packed_width
 from combregret.optimal import AdaptiveSolver
 from combregret.oracle import k2_closed_form
 from tests.support import reference_series
@@ -195,9 +196,16 @@ def test_spare_table_rows_are_never_read(monkeypatch):
     assert clean[2] == dirty[2]
 
 
+def _family_table(family):
+    """A one-member table of every branch of ``family``, as the float sweep
+    and the adaptive solver build it, holding the day-0 state."""
+    k = family[0].k
+    return _Table(k, _gain_rows(family).T.reshape(-1, 1), packed_width(k) * (k - 1), np.zeros(1, dtype=np.int64))
+
+
 def test_find_sees_only_live_rows(monkeypatch):
     _poison_spare_rows(monkeypatch)
-    table = _TransitionTable((RankSubset.comb(5),))
+    table = _family_table((RankSubset.comb(5),))
     rows = np.zeros(1, dtype=np.int64)
     for _ in range(40):
         if len(table) < table.expanded.shape[0]:
@@ -216,7 +224,7 @@ def test_table_capacity_within_budget(monkeypatch):
     monkeypatch.setattr("combregret.forward.MAX_TABLE_ROWS", 400)
     grow, sizes = forward._grow, []
     monkeypatch.setattr("combregret.forward._grow", lambda a, size: sizes.append(size) or grow(a, size))
-    table = _TransitionTable((RankSubset.comb(5),))
+    table = _family_table((RankSubset.comb(5),))
     rows = np.zeros(1, dtype=np.int64)
     with pytest.raises(BudgetError, match="table exceeded 400 rows"):
         for _ in range(200):
@@ -227,7 +235,7 @@ def test_table_capacity_within_budget(monkeypatch):
 
 def test_reach_returns_the_child_rows_of_every_branch():
     # a family table: 8 members, 16 branches, each day from every row reached
-    table = _TransitionTable(tuple(all_strategies(4)))
+    table = _family_table(tuple(all_strategies(4)))
     rows = np.zeros(1, dtype=np.int64)
     for _ in range(6):
         table.expand(rows)
@@ -240,7 +248,7 @@ def test_reach_returns_the_child_rows_of_every_branch():
 
 def test_sweep_rows_in_first_reached_day_then_code_order():
     # the float sweep adds in row order, so this order fixes its digits
-    table = _TransitionTable((RankSubset.comb(5),))
+    table = _family_table((RankSubset.comb(5),))
     first = {0: 0}  # row -> the day it was first reached
     rows = np.zeros(1, dtype=np.int64)
     for day in range(1, 40):

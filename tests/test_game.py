@@ -18,6 +18,7 @@ from combregret.game import (
 from combregret.optimal import MAX_HORIZON
 from tests.support import (
     collapse_reference,
+    one_member,
     raw_reference_step,
     reference_values,
     tie_consistent_perms,
@@ -69,7 +70,7 @@ def _children(states, subset):
     by one ``_successors`` call."""
     k = subset.k
     codes = np.array([pack(gaps, k) for gaps in states], dtype=np.int64)
-    child_codes, deltas = _successors(codes, k, (subset.gains(), subset.complement_gains()))
+    child_codes, deltas = _successors(codes, k, *one_member((subset.gains(), subset.complement_gains()), k))
     children = [[unpack(c, k) for c in row] for row in child_codes.tolist()]
     return list(zip(*children, (deltas[0] + deltas[1]).tolist()))
 
@@ -130,7 +131,7 @@ def test_vectorized_successors_match_step():
         assert [tuple(row) for row in decoded.tolist()] == states
         for subset in all_strategies(k):
             gains = (subset.gains(), subset.complement_gains())
-            child_codes, deltas = _successors(np.array(codes), k, gains)
+            child_codes, deltas = _successors(np.array(codes), k, *one_member(gains, k))
             children = child_codes.T.tolist()
             sums = (deltas[0] + deltas[1]).tolist()
             for gaps, kids, d in zip(states, children, sums):
@@ -159,7 +160,7 @@ def _check_against_oracle(states, k, gains):
     """``_successors`` on ``states`` against the oracle's raw-total step,
     under the oracle's rank order and each tie-consistent permutation."""
     codes = np.array([pack(gaps, k) for gaps in states], dtype=np.int64)
-    child_codes, deltas = _successors(codes, k, gains)
+    child_codes, deltas = _successors(codes, k, *one_member(gains, k))
     for gaps, kids, kid_deltas in zip(states, child_codes.T.tolist(), deltas.T.tolist()):
         for a, kid, delta in zip(gains, kids, kid_deltas):
             ranks = [r for r in range(1, k + 1) if a[r - 1]]
@@ -178,7 +179,7 @@ def test_successors_every_tie_pattern():
         assert max(g[-1] for g in states) == (1 << packed_width(k)) - 2
         gains = [g for s in all_strategies(k) for g in (s.gains(), s.complement_gains())]
         _check_against_oracle(states, k, gains)
-        child_codes, deltas = _successors(np.zeros(0, dtype=np.int64), k, gains)
+        child_codes, deltas = _successors(np.zeros(0, dtype=np.int64), k, *one_member(gains, k))
         assert child_codes.shape == deltas.shape == (len(gains), 0)
 
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from combregret import forward, optimal
 from combregret.dyadic import ZERO, Dyadic
 from combregret.errors import BudgetError
-from combregret.forward import _PairTable, _sorted_unique, _successors, regret_series_fixed, scan_exact
+from combregret.forward import _gain_rows, _sorted_unique, _successors, _Table, regret_series_fixed, scan_exact
 from combregret.game import RankSubset, all_strategies, pack, packed_width, unpack
 from combregret.oracle import brute_regret_fixed
 from combregret.optimal import (
@@ -44,7 +44,9 @@ def _table_states(k, family, t):
 
 
 def test_singleton_family_equals_fixed_series():
-    for k in range(2, 6):
+    # through k = 8: at k = 7 and 8 the one-member table's shift is 60 and
+    # 63 bits, so the state mask spans every bit below the sign
+    for k in range(2, 9):
         for subset in all_strategies(k):
             series = regret_series_fixed(k, subset, 8)
             for t in range(1, 9):
@@ -246,23 +248,25 @@ def _pairs(draw):
 @settings(max_examples=200, deadline=None)
 @given(_pairs())
 def test_pair_step_matches_successors(case):
-    # a pair's child codes and leader deltas are _successors' columns for
-    # its own member, code for code, and its children are pairs of that member
+    # a member's child codes and leader deltas in the group layout, gain rows
+    # of shape (2, members), are those of its two branches in the one-member
+    # layout, shape (2 * members, 1), code for code, and its children keep
+    # its member bits
     k, shift, states, members = case
     codes = np.array([pack(g, k) for g in states], dtype=np.int64)
     pairs = np.array(members, dtype=np.int64) << shift | codes
-    gains = [g for s in all_strategies(k) for g in (s.gains(), s.complement_gains())]
-    gain_rows = (np.array(gains) @ (1 << np.arange(k))).reshape(-1, 2).T
-    table = _PairTable(k, shift, gain_rows, _sorted_unique(pairs))
+    gain_rows = _gain_rows(tuple(all_strategies(k)))
+    table = _Table(k, gain_rows, shift, _sorted_unique(pairs))
     rows = table.find(pairs)
     table.expand(rows)
     children = table.codes[table.children[:, rows]]
     assert (children >> shift == members).all()
-    want_codes, want_deltas = _successors(codes, k, gains)
-    branch = 2 * np.array(members)
+    want_codes, want_deltas = _successors(codes, k, gain_rows.T.reshape(-1, 1), packed_width(k) * (k - 1))
+    at = np.arange(len(states))
     for b in (0, 1):
-        assert (children[b] & ((1 << shift) - 1)).tolist() == want_codes[branch + b, np.arange(len(states))].tolist()
-        assert table.deltas[b, rows].tolist() == want_deltas[branch + b, np.arange(len(states))].tolist()
+        branch = 2 * np.array(members) + b
+        assert (children[b] & ((1 << shift) - 1)).tolist() == want_codes[branch, at].tolist()
+        assert table.deltas[b, rows].tolist() == want_deltas[branch, at].tolist()
 
 
 @pytest.mark.parametrize("k, t", [(4, 12), (6, 7)])
@@ -270,7 +274,7 @@ def test_each_pair_expanded_once(monkeypatch, k, t):
     # a scan whose one group never splits steps each (member, state) pair on
     # the frontier of days 0 .. t - 1 once, and no other pair
     stepped = []
-    expand = _PairTable.expand
+    expand = _Table.expand
 
     def counting(table, rows):
         codes = table.codes[rows[~table.expanded[rows]]]
@@ -278,7 +282,7 @@ def test_each_pair_expanded_once(monkeypatch, k, t):
         stepped.extend(zip((codes >> table.shift).tolist(), map(tuple, gaps)))
         expand(table, rows)
 
-    monkeypatch.setattr(_PairTable, "expand", counting)
+    monkeypatch.setattr(_Table, "expand", counting)
     scan_exact(k, t)
     assert len(stepped) == len(set(stepped))
     walk = set()
@@ -367,14 +371,14 @@ def test_reproducible_and_shared_memo():
 
 
 def test_each_state_stepped_once(monkeypatch):
-    # the layers share one transition table, so each distinct state of
+    # the layers share one table, so each distinct state of
     # L_0 .. L_79 is stepped once under each member, however many layers
     # hold it
     stepped = []
 
-    def counting(codes, k, gains):
-        stepped.append(codes.shape[0] * len(gains))  # two branches per member
-        return _successors(codes, k, gains)
+    def counting(codes, k, gain_rows, shift):
+        stepped.append(codes.shape[0] * len(gain_rows))  # two branches per member
+        return _successors(codes, k, gain_rows, shift)
 
     monkeypatch.setattr("combregret.forward._successors", counting)
     family = tuple(all_strategies(3))
@@ -454,10 +458,10 @@ def test_horizon_limits(monkeypatch):
 
 def test_construction_checks_inputs_before_any_work(monkeypatch):
     # the family first, then the horizon, and only then the table
-    def no_table(family):
-        raise AssertionError("the transition table was built")
+    def no_table(*args):
+        raise AssertionError("the table was built")
 
-    monkeypatch.setattr("combregret.optimal._TransitionTable", no_table)
+    monkeypatch.setattr("combregret.optimal._Table", no_table)
     family = [RankSubset.of(2, (1,))]
     with pytest.raises(BudgetError, match=f"horizon {MAX_HORIZON + 1} exceeds"):
         AdaptiveSolver(2, family, MAX_HORIZON + 1)

@@ -94,6 +94,13 @@ def test_adaptive_oracle_k3_all_matches_engine():
         assert engine.regret == oracle
 
 
+def test_adaptive_oracle_k7_all_matches_engine():
+    # the whole family of k = 7: a one-member table of 64 branches, whose
+    # state codes take 60 of its 63 bits
+    fam = list(all_strategies(7))
+    assert value_adaptive(7, fam, 3).regret == brute_value_adaptive(7, fam, 3)
+
+
 def test_adaptive_oracle_k6_family_matches_engine(k6_family):
     for t in range(1, 11):
         oracle = brute_value_adaptive(6, k6_family, t)
