@@ -21,20 +21,21 @@ brute-force oracle's step on raw totals.  A table never forgets a code, so
 it is capped at ``MAX_TABLE_ROWS`` rows for a two-branch row and fewer for
 a wider one; growing past the cap raises ``BudgetError``.
 
-A table of one member holds bare states under every branch of a family:
-the float sweep's, of its one subset, and the adaptive solver's in
-``optimal``, of its whole family.  Both hand a day's child rows to the
-table's ``reach``, which returns the next frontier, or the raw states the
-solver collapses into its next layer and appends through ``add``; the
-float sweep adds one ``np.bincount`` of the weights.  A table of many
+Every engine hands a day's child rows to the table's ``reach``, which
+returns the rows they reach, ascending: every sweep's next frontier, and
+the raw states the adaptive solver collapses into its next layer and
+appends through ``add``.  A table of one member holds bare states under
+every branch of a family: the float sweep's, of its one subset, and the
+adaptive solver's in ``optimal``, of its whole family.  A table of many
 members, each of one subset's two branches, steps each row under its own
 member alone, so a day costs the same number of numpy calls however many
-members it holds.  It serves the one exact sweep, ``_sweep_exact``: one
-member for ``regret_series_fixed`` (``eval`` and ``compare``), and groups
-of members for ``scan_exact`` (``best-fixed``), which values every
-canonical subset of k experts at one horizon.  A group whose table
-outgrows ``SCAN_PAIRS`` rows splits in two, so long horizons hold one or a
-few subsets' rows at a time.
+members it holds; a member's sums over the frontier are one
+``np.bincount`` by the rows' member bits.  It serves the one exact sweep,
+``_sweep_exact``: one member for ``regret_series_fixed`` (``eval`` and
+``compare``), and groups of members for ``scan_exact`` (``best-fixed``),
+which values every canonical subset of k experts at one horizon.  A group
+whose table outgrows ``SCAN_PAIRS`` rows splits in two, so long horizons
+hold one or a few subsets' rows at a time.
 
 The backends differ only in how they hold the weights:
 
@@ -60,7 +61,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache
 from itertools import accumulate
 
 import numpy as np
@@ -94,6 +95,8 @@ MAX_TABLE_ROWS = (2 << 30) // ROW_BYTES
 # exact path counts are split into limbs of this many bits.  np.bincount
 # sums in float64, and a merged limb sums at most two limbs, each below
 # 2^LIMB_BITS, per table row, so every merged limb is an exact integer.
+# So is every member sum (``_member_sums``): a frontier holds at most one
+# entry per table row, each below 2^(LIMB_BITS + 1).
 LIMB_BITS = 28
 _LIMB_MASK = (1 << LIMB_BITS) - 1
 assert 2 * MAX_TABLE_ROWS << LIMB_BITS <= 1 << 53
@@ -133,36 +136,23 @@ def _branch_blocks(branches: int, rows: int, pair: int = 1) -> list[slice]:
     return [slice(lo, lo + step) for lo in range(0, branches, step)]
 
 
-def _sort_step(gaps, k: int, gains):
-    """The child gaps (one array per rank) and leader deltas of the states
-    ``gaps`` (one array per rank) under each branch of ``gains``, shape
-    (branches, n) each: x_i = g_i + delta - a_i, delta = max_i (a_i - g_i),
-    sorted rank by rank by an insertion network of compare-exchanges."""
-    rel = [gains[:, i, None] - gaps[i] for i in range(k)]
-    delta = reduce(np.maximum, rel)
-    nxt = [np.subtract(delta, r, out=r) for r in rel]
-    for i in range(1, k):
-        for j in range(i, 0, -1):
-            low = np.minimum(nxt[j - 1], nxt[j])
-            nxt[j] = np.maximum(nxt[j - 1], nxt[j])
-            nxt[j - 1] = low
-    return nxt, delta
-
-
 @cache
 def _step_table(k: int):
     """The code offsets (int64) and leader deltas (int8) of one day, each
     indexed by [gain vector, tie pattern]: rank i gains at bit i - 1 of the
     gain vector, and bit p of the pattern is set when gaps p + 1 and p + 2
-    tie.  Filled by ``_sort_step`` on one state per pattern, whose gaps rise
-    by 1 wherever the pattern has no tie, under all 2^k gain vectors."""
+    tie.  Filled by one step of one state per pattern, whose gaps rise by 1
+    wherever the pattern has no tie, under all 2^k gain vectors: x_i = g_i +
+    delta - a_i, delta = max_i (a_i - g_i), sorted."""
     patterns = np.arange(1 << (k - 1))
     rises = (1 - ((patterns >> p) & 1) for p in range(k - 1))
-    gaps = list(accumulate(rises, initial=patterns * 0))
+    gaps = np.array(list(accumulate(rises, initial=patterns * 0)))
     gains = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
-    child, deltas = _sort_step(gaps, k, gains)
+    rel = gains[:, :, None] - gaps
+    deltas = rel.max(axis=1)
+    child = np.sort(deltas[:, None] - rel, axis=1)
     # read-only: every caller shares the cached arrays
-    offsets, deltas = pack(child, k) - pack(gaps, k), deltas.astype(np.int8)
+    offsets, deltas = pack(child.swapaxes(0, 1), k) - pack(gaps[:, None], k), deltas.astype(np.int8)
     offsets.flags.writeable = deltas.flags.writeable = False
     return offsets, deltas
 
@@ -232,7 +222,7 @@ class _Table:
     sweep's groups have many members of two branches each, shape (2, m).
     Every gap of a sweep to t_max is at most t_max, so its state codes stay
     below 2^shift for shift = ``packed_width(k) * (k - 2) +
-    t_max.bit_length()``, and each member's codes form one run.
+    t_max.bit_length()``.
     The float sweep and the adaptive solver have one member of every branch
     of their family, shape (2m, 1), and shift = ``packed_width(k) * (k -
     1)``, so that every code is a bare state code; rows 2j and 2j + 1 are
@@ -246,7 +236,8 @@ class _Table:
     child rows looked up in blocks of branches of at most ``BLOCK_CELLS``
     branch-rows.  Rows are appended by ``add`` alone, as codes appear, each
     batch in code order, and never move; ``order`` lists them in code order,
-    for lookups.  The table starts from the rows ``codes``, ascending.
+    for lookups.  The table starts from the rows ``codes``, distinct, in
+    the order given: a scan group's half starts from its frontier.
 
     ``len`` counts the live rows.  ``children``, ``deltas`` and ``expanded``
     are whole buffers with spare rows past the live ones, which no reader
@@ -259,9 +250,9 @@ class _Table:
 
     def __init__(self, k: int, gain_rows, shift: int, codes):
         self.k, self.gain_rows, self.shift = k, gain_rows, shift
-        self._codes = codes  # ascending and distinct
+        self._codes = codes  # distinct
         self.codes = codes[:]  # the live rows' codes
-        self.order = np.arange(codes.shape[0], dtype=np.int64)
+        self.order = np.argsort(codes)
         self.children = np.zeros((gain_rows.shape[0], codes.shape[0]), dtype=np.int64)
         self.deltas = np.zeros(self.children.shape, dtype=np.int8)  # a leader delta is 0 or 1
         self.expanded = np.zeros(codes.shape[0], dtype=bool)
@@ -277,8 +268,8 @@ class _Table:
 
     def reach(self, children):
         """The rows that ``children``, arrays of child rows, reach, ascending: a
-        float sweep's next frontier, or the raw rows of the solver's next
-        layer (the solver passes blocks of branches)."""
+        sweep's next frontier, or the raw rows of the solver's next layer
+        (the solver passes blocks of branches)."""
         reached = np.zeros(len(self), dtype=bool)
         for rows in children:
             reached[rows] = True
@@ -434,7 +425,8 @@ def _sweep_exact(subsets: tuple[RankSubset, ...], t_max: int, eps):
     subset.  A group whose table passes ``SCAN_PAIRS`` rows, or the row or
     byte budget, splits into two halves at the end of that day (or before
     the day whose step overflows the table); each half carries on over a
-    new table, started from its frontier, and the first half runs to
+    new table, started from its frontier in frontier order, so that its
+    rows 0, 1, ... are its frontier, and the first half runs to
     ``t_max`` before the second starts.  A group of one subset
     splits no further and raises ``BudgetError`` instead: its table rows are
     the subset's states.
@@ -466,13 +458,13 @@ def _sweep_group(k: int, t_max: int, shift: int, eps, day: int, gain_rows, codes
 
     ``counts`` holds the frontier's path counts over 2^day as int64 rows of
     ``LIMB_BITS``-bit limbs, least significant first; entry i of each row
-    belongs to frontier pair i.  The frontier lists its pairs in code order
-    (a lone member's in row order, whose gathers from the table run
-    forward), so each member's pairs form one segment, and its expected
-    delta and pruned mass are sums over its segment (``_member_sums``).  A
-    pair's children are pairs of its own member, and a day merges each limb
-    with one ``np.bincount`` of the children straight into their positions
-    in the next frontier, then ``_carry``s the sums into a spare top limb,
+    belongs to frontier pair i.  The frontier lists its table rows
+    ascending, from ``_Table.reach``, so its gathers from the table run
+    forward, and each member's expected delta and pruned mass are sums over
+    its own pairs (``_member_sums``).  A pair's children are pairs of its
+    own member, and a day merges each limb with one ``np.bincount`` of the
+    children straight into their positions in the next frontier, then
+    ``_carry``s the sums into a spare top limb,
     kept only when the carry reaches it.  The pruning cut drops the pairs
     whose count over 2^day falls below ``eps`` and charges each member's
     dropped mass to its own ledger.  The table's rows are charged
@@ -496,16 +488,14 @@ def _sweep_group(k: int, t_max: int, shift: int, eps, day: int, gain_rows, codes
         both = deltas[0] + deltas[1]
         delta = _member_sums(table, frontier, [limb * both for limb in counts])
         children = np.take(table.children, frontier, axis=1)
-        reached = np.zeros(len(table), dtype=bool)
-        reached[children] = True
-        frontier = table.order[reached[table.order]] if size > 1 else np.flatnonzero(reached)
+        frontier = table.reach(children)
         # each child's position in the next frontier, where its count merges
         at = np.empty(len(table), dtype=np.int64)
         at[frontier] = np.arange(frontier.shape[0])
         into = at[children.ravel()]
         # free the day's arrays before the merge and before the next day
         # grows the table
-        del deltas, both, children, reached, at
+        del deltas, both, children, at
         merged = []
         while counts:
             # popped, so each limb is freed once merged
@@ -543,35 +533,30 @@ def _sweep_group(k: int, t_max: int, shift: int, eps, day: int, gain_rows, codes
 
 def _member_sums(table: _Table, rows, limbs) -> list[int]:
     """Each member's sum of the limb rows ``limbs`` over its pairs, as Python
-    ints, where entry i of each limb row belongs to the pair ``rows[i]`` and
-    ``rows`` are frontier pairs in frontier order.  A lone member's sums are
-    whole-row sums; a group's are one ``np.add.reduceat`` per limb over the
-    members that hold pairs, and 0 for the rest.  Every sum is exact in
-    int64: no frontier holds more than 2^24 pairs, each entry below
-    2^(LIMB_BITS + 1)."""
+    ints, where entry i of each limb row belongs to the table row
+    ``rows[i]``.  A lone member's sums are whole-row sums; a group's are one
+    ``np.bincount`` per limb by the rows' member bits, 0 for a member with
+    no pairs.  Both are exact: no frontier holds more than 2^24 pairs, each
+    entry below 2^(LIMB_BITS + 1) (the assert on ``LIMB_BITS``)."""
     size = table.gain_rows.shape[1]
     if size == 1:
-        # every pair is the member's, in row order: no segments to find
         return [_join((int(limb.sum()) for limb in limbs), LIMB_BITS)]
-    # a group's pairs are in code order, so each member's form one segment
-    edges = np.searchsorted(table.codes[rows] >> table.shift, np.arange(size + 1))
-    held = edges[:-1] < edges[1:]
-    sums = [np.add.reduceat(limb, edges[:-1][held]).tolist() for limb in limbs]
-    totals = iter([_join(column, LIMB_BITS) for column in zip(*sums)])
-    return [next(totals) if h else 0 for h in held.tolist()]
+    members = table.codes[rows] >> table.shift
+    sums = [np.bincount(members, weights=limb, minlength=size).astype(np.int64) for limb in limbs]
+    return [_join(column, LIMB_BITS) for column in zip(*sums)]
 
 
 def _halves(table: _Table, day: int, frontier, counts, records):
     """The two halves of a ``_sweep_exact`` group whose ``table`` holds the
-    pairs ``frontier``, in code order, with ``counts`` at the end of
-    ``day``: the first half of its members, then the rest, renumbered from
-    0."""
+    pairs ``frontier``, with ``counts`` at the end of ``day``: the first
+    half of its members, then the rest, renumbered from 0, each listing its
+    pairs in frontier order."""
     codes = table.codes[frontier]
     half = len(records) // 2
-    cut = np.searchsorted(codes, half << table.shift)
+    low = codes < half << table.shift
     return [
-        (day, table.gain_rows[:, :half], codes[:cut], [limb[:cut] for limb in counts], records[:half]),
-        (day, table.gain_rows[:, half:], codes[cut:] - (half << table.shift), [limb[cut:] for limb in counts], records[half:]),
+        (day, table.gain_rows[:, :half], codes[low], [limb[low] for limb in counts], records[:half]),
+        (day, table.gain_rows[:, half:], codes[~low] - (half << table.shift), [limb[~low] for limb in counts], records[half:]),
     ]
 
 

@@ -11,6 +11,7 @@ from combregret.forward import (
     SERIES_HEADER,
     _at_least,
     _gain_rows,
+    _member_sums,
     _Table,
     regret_series_fixed,
     write_series_csv,
@@ -259,6 +260,42 @@ def test_sweep_rows_in_first_reached_day_then_code_order():
             first.setdefault(row, day)
     keys = [(first[row], int(table.codes[row])) for row in range(len(table))]
     assert len(first) == len(table) and keys == sorted(keys)
+
+
+def test_table_from_unsorted_distinct_codes():
+    # a scan group's half starts its table from the old frontier's codes in
+    # frontier order, which need not be code order
+    start = np.array([50, 10, 90, 30], dtype=np.int64)
+    table = _Table(5, _gain_rows((RankSubset.comb(5),)), packed_width(5) * 3 + 7, start.copy())
+    assert table.find(start).tolist() == [0, 1, 2, 3]
+    assert table.find(np.array([10, 70, 50, 100])).tolist() == [1, -1, 0, -1]
+    table.add(np.array([70, 30, 100, 70, 10], dtype=np.int64))
+    assert table.codes.tolist() == [50, 10, 90, 30, 70, 100]
+    assert table.order.tolist() == [1, 3, 0, 4, 2, 5]
+    assert table.find(np.array([100, 70, 90])).tolist() == [5, 4, 2]
+
+
+def test_member_sums_of_an_interleaved_group():
+    # a group's frontier lists its rows ascending, so members' pairs
+    # interleave; member 2 holds no pairs, and some entries sit at the top
+    # of the range, twice a full limb
+    subsets = tuple(all_strategies(5))[:4]
+    shift = packed_width(5) * 3 + 7
+    members = np.array([3, 0, 1, 3, 0, 1, 1, 3, 0], dtype=np.int64)
+    table = _Table(5, _gain_rows(subsets), shift, (members << shift) | np.arange(9))
+    rows = np.array([8, 0, 5, 2, 7, 3, 1, 6, 4], dtype=np.int64)
+    top = 2 * ((1 << forward.LIMB_BITS) - 1)
+    limbs = [
+        np.array([top, 5, top, 0, top, 7, 1, top, 3], dtype=np.int64),
+        np.array([top, top, 4, top, 0, 2, top, 9, 1], dtype=np.int64),
+    ]
+    expected = [0] * 4
+    for i, row in enumerate(rows.tolist()):
+        expected[int(members[row])] += sum(int(limb[i]) << (forward.LIMB_BITS * j) for j, limb in enumerate(limbs))
+    assert expected[2] == 0 and min(expected[:2] + expected[3:]) > 0
+    assert _member_sums(table, rows, limbs) == expected
+    empty = np.zeros(0, dtype=np.int64)
+    assert _member_sums(table, empty, [empty, empty]) == [0] * 4
 
 
 @st.composite
