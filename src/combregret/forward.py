@@ -12,21 +12,22 @@ every (member, state) code reached so far, one row each, appended as the
 code first appears and never moved, with the rows of its children and
 their leader deltas under its own member's branches filled in the first
 day the code is on the frontier.  Rows live in buffers with spare
-capacity, grown by a quarter when a batch of new codes does not fit, and
-``len`` of a table counts the live rows.  Each code is stepped once, by
-``_successors``: re-sorting a child's gaps only reorders runs of tied gaps,
-so the step reads the state's tie pattern through ``game.unpack`` and adds
-a tabulated offset to its code; the tests check it against the
-brute-force oracle's step on raw totals.  A table never forgets a code, so
-it is capped at ``MAX_TABLE_ROWS`` rows for a two-branch row and fewer for
-a wider one; growing past the cap raises ``BudgetError``.
+capacity, grown to a quarter past what a batch of new codes needs when it
+does not fit, and ``len`` of a table counts the live rows.  Each code is
+stepped once, by ``_successors``: re-sorting a child's gaps only reorders
+runs of tied gaps, so the step reads the state's tie pattern through
+``game.unpack`` and adds a tabulated offset to its code; the tests check it
+against the brute-force oracle's step on raw totals.  A table never forgets
+a code, so it is capped at ``MAX_TABLE_ROWS`` rows for a two-branch row and
+fewer for a wider one; growing past the cap raises ``BudgetError``.
 
 Every engine hands a day's child rows to the table's ``reach``, which
 returns the rows they reach, ascending: every sweep's next frontier, and
 the raw states the adaptive solver collapses into its next layer and
-appends through ``add``.  A table of one member holds bare states under
-every branch of a family: the float sweep's, of its one subset, and the
-adaptive solver's in ``optimal``, of its whole family.  A table of many
+appends through ``add``, which returns the rows of the codes it is given.
+A table of one member holds bare states under every branch of a family:
+the float sweep's, of its one subset, and the adaptive solver's in
+``optimal``, of its whole family.  A table of many
 members, each of one subset's two branches, steps each row under its own
 member alone, so a day costs the same number of numpy calls however many
 members it holds; a member's sums over the frontier are one
@@ -242,8 +243,8 @@ class _Table:
     ``len`` counts the live rows.  ``children``, ``deltas`` and ``expanded``
     are whole buffers with spare rows past the live ones, which no reader
     indexes; ``codes`` is a view of the live rows of its buffer, so lookups
-    never see a spare code.  A batch that does not fit grows every buffer by
-    a quarter, or to the batch, and never past the row budget: at most
+    never see a spare code.  A batch that does not fit grows every buffer to
+    a quarter past the rows it needs, and never past the row budget: at most
     ``MAX_TABLE_ROWS`` rows, and fewer in the ratio of a two-branch row's
     width to the row's own where a row holds more branches.
     """
@@ -276,25 +277,34 @@ class _Table:
         return np.flatnonzero(reached)
 
     def expand(self, rows) -> None:
-        """Step the unexpanded codes among ``rows``, appending their new children."""
+        """Step the unexpanded codes among ``rows``, appending their new
+        children.  ``add`` looks each distinct child code up once; each
+        block of branches then finds its children's rows by a search of
+        those distinct codes alone, not of the whole table."""
         new = rows[~self.expanded[rows]]
         if new.shape[0] == 0:
             return
         child_codes, child_deltas = _successors(self.codes[new], self.k, self.gain_rows, self.shift)
-        self.add(child_codes)
+        distinct, rows = self.add(child_codes)
         # in blocks of branches, to keep the transient row indices small
         for block in _branch_blocks(self.children.shape[0], new.shape[0]):
-            self.children[block, new] = self.find(child_codes[block])
+            self.children[block, new] = rows[np.searchsorted(distinct, child_codes[block])]
         self.deltas[:, new] = child_deltas
         self.expanded[new] = True
 
-    def add(self, codes) -> None:
-        """Append a row for each distinct code of ``codes`` that has none, in code order."""
-        fresh = _sorted_unique(codes)
-        fresh = fresh[self.find(fresh) < 0]
+    def add(self, codes):
+        """Append a row for each distinct code of ``codes`` that has none, in
+        code order, and return the distinct codes, ascending, with their
+        rows: ``rows[np.searchsorted(distinct, codes)]`` are the rows of
+        ``codes``, in any shape."""
+        distinct = _sorted_unique(codes)
+        rows = self.find(distinct)
+        missing = rows < 0
+        fresh = distinct[missing]
         if fresh.shape[0] == 0:
-            return
+            return distinct, rows
         n, size = len(self), len(self) + fresh.shape[0]
+        rows[missing] = np.arange(n, size)
         fixed = self.codes.itemsize + self.order.itemsize + self.expanded.itemsize
         branch = self.children.itemsize + self.deltas.itemsize
         limit = MAX_TABLE_ROWS * (fixed + 2 * branch) // (fixed + self.children.shape[0] * branch)
@@ -306,13 +316,14 @@ class _Table:
         if size > self._codes.shape[0]:
             # 1.25x, not 2x: spare rows cost peak memory at the solver's reach.
             # One buffer at a time, so that one old copy at most is held
-            cap = min(max(size, self._codes.shape[0] * 5 // 4), limit)
+            cap = min(size * 5 // 4, limit)
             self._codes = _grow(self._codes, cap)
             self.children = _grow(self.children, cap)
             self.deltas = _grow(self.deltas, cap)
             self.expanded = _grow(self.expanded, cap)
         self._codes[n:size] = fresh
         self.codes = self._codes[:size]
+        return distinct, rows
 
 
 # ----------------------------------------------------------------------

@@ -183,27 +183,30 @@ def collapse(codes, k: int, r: int):
     gap below its first split set to ``sentinel(k)``.
 
     With sorted gaps g_0 = 0 <= g_1 <= ... <= g_(k-1), the first split is
-    the first i with g_(i+1) - g_i >= r + 1.  A gap between two experts
-    closes by at most 1 a day, so within r days no expert below the split
-    reaches the lead, and none ties or swaps rank with one above it: ranks
-    1 .. i + 1 keep the same experts, and every leader delta depends on
-    them alone; the experts below the split only reorder among themselves,
-    at ranks i + 2 .. k.  So a state and its
-    collapse have the same scaled value N(s, r) under every sequence of
-    family members, as long as the collapse keeps the split: S - g_i >=
-    r + 1 for the sentinel S.  A state reached at day d has every gap at
-    most d, so that holds when S >= T + 1 for the horizon T = d + r.  The
-    sentinel keeps the split from day to day: the gap across it closes to
-    at least r, a split again with r - 1 days left, so every gap below it
-    is set back to S, and collapsed codes repeat.  A state with no split
-    is returned as it is.  Nothing is checked.
+    the first i with g_(i+1) - g_i >= r.  A gap between two experts closes
+    by at most 1 a day, so at the start of each of the r days it is still at
+    least 1: no expert below the split leads, ties or swaps rank with one
+    above it on any day it is ranked, so ranks 1 .. i + 1 keep the same
+    experts, and every leader delta depends on them alone; the experts
+    below the split only reorder among themselves, at ranks i + 2 .. k.  At
+    most the gap closes to a tie at the end of the last day, which raises
+    the leader's total by nothing and is ranked on no later day.  So a
+    state and its collapse have the same scaled value N(s, r) under every
+    sequence of family members, as long as the collapse keeps the split:
+    S - g_i >= r for the sentinel S.  A state reached at day d has every
+    gap at most d, so that holds when S >= T for the horizon T = d + r.
+    The sentinel keeps the split from day to day: the gap across it closes
+    to at least r - 1, a split again with r - 1 days left, so every gap
+    below it is set back to S, and collapsed codes repeat.  With no day
+    left every state collapses to its leader and sentinels.  A state with
+    no split is returned as it is.  Nothing is checked.
     """
     width = packed_width(k)
     gaps = unpack(codes, k)
     # the first field below the first split; k - 1, past the last, for none
     first = np.full(codes.shape, k - 1)
     for i in reversed(range(k - 1)):
-        first[gaps[i + 1] - gaps[i] > r] = i
+        first[gaps[i + 1] - gaps[i] >= r] = i
     keep = np.array([(1 << width * i) - 1 for i in range(k)], dtype=np.int64)
     far = sentinel(k)
     tail = np.array([pack((0,) * (i + 1) + (far,) * (k - 1 - i), k) for i in range(k)], dtype=np.int64)

@@ -21,12 +21,14 @@ collapsed by ``game.collapse`` with T - d days left, in ascending order.  A
 collapsed state has the value of every state it stands for (the proof is in
 ``collapse``'s docstring), so L_{d+1} is the collapse of what the table's
 ``reach`` returns for the child rows of L_d, and a layer keeps those raw
-child rows with the position of each one's collapse in L_{d+1}.  While no
-child gap can span a split (d + 1 < T - d), the collapse is the identity and
-the child rows are the next layer.  A row never moves once the table has
-it.  Gap tuples become codes and back only at ``trace``.  A backward pass
-then values a whole layer at once on the scaled integers
-N(s, r) = V(s, r) * 2^r, which obey
+child rows with the position of each one's collapse in L_{d+1}.  A child's
+gaps are at most d + 1, and a split with T - d - 1 days left is a gap of at
+least T - d - 1, so while d + 2 < T - d the collapse is the identity and the
+child rows are the next layer.  ``add`` appends the collapsed codes that
+have no row and returns the rows of all of them at once.  A row never moves
+once the table has it.  Gap tuples become codes and back only at
+``trace``.  A backward pass then values a whole layer at once on the scaled
+integers N(s, r) = V(s, r) * 2^r, which obey
 
     N(s, r) = max over A of 2^(r-1) * (delta_A + delta_B) + N(s_A, r-1) + N(s_B, r-1)
 
@@ -54,7 +56,7 @@ import numpy as np
 from .dyadic import Dyadic
 from .errors import BudgetError
 from .forward import (
-    _at_least, _branch_blocks, _carry, _gain_rows, _join, _sorted_unique, _successors, _Table, scan_exact,
+    _at_least, _branch_blocks, _carry, _gain_rows, _join, _successors, _Table, scan_exact,
 )
 from .game import (
     MAX_K, GapState, RankSubset, all_strategies, collapse, packed_width, sentinel, unpack,
@@ -75,9 +77,9 @@ MAX_MEMO_NODES = 20_000_000
 MAX_HORIZON = 400
 # every gap reached within MAX_HORIZON days fits the packed width of any k,
 # and collapse's sentinel S keeps its split at every horizon T: a gap kept
-# on day d is at most d, and S - d >= T - d + 1 when S >= T + 1
+# on day d is at most d, and S - d >= T - d when S >= T
 assert MAX_HORIZON < 1 << packed_width(MAX_K)
-assert MAX_HORIZON + 1 <= sentinel(MAX_K)
+assert MAX_HORIZON <= sentinel(MAX_K)
 
 # values are limb rows of LIMB_BITS bits.  Before its carry, a limb of a
 # candidate sums two limbs, a delta sum of at most 2 shifted by up to 60 bits
@@ -160,16 +162,16 @@ class AdaptiveSolver:
             table.expand(rows)
             blocks = _branch_blocks(table.children.shape[0], rows.shape[0])
             raw = table.reach(np.take(table.children[b], rows, axis=1) for b in blocks)
-            if d + 1 < t - d:
-                # a child's gaps are at most d + 1: none spans a split of t - d
+            if d + 2 < t - d:
+                # a child's gaps are at most d + 1: none spans a split of t - d - 1
                 layers.append(raw)
                 reached.append((raw, None))
                 continue
             codes = collapse(table.codes[raw], k, t - d - 1)
-            table.add(codes)
-            rows = table.find(codes)
-            layers.append(_sorted_unique(rows))
-            reached.append((raw, np.searchsorted(layers[-1], rows)))
+            distinct, rows = table.add(codes)
+            layer = np.sort(rows)
+            layers.append(layer)
+            reached.append((raw, np.searchsorted(layer, rows)[np.searchsorted(distinct, codes)]))
         self._layers, self._reached = layers, reached
 
     def _solve(self) -> None:

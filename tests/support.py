@@ -89,10 +89,10 @@ def one_member(gains, k: int):
 
 def collapse_reference(gaps: tuple[int, ...], r: int) -> tuple[int, ...]:
     """``gaps`` with r days left, every gap below the first split (the first
-    i with gaps[i + 1] - gaps[i] > r) set to the far gap 2^width - 2."""
+    i with gaps[i + 1] - gaps[i] >= r) set to the far gap 2^width - 2."""
     far = (1 << packed_width(len(gaps))) - 2
     for i in range(1, len(gaps)):
-        if gaps[i] - gaps[i - 1] > r:
+        if gaps[i] - gaps[i - 1] >= r:
             return gaps[:i] + (far,) * (len(gaps) - i)
     return gaps
 

@@ -275,6 +275,26 @@ def test_table_from_unsorted_distinct_codes():
     assert table.find(np.array([100, 70, 90])).tolist() == [5, 4, 2]
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(0, 40), min_size=1, max_size=12, unique=True),
+    st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), min_size=1, max_size=12),
+    st.sampled_from([(-1,), (2, -1), (-1, 2, 1)]),
+)
+def test_add_returns_the_rows_of_its_distinct_codes(start, pairs, shape):
+    # old and fresh codes, with duplicates, in any shape: add returns the
+    # distinct codes, ascending, with the rows find gives them after it,
+    # and appends the fresh ones in code order
+    table = _Table(5, _gain_rows((RankSubset.comb(5),)), packed_width(5) * 3 + 7, np.array(start, dtype=np.int64))
+    batch = [code for pair in pairs for code in pair]
+    codes = np.array(batch, dtype=np.int64).reshape(shape)
+    distinct, rows = table.add(codes)
+    assert distinct.tolist() == sorted(set(batch))
+    assert rows.tolist() == table.find(distinct).tolist()
+    assert table.codes.tolist() == start + sorted(set(batch) - set(start))
+    assert (rows[np.searchsorted(distinct, codes)] == table.find(codes)).all()
+
+
 def test_member_sums_of_an_interleaved_group():
     # a group's frontier lists its rows ascending, so members' pairs
     # interleave; member 2 holds no pairs, and some entries sit at the top

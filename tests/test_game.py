@@ -278,6 +278,39 @@ def test_collapse_keeps_the_value():
             assert moved > len(states)
 
 
+def _first_split_of_r(k, r):
+    """States of k gaps whose first rise of at least r is exactly r: rises
+    of 0 or r - 1 above it, and of 0 or r below it."""
+    for split in range(k - 1):
+        for above in itertools.product(sorted({0, r - 1}), repeat=split):
+            for below in itertools.product((0, r), repeat=k - 2 - split):
+                yield tuple(itertools.accumulate(above + (r,) + below, initial=0))
+
+
+def test_collapse_splits_at_a_gap_of_r():
+    # with r days left, a gap of exactly r closes at most to a tie at the
+    # end of the last day, so it is a split: each such state collapses, and
+    # keeps its value and its maximizing members.  All subsets where the
+    # reference recursion is cheap, k <= 4, and two pairs beyond
+    for k in range(3, 7):
+        wide = tuple(all_strategies(k)) if k <= 4 else (RankSubset.of(k, (1, 3, k)), RankSubset.of(k, (1, 4, k)))
+        families = (RankSubset.of(k, (1, 3)), RankSubset.of(k, (1, k))), wide
+        for scaled in map(reference_values, families):
+            for r in range(1, 7):
+                states = sorted(set(_first_split_of_r(k, r)))
+                codes = np.array([pack(gaps, k) for gaps in states], dtype=np.int64)
+                images = np.stack(unpack(collapse(codes, k, r), k), axis=1).tolist()
+                for gaps, image in zip(states, map(tuple, images)):
+                    assert image != gaps and image == collapse_reference(gaps, r)
+                    assert scaled(gaps, r) == scaled(image, r), (gaps, r)
+    # and the rule is tight: a gap of r - 1 is no split, since setting the
+    # gaps below it to the sentinel changes the value
+    scaled = reference_values(tuple(all_strategies(3)))
+    for r in range(1, 7):
+        gaps = (0, r - 1, r - 1)
+        assert scaled(gaps, r) != scaled(collapse_reference(gaps, r - 1), r)
+
+
 def test_all_strategies():
     for k, n in ((2, 2), (3, 4), (4, 8), (5, 16), (6, 32)):
         subs = list(all_strategies(k))

@@ -107,7 +107,7 @@ def test_k6_all_family_beats_136_at_t39():
     assert best.regret == Dyadic(317477291097, 36)
     res = value_adaptive(6, all_strategies(6), 39)
     assert res.regret == Dyadic(79559529375, 34) > best.regret
-    assert res.node_count == 1_503_397
+    assert res.node_count == 1_306_276
 
 
 @pytest.mark.slow
@@ -123,10 +123,10 @@ def test_all_subset_values_and_node_counts():
     # |L_{T-1}|, against the layers walked on gap tuples
     k3 = value_adaptive(3, all_strategies(3), 80)
     assert k3.regret == Dyadic(5745867330449876380037831, 80)
-    assert k3.node_count == 31_789 == _nodes(3, all_strategies(3), 80)
+    assert k3.node_count == 30_658 == _nodes(3, all_strategies(3), 80)
     k6 = value_adaptive(6, all_strategies(6), 13)
-    assert k6.node_count == 5_986 == _nodes(6, all_strategies(6), 13)
-    assert len(k6.table) == 4_342
+    assert k6.node_count == 4_182 == _nodes(6, all_strategies(6), 13)
+    assert len(k6.table) == 3_358
     # at every horizon, a solver's table holds exactly the states of its
     # layers and their raw children
     for k, horizons in ((2, (1, 9, 40)), (3, (5, 20)), (4, (4, 15)), (5, (3, 10)), (6, (2, 7))):
@@ -160,7 +160,7 @@ def test_k6_t13_two_subset_family(k6_family):
     assert res.regret == Dyadic(677, 8)
     assert res.expected_max - res.regret == Dyadic(13, 1)
     assert ":".join(s.label() for s in res.family) == "1,3,6:1,4,6"
-    assert res.node_count == 234 == _nodes(6, k6_family, 13)
+    assert res.node_count == 176 == _nodes(6, k6_family, 13)
 
 
 def test_k6_t13_best_fixed():
@@ -383,7 +383,7 @@ def test_each_state_stepped_once(monkeypatch):
     monkeypatch.setattr("combregret.forward._successors", counting)
     family = tuple(all_strategies(3))
     solver = AdaptiveSolver(3, family, 80)
-    assert solver.node_count == _nodes(3, family, 80) == 31_789
+    assert solver.node_count == _nodes(3, family, 80) == 30_658
     states = set().union(*collapsed_layers(3, family, 80)[:80])
     assert sum(stepped) == 2 * len(family) * len(states)
     assert len(states) < solver.node_count
